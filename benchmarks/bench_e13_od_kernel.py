@@ -2,13 +2,14 @@
 
 The tentpole microbenchmark: one query point, one lattice level's worth
 of subspace masks, and the two kernels of
-:meth:`~repro.index.linear.LinearScanIndex.knn_distance_sums` head to
-head. The exact kernel is the first batched engine's hot loop — one
-gather-and-reduce over the cached component matrix per mask; the GEMM
-kernel answers every mask with a single ``M @ C.T`` BLAS product plus
-one axis-wise top-k partition. A third column times the mask-major
-*fused* kernel (``knn_distance_sums_batch``) that stacks several
-queries' component matrices into one GEMM, normalised per query.
+:meth:`~repro.index.linear.LinearScanIndex.knn_distance_prefix` head to
+head, each summed into OD values. The exact kernel is the first batched
+engine's hot loop — one gather-and-reduce over the cached component
+matrix per mask; the GEMM kernel answers every mask with a single
+``M @ C.T`` BLAS product plus one axis-wise top-k selection. A third
+column times the mask-major *fused* kernel
+(``knn_distance_prefix_batch``) that stacks several queries' component
+matrices into one GEMM, normalised per query.
 
 The measurement lives in :data:`repro.bench.perf.E13_SPEC`; this script
 is its classic entry point. ``python benchmarks/bench_e13_od_kernel.py``
@@ -33,9 +34,9 @@ def test_benchmark_od_kernel_exact(benchmark):
     """Time 64 subspace OD sums through the exact gather loop."""
     backend, query, masks, components = kernel_cell_setup()
     result = benchmark(
-        lambda: backend.knn_distance_sums(
+        lambda: backend.knn_distance_prefix(
             query, 5, masks, components=components, kernel="exact"
-        )
+        ).sum(axis=1)
     )
     assert result.shape == (64,)
 
@@ -44,9 +45,9 @@ def test_benchmark_od_kernel_gemm(benchmark):
     """Time the same 64 sums through the level-wide GEMM kernel."""
     backend, query, masks, components = kernel_cell_setup()
     result = benchmark(
-        lambda: backend.knn_distance_sums(
+        lambda: backend.knn_distance_prefix(
             query, 5, masks, components=components, kernel="gemm"
-        )
+        ).sum(axis=1)
     )
     assert result.shape == (64,)
 
@@ -58,7 +59,7 @@ def test_benchmark_od_kernel_gemm_float32(benchmark):
     backend, query, masks, components = kernel_cell_setup()
     components32 = components32_from(components)
     result = benchmark(
-        lambda: backend.knn_distance_sums(
+        lambda: backend.knn_distance_prefix(
             query,
             5,
             masks,
@@ -66,7 +67,7 @@ def test_benchmark_od_kernel_gemm_float32(benchmark):
             kernel="gemm",
             precision="float32",
             components32=components32,
-        )
+        ).sum(axis=1)
     )
     assert result.shape == (64,)
 

@@ -43,11 +43,11 @@ def test_benchmark_shard_pool_warm(benchmark):
     the per-fit cache so it measures a cold batch over a warm pool.
     """
     miner, targets = small_batch_setup()
-    miner.query_batch(targets, workers=2, shard="rows")  # spin up, unmeasured
+    miner.query_batch(targets, workers=2)  # spin up, unmeasured
 
     def run():
         miner.od_cache_.invalidate()
-        return miner.query_batch(targets, workers=2, shard="rows")
+        return miner.query_batch(targets, workers=2)
 
     result = benchmark(run)
     miner.close()
@@ -63,7 +63,7 @@ def test_benchmark_shard_pool_percall(benchmark):
     def run():
         miner.close()
         miner.od_cache_.invalidate()
-        return miner.query_batch(targets, workers=2, shard="rows")
+        return miner.query_batch(targets, workers=2)
 
     result = benchmark(run)
     miner.close()

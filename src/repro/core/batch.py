@@ -13,74 +13,61 @@ lock-step rounds:
    :class:`~repro.core.od.SharedODCache` are replayed for free —
    fit-time calibration and learning populate that cache, so querying a
    row the learning pass already searched costs zero new kNN work;
-3. the remaining requests are scheduled **mask-major** when the fitted
-   miner resolved the GEMM kernel: searches that request the *same*
-   subspace list this round (the common case — concurrent searches
-   walk the lattice in lock-step and expand the same levels) are fused
-   into one stacked multi-query GEMM
-   (:meth:`~repro.index.linear.LinearScanIndex.knn_distance_sums_batch`
-   with ``C_batch`` component stacking), after coalescing identical
-   query points so duplicates pay once; near-threshold GEMM values are
-   re-verified with the exact kernel before any pruning decision is
-   made on them. Under the exact kernel (or a backend without the
-   level kernel) the engine falls back to the original scheduling:
-   per-query ``knn_distance_sums`` gathers when masks outnumber
-   distinct masks, else one vectorised
-   :meth:`~repro.index.base.KnnBackend.knn_batch` call per mask.
+3. identical query points are coalesced (the first computes, the rest
+   replay through the cache), and the remaining misses are grouped by
+   mask signature: searches that request the *same* subspace list this
+   round — the common case, since concurrent searches walk the lattice
+   in lock-step and expand the same levels — form one work unit
+   ``(queries × masks) → k-prefixes``, served once and settled by
+   :func:`repro.core.od.evaluate`, which re-verifies near-threshold GEMM
+   values with the exact kernel before any pruning decision is made on
+   them.
+
+The work unit's executor is chosen once per call. In process it is
+:func:`repro.core.od.knn_prefixes`: one stacked multi-query GEMM per
+group under the GEMM kernel, with each search's component matrix built
+on its first miss and dropped when it finishes (under
+:data:`COMPONENT_BUDGET_BYTES`). With ``workers > 1`` (default from
+``HOSMinerConfig.workers`` / the ``HOSMINER_WORKERS`` environment
+variable) it is the miner's persistent shard pool
+(:mod:`repro.core.shard`), spawned once and reused across every
+``query_batch`` call: each shard answers the work unit over its
+shared-memory row slice and the coordinator merges the k-prefixes
+exactly — OD additivity over data points makes the merged prefix
+identical to a full scan's. Only masks and query rows cross the pipe,
+so per-call shipped bytes are independent of ``n``; ``SearchStats``
+gains ``shard_round_trips`` and ``bytes_shipped``.
 
 Because ``run_stepped`` replays exactly the sequential decision process
-and every supplied OD value is exactly what the backend would have
-returned, the per-point results are **identical** to sequential
-``query_point``/``query_row`` calls — element-wise, including tie
-order — while the hot distance kernels run batch-wide and repeated work
-is shared (property-tested in ``tests/test_batch.py``).
-
-``workers=N`` (default from ``HOSMinerConfig.workers`` / the
-``HOSMINER_WORKERS`` environment variable) adds multiprocessing under a
-``shard=`` strategy knob:
-
-``shard="rows"`` (default)
-    The persistent scatter-gather engine (:mod:`repro.core.shard`): the
-    fitted miner owns a worker pool spawned once and reused across
-    every ``query_batch`` call, whose workers hold shared-memory row
-    shards of the dataset. The round loop above runs unchanged on the
-    coordinator, but each mask-major work unit is *scattered*: every
-    shard answers with its local sorted k-nearest distance prefixes
-    (under the fitted kernel/precision/top-k knobs) and the coordinator
-    merges them exactly — OD additivity over data points makes the
-    merged prefix identical to a full scan's. Near-threshold GEMM
-    values re-verify through a sharded *exact* round. Only masks and
-    query rows cross the pipe, so per-call shipped bytes are
-    independent of ``n``; single-query batches ride the warm pool too
-    (no silent drop to in-process). ``SearchStats`` gains
-    ``shard_round_trips`` and ``bytes_shipped``.
-
-``shard="queries"``
-    The legacy query-split fallback: each worker runs the whole
-    in-process engine over a slice of the targets against its own miner
-    copy (cache sharing is per-worker). The executor is cached on the
-    miner across calls — the miner is pickled to the workers once at
-    pool creation, not per batch.
-
-Answers are unaffected by either mode.
+and every supplied OD value is exactly what the sequential evaluator
+would have computed, the per-point results are **identical** to
+sequential ``query_point``/``query_row`` calls — element-wise, including
+tie order — at any worker count (property-tested in
+``tests/test_batch.py`` and ``tests/test_shard.py``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
 
-from repro.core.config import _SHARD_MODES
 from repro.core.exceptions import ConfigurationError
-from repro.core.od import ODEvaluator, SharedODCache, kth_bound, near_threshold
+from repro.core.od import (
+    ODEvaluator,
+    SharedODCache,
+    component_entry,
+    evaluate,
+    knn_prefixes,
+)
 from repro.core.precision import reverify_rtol
 from repro.core.result import BatchResult, OutlyingSubspaceResult
 from repro.core.search import SearchOutcome, SearchStats
 from repro.core.subspace import dims_of_mask
-from repro.index.base import components32_from, validate_query_matrix
+from repro.index.base import require_finite, validate_query_matrix
 
 if TYPE_CHECKING:
     from repro.core.miner import HOSMiner
@@ -95,44 +82,83 @@ class _SearchState:
 
     gen: Generator[list[int], "dict[int, float]", SearchOutcome]
     evaluator: ODEvaluator
+    #: Shared-cache point key; equal keys mean identical searches.
+    key: tuple[str, object]
     pending: list[int] = field(default_factory=list)
     values: dict[int, float] = field(default_factory=dict)
     outcome: SearchOutcome | None = None
-    #: Per-dimension distance contribution matrix (n, d), allocated
-    #: lazily for eval-heavy searches and dropped on completion.
-    components: np.ndarray | None = None
-    #: Pre-transposed (d, n) float32 copy of ``components`` for the
-    #: float32 GEMM tier; ``None`` outside the tier or on overflow.
-    components32: np.ndarray | None = None
+    #: Component entry (:func:`repro.core.od.component_entry`), built on
+    #: the search's first miss and dropped when it finishes.
+    entry: "tuple | None" = None
+    entry_built: bool = False
 
 
-#: Ceiling on the memory held in per-state component matrices at any
+#: Ceiling on the memory held in per-search component matrices at any
 #: moment. Components are only profitable for searches that evaluate
 #: many subspaces, and those are exactly the searches that survive the
 #: first rounds — typically a small fraction of the batch — so this
-#: budget is rarely binding; when it is, the engine simply recomputes
-#: distances the sequential way.
+#: budget is rarely binding; when it is, the work unit builds a
+#: transient matrix per request instead.
 COMPONENT_BUDGET_BYTES = 256 * 2**20
 
 
-# Worker-process state for the ``workers=N`` mode. The miner is shipped
-# once per worker through the pool initializer (cheap under fork, one
-# pickle under spawn) instead of once per task.
-_WORKER_MINER: "HOSMiner | None" = None
+class _ComponentBudget:
+    """Per-search component entries under a byte budget (0 disables)."""
+
+    def __init__(self, backend, precision: str, budget: int) -> None:
+        self.backend = backend
+        self.precision = precision
+        self.budget = budget
+        # Float64 components cost 8 bytes/element; the float32 tier
+        # keeps a transposed float32 copy alongside (4 more).
+        self.per_search = backend.size * backend.d * (12 if precision == "float32" else 8)
+        self.held = 0
+
+    def entry(self, state: _SearchState) -> "tuple | None":
+        if not state.entry_built and self.held + self.per_search <= self.budget:
+            state.entry_built = True
+            state.entry = component_entry(self.backend, state.evaluator.query, self.precision)
+            if state.entry is not None:
+                self.held += self.per_search
+        return state.entry
+
+    def release(self, state: _SearchState) -> None:
+        if state.entry is not None:
+            self.held -= self.per_search
+            state.entry = None
 
 
-def _init_worker(miner: "HOSMiner") -> None:
-    global _WORKER_MINER
-    _WORKER_MINER = miner
+def _scatter_executor(pool: "ShardPool", backend):
+    """The shard pool as a work-unit executor.
+
+    Charges the coordinator backend's logical counters exactly as the
+    in-process kernels would have, so cost accounting does not depend
+    on the executor.
+    """
+    stats = backend.stats
+    flops_per_cell = 2 * backend.size * backend.d
+
+    def execute(queries, dims_list, k, excludes, kernel, precision, entries=None):
+        prefixes = pool.scatter_prefixes(queries, dims_list, k, excludes, kernel, precision)
+        cells = queries.shape[0] * len(dims_list)
+        stats.knn_queries += cells
+        if kernel == "gemm":
+            stats.bump("gemm_flops", flops_per_cell * cells)
+            stats.bump("gemm_masks", cells)
+        return prefixes
+
+    return execute
 
 
-def _run_worker_chunk(
-    queries: np.ndarray, excludes: "list[int | None]"
-) -> tuple[list[OutlyingSubspaceResult], int, int]:
-    # workers=1 explicitly: a config-level HOSMINER_WORKERS>1 default
-    # must not make the chunk worker recurse into its own pool.
-    engine = BatchQueryEngine(_WORKER_MINER, workers=1)
-    return engine._run_inprocess(queries, excludes)
+def _pool_counters(pool: "ShardPool") -> tuple[int, ...]:
+    return (
+        pool.round_trips,
+        pool.bytes_shipped,
+        pool.respawns,
+        pool.retries,
+        pool.timeouts,
+        pool.degraded_rounds,
+    )
 
 
 class BatchQueryEngine:
@@ -144,34 +170,18 @@ class BatchQueryEngine:
         A fitted :class:`~repro.core.miner.HOSMiner`.
     workers:
         Worker processes; ``None`` (default) reads the miner's
-        ``config.workers``. 1 runs in-process; above 1 the batch runs
-        through the engine selected by ``shard``.
-    shard:
-        Multi-worker strategy (``None`` reads ``config.shard``):
-        ``"rows"`` scatters each work unit over the miner's persistent
-        shared-memory shard pool, ``"queries"`` splits the batch across
-        cached full-miner worker processes.
+        ``config.workers``. 1 runs in-process; above 1 every work unit
+        is scattered over the miner's persistent shared-memory shard
+        pool.
     """
 
-    def __init__(
-        self,
-        miner: "HOSMiner",
-        workers: "int | None" = None,
-        shard: "str | None" = None,
-    ) -> None:
+    def __init__(self, miner: "HOSMiner", workers: "int | None" = None) -> None:
         if workers is None:
             workers = miner.config.workers
-        if shard is None:
-            shard = miner.config.shard
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if shard not in _SHARD_MODES:
-            raise ConfigurationError(
-                f"shard must be one of {_SHARD_MODES}, got {shard!r}"
-            )
         self.miner = miner
         self.workers = workers
-        self.shard = shard
 
     # ------------------------------------------------------------------
     def run(self, targets) -> BatchResult:
@@ -179,41 +189,23 @@ class BatchQueryEngine:
         start = time.perf_counter()
         queries, excludes = self._normalize_targets(targets)
         pool: "ShardPool | None" = None
-        trips_before = bytes_before = 0
-        respawns_before = retries_before = timeouts_before = degraded_before = 0
-        if self.workers > 1 and self.shard == "rows" and queries.shape[0] > 0:
+        if self.workers > 1 and queries.shape[0] > 0:
             # Single-query batches ride the warm pool too — the whole
             # point of a persistent engine is that small batches no
             # longer pay a spin-up, so there is nothing to dodge.
             pool = self.miner._ensure_shard_pool(self.workers)
-            trips_before = pool.round_trips
-            bytes_before = pool.bytes_shipped
-            respawns_before = pool.respawns
-            retries_before = pool.retries
-            timeouts_before = pool.timeouts
-            degraded_before = pool.degraded_rounds
-            results, knn_evaluations, shared_hits = self._run_inprocess(
-                queries, excludes, pool=pool
-            )
-            workers = pool.workers
-        elif self.workers > 1 and queries.shape[0] > 1:
-            results, knn_evaluations, shared_hits = self._run_query_split(
-                queries, excludes
-            )
-            workers = min(self.workers, queries.shape[0])
-        else:
-            results, knn_evaluations, shared_hits = self._run_inprocess(
-                queries, excludes
-            )
-            workers = 1
+            before = _pool_counters(pool)
+        results, knn_evaluations, shared_hits = self._search(queries, excludes, pool)
         stats = self._aggregate_stats(results)
         if pool is not None:
-            stats.shard_round_trips = pool.round_trips - trips_before
-            stats.bytes_shipped = pool.bytes_shipped - bytes_before
-            stats.worker_respawns = pool.respawns - respawns_before
-            stats.retries = pool.retries - retries_before
-            stats.timeouts = pool.timeouts - timeouts_before
-            stats.degraded_rounds = pool.degraded_rounds - degraded_before
+            (
+                stats.shard_round_trips,
+                stats.bytes_shipped,
+                stats.worker_respawns,
+                stats.retries,
+                stats.timeouts,
+                stats.degraded_rounds,
+            ) = (after - was for after, was in zip(_pool_counters(pool), before))
         wall_time = time.perf_counter() - start
         stats.wall_time_s = wall_time
         return BatchResult(
@@ -222,7 +214,7 @@ class BatchQueryEngine:
             knn_evaluations=knn_evaluations,
             shared_cache_hits=shared_hits,
             wall_time_s=wall_time,
-            workers=workers,
+            workers=1 if pool is None else pool.workers,
         )
 
     # ------------------------------------------------------------------
@@ -234,7 +226,8 @@ class BatchQueryEngine:
         float vector (one external point), or a mixed sequence of row
         ids and vectors. Validation happens here, once, up front —
         malformed targets raise
-        :class:`~repro.core.exceptions.DataShapeError` (shapes) or
+        :class:`~repro.core.exceptions.DataShapeError` (shapes or
+        non-finite coordinates) or
         :class:`~repro.core.exceptions.ConfigurationError` (row range)
         before any search starts.
         """
@@ -249,6 +242,7 @@ class BatchQueryEngine:
                 targets = [targets]
             else:
                 matrix = validate_query_matrix(targets, d)
+                require_finite(matrix, "target")
                 return matrix, [None] * matrix.shape[0]
 
         rows: list[np.ndarray] = []
@@ -267,30 +261,26 @@ class BatchQueryEngine:
                 excludes.append(None)
         if not rows:
             return np.empty((0, d), dtype=np.float64), []
-        return np.ascontiguousarray(np.vstack(rows)), excludes
+        queries = np.ascontiguousarray(np.vstack(rows))
+        require_finite(queries, "target")
+        return queries, excludes
 
     # ------------------------------------------------------------------
-    def _run_inprocess(
+    def _search(
         self,
         queries: np.ndarray,
         excludes: "list[int | None]",
-        pool: "ShardPool | None" = None,
+        pool: "ShardPool | None",
     ) -> tuple[list[OutlyingSubspaceResult], int, int]:
         miner = self.miner
         backend = miner.backend_
-        cache = miner.od_cache_
         k = miner.config.k
-
         kernel = miner.kernel_
-        threshold = miner.threshold_
         precision = miner.precision_
-        use_f32 = kernel == "gemm" and precision == "float32"
+        threshold = miner.threshold_
         # One band for every search of the batch: same backend, same
         # resolved tier => same rigorous re-verification width.
-        band_rtol = reverify_rtol(precision, backend.d)
-        # Bound-inflation band for cached kth distances (delta cache
-        # invalidation): GEMM kths carry kernel noise, exact ones none.
-        prime_band = band_rtol if kernel == "gemm" else 0.0
+        rtol = reverify_rtol(precision, backend.d)
 
         states: list[_SearchState] = []
         for query, exclude in zip(queries, excludes):
@@ -299,7 +289,7 @@ class BatchQueryEngine:
                 query,
                 k,
                 exclude=exclude,
-                shared_cache=cache,
+                shared_cache=miner.od_cache_,
                 kernel=kernel,
                 precision=precision,
             )
@@ -307,360 +297,96 @@ class BatchQueryEngine:
                 _SearchState(
                     gen=miner._make_search(evaluator).run_stepped(),
                     evaluator=evaluator,
+                    key=SharedODCache.point_key(evaluator.query, exclude),
                 )
             )
 
-        active: list[int] = []
-        for i, state in enumerate(states):
-            # d >= 1 guarantees the first step always requests something.
-            state.pending = next(state.gen)
-            active.append(i)
-
-        supports_sums = hasattr(backend, "knn_distance_sums")
-        supports_components = hasattr(backend, "distance_components")
-        # Mask-major group scheduling: always under the shard pool (the
-        # scatter unit IS the group), else when the GEMM kernel can
-        # stack the group into one multi-query product.
-        use_groups = pool is not None or (
-            kernel == "gemm" and hasattr(backend, "knn_distance_sums_batch")
-        )
-        component_bytes = 0
+        # The executor, once per call. Shard workers keep their own
+        # component caches, so the coordinator builds none.
+        if pool is None:
+            execute = partial(knn_prefixes, backend)
+            budget = _ComponentBudget(backend, precision, COMPONENT_BUDGET_BYTES)
+        else:
+            execute = _scatter_executor(pool, backend)
+            budget = _ComponentBudget(backend, precision, 0)
         dims_cache: dict[int, np.ndarray] = {}
 
-        def dims_for(mask: int) -> np.ndarray:
-            dims = dims_cache.get(mask)
-            if dims is None:
-                dims = np.asarray(dims_of_mask(mask), dtype=np.intp)
-                dims_cache[mask] = dims
-            return dims
-
-        # Float64 components cost 8 bytes/element; the float32 tier
-        # keeps a transposed float32 copy alongside (4 more).
-        per_state_bytes = queries.shape[1] * backend.size * (12 if use_f32 else 8)
-
-        def allocate_components(state: _SearchState) -> None:
-            """Budget-gated per-state component matrix allocation."""
-            nonlocal component_bytes
-            if not supports_components or state.components is not None:
-                return
-            if component_bytes + per_state_bytes <= COMPONENT_BUDGET_BYTES:
-                state.components = backend.distance_components(
-                    state.evaluator.query
-                )
-                if state.components is not None:
-                    component_bytes += per_state_bytes
-                    if use_f32:
-                        state.components32 = components32_from(state.components)
-
-        def precision_kwargs(state: "_SearchState | None") -> dict:
-            """Extra kwargs carrying the float32 tier into the backend
-            sums kernels (empty outside the tier)."""
-            if not use_f32:
-                return {}
-            if state is None:
-                return {"precision": "float32"}
-            return {"precision": "float32", "components32": state.components32}
-
-        def reverified(
-            state: _SearchState,
-            i: int,
-            mask: int,
-            value: float,
-            kth: "float | None" = None,
-        ) -> "tuple[float, float | None]":
-            """Replace a near-threshold GEMM value with the exact one.
-
-            The single point where the engine enforces the kernel knob's
-            answers-identical contract — every GEMM-computed value flows
-            through here before a pruning decision can be made on it.
-            Returns ``(value, safe kth bound)``: the exact kth after a
-            re-verification, the band-inflated *kth* otherwise (``None``
-            when the caller's kernel did not surface one — the stacked
-            multi-query GEMM has no prefix variant).
-            """
-            if kernel == "gemm" and near_threshold(value, threshold, band_rtol):
-                row = backend.knn_distance_prefix(
-                    state.evaluator.query,
-                    k,
-                    [dims_for(mask)],
-                    exclude=excludes[i],
-                    components=state.components,
-                    kernel="exact",
-                )[0]
-                value = float(row.sum())
-                kth = float(row[-1])  # exact: already a safe bound
-                state.evaluator.reverifications += 1
-                stats = getattr(backend, "stats", None)
-                if stats is not None:
-                    stats.bump("reverified_masks")
-                return value, kth
-            if kth is not None:
-                kth = kth_bound(kth, prime_band)
-            return value, kth
-
-        def serve_pool(members: "list[int]", masks: "list[int]") -> None:
-            """Answer a mask-major group by scattering it over the
-            persistent shard pool.
-
-            Workers return per-shard sorted k-nearest distance prefixes
-            under the fitted kernel/precision knobs; the coordinator's
-            exact k-way merge makes the summed values bit-identical to
-            the in-process kernels, so the same near-threshold band
-            triggers the same exact re-verifications — served by a
-            second scatter under ``kernel="exact"`` (itself bit-identical
-            to a sequential exact evaluation). The coordinator backend's
-            logical counters are bumped exactly as the in-process
-            kernels would have charged them, so cost accounting is
-            mode-independent.
-            """
-            dims = [dims_for(mask) for mask in masks]
-            prefixes = pool.scatter_prefixes(
+        def serve(members: "list[int]", masks: "list[int]") -> None:
+            """One work unit for a group, settled and primed."""
+            dims_list = []
+            for mask in masks:
+                dims = dims_cache.get(mask)
+                if dims is None:
+                    dims = dims_cache[mask] = np.asarray(dims_of_mask(mask), dtype=np.intp)
+                dims_list.append(dims)
+            values, bounds, reverified = evaluate(
+                execute,
                 queries[members],
-                dims,
+                dims_list,
                 k,
                 [excludes[i] for i in members],
                 kernel,
                 precision,
+                threshold,
+                rtol,
+                entries=[budget.entry(states[i]) for i in members],
+                stats=backend.stats,
             )
-            # Ascending sums of the merged global k-prefixes — the same
-            # accumulation order as the sequential kernels (hence the
-            # same float64 values); the last prefix column is the kth
-            # distance the delta cache invalidation needs as a bound.
-            grid = prefixes.sum(axis=-1)
-            kmax = prefixes[..., -1]
-            q_count, m_count = len(members), len(masks)
-            stats = getattr(backend, "stats", None)
-            if stats is not None:
-                stats.knn_queries += q_count * m_count
-                if kernel == "gemm":
-                    stats.bump(
-                        "gemm_flops",
-                        2 * backend.size * backend.d * m_count * q_count,
-                    )
-                    stats.bump("gemm_masks", m_count * q_count)
-            if kernel == "gemm":
-                for row, i in enumerate(members):
-                    near = [
-                        col
-                        for col in range(m_count)
-                        if near_threshold(
-                            float(grid[row, col]), threshold, band_rtol
-                        )
-                    ]
-                    if not near:
-                        continue
-                    exact = pool.scatter_prefixes(
-                        queries[[i]],
-                        [dims[col] for col in near],
-                        k,
-                        [excludes[i]],
-                        "exact",
-                        "float64",
-                    )[0]
-                    grid[row, near] = exact.sum(axis=-1)
-                    kmax[row, near] = exact[:, -1]
-                    states[i].evaluator.reverifications += len(near)
-                    if stats is not None:
-                        stats.knn_queries += len(near)
-                        stats.bump("reverified_masks", len(near))
             for row, i in enumerate(members):
                 state = states[i]
-                for col, mask in enumerate(masks):
-                    value = float(grid[row, col])
-                    state.evaluator.prime(
-                        mask, value, kth=kth_bound(float(kmax[row, col]), prime_band)
-                    )
+                evaluator = state.evaluator
+                evaluator.reverifications += int(reverified[row])
+                for mask, value, bound in zip(
+                    masks, values[row].tolist(), bounds[row].tolist()
+                ):
+                    evaluator.prime(mask, value, kth=bound)
                     state.values[mask] = value
 
-        def serve_with_sums(state: _SearchState, i: int, masks: "list[int]") -> None:
-            """Answer one state's masks via its level prefix kernel
-            (GEMM when the miner resolved it), with exact re-verification
-            of near-threshold GEMM values. The prefix kernel rather than
-            the sums kernel: the sums ARE ``prefix.sum(axis=1)``
-            (documented on both backends), and the last prefix column is
-            the kth-neighbour distance the delta cache invalidation
-            needs as a bound — captured here for free."""
-            if pool is not None:
-                serve_pool([i], masks)
-                return
-            # Under the GEMM kernel the component matrix is consumed
-            # every round (even single-mask rounds), so allocate it
-            # regardless of the batch width.
-            if len(masks) > 1 or kernel == "gemm":
-                allocate_components(state)
-            prefixes = backend.knn_distance_prefix(
-                state.evaluator.query,
-                k,
-                [dims_for(mask) for mask in masks],
-                exclude=excludes[i],
-                components=state.components,
-                kernel=kernel,
-                **precision_kwargs(state),
-            )
-            sums = prefixes.sum(axis=1)
-            kths = prefixes[:, -1]
-            for col, mask in enumerate(masks):
-                value, kth = reverified(
-                    state, i, mask, float(sums[col]), float(kths[col])
-                )
-                state.evaluator.prime(mask, value, kth=kth)
-                state.values[mask] = value
-
-        def replay_duplicates(
-            duplicates: "list[int]", needs_by_state: "dict[int, list[int]]"
-        ) -> None:
-            """Serve coalesced duplicate states from the shared cache."""
+        for state in states:
+            # d >= 1 guarantees the first step always requests something.
+            state.pending = next(state.gen)
+        active = list(range(len(states)))
+        while active:
+            # One pass: split cache hits from misses, coalesce identical
+            # points (the first computes, the rest replay through the
+            # shared cache) and group the misses by mask signature.
+            groups: dict[tuple[int, ...], list[int]] = {}
+            duplicates: list[int] = []
+            seen: set[tuple[str, object]] = set()
+            for i in active:
+                state = states[i]
+                cached_od = state.evaluator.cached_od
+                values = state.values = {}
+                misses = []
+                for mask in state.pending:
+                    value = cached_od(mask)
+                    if value is None:
+                        misses.append(mask)
+                    else:
+                        values[mask] = value
+                if not misses:
+                    continue
+                if state.key in seen:
+                    duplicates.append(i)
+                    continue
+                seen.add(state.key)
+                groups.setdefault(tuple(misses), []).append(i)
+            for signature, members in groups.items():
+                serve(members, list(signature))
             for i in duplicates:
                 state = states[i]
                 leftovers = []
-                for mask in needs_by_state[i]:
-                    value = state.evaluator.cached_od(mask)
-                    if value is None:
-                        leftovers.append(mask)
-                    else:
-                        state.values[mask] = value
+                for mask in state.pending:
+                    if mask not in state.values:
+                        value = state.evaluator.cached_od(mask)
+                        if value is None:
+                            leftovers.append(mask)
+                        else:
+                            state.values[mask] = value
                 if leftovers:
                     # Defensive: a duplicate whose trajectory diverged
                     # (should not happen) computes its own.
-                    serve_with_sums(state, i, leftovers)
-
-        while active:
-            # Split each search's requests into cache replays and misses.
-            # Misses are indexed both ways: by mask (cross-query axis)
-            # and by search (cross-subspace axis).
-            need_map: dict[int, list[int]] = {}
-            needs_by_state: dict[int, list[int]] = {}
-            for i in active:
-                state = states[i]
-                state.values = {}
-                for mask in state.pending:
-                    value = state.evaluator.cached_od(mask)
-                    if value is None:
-                        need_map.setdefault(mask, []).append(i)
-                        needs_by_state.setdefault(i, []).append(mask)
-                    else:
-                        state.values[mask] = value
-
-            # Pick the vectorisation axis. Under the GEMM kernel the
-            # scheduling is mask-major: searches requesting the same
-            # subspace list this round (concurrent searches walk the
-            # lattice in lock-step, so most rounds are one big group)
-            # fuse into a single stacked multi-query GEMM. Under the
-            # exact kernel, keep the original heuristic: group masks per
-            # query when masks outnumber distinct masks (late rounds),
-            # else one multi-query knn_batch per mask (early rounds).
-            by_state = supports_sums and 0 < len(needs_by_state) < len(need_map)
-
-            if use_groups and needs_by_state:
-                # Coalesce identical query points first: the first state
-                # with a given point key computes, the rest replay
-                # through the shared cache.
-                seen_round_keys: set[tuple[str, object]] = set()
-                duplicates: list[int] = []
-                groups: dict[tuple[int, ...], list[int]] = {}
-                for i, masks in needs_by_state.items():
-                    state = states[i]
-                    key = SharedODCache.point_key(state.evaluator.query, excludes[i])
-                    if key in seen_round_keys:
-                        duplicates.append(i)
-                        continue
-                    seen_round_keys.add(key)
-                    groups.setdefault(tuple(masks), []).append(i)
-                for signature, members in groups.items():
-                    masks = list(signature)
-                    if pool is not None:
-                        serve_pool(members, masks)
-                        continue
-                    if len(members) == 1:
-                        serve_with_sums(states[members[0]], members[0], masks)
-                        continue
-                    for i in members:
-                        allocate_components(states[i])
-                    batch_kwargs = {}
-                    if use_f32:
-                        batch_kwargs["precision"] = "float32"
-                        batch_kwargs["components32_list"] = [
-                            states[i].components32 for i in members
-                        ]
-                    # The prefix-grade batch kernel when the backend has
-                    # one: the sums are prefix.sum(axis=2) and the last
-                    # prefix column is each pair's kth distance — the
-                    # delta-cache bound, harvested for free.
-                    prefix_batch = getattr(
-                        backend, "knn_distance_prefix_batch", None
-                    )
-                    batch_fn = prefix_batch or backend.knn_distance_sums_batch
-                    grid = batch_fn(
-                        queries[members],
-                        k,
-                        [dims_for(mask) for mask in masks],
-                        excludes=[excludes[i] for i in members],
-                        components_list=[states[i].components for i in members],
-                        kernel="gemm",
-                        **batch_kwargs,
-                    )
-                    kmax = None
-                    if prefix_batch is not None:
-                        kmax = grid[..., -1]
-                        grid = grid.sum(axis=2)
-                    for row, i in enumerate(members):
-                        state = states[i]
-                        for col, mask in enumerate(masks):
-                            value, kth = reverified(
-                                state,
-                                i,
-                                mask,
-                                float(grid[row, col]),
-                                None if kmax is None else float(kmax[row, col]),
-                            )
-                            state.evaluator.prime(mask, value, kth=kth)
-                            state.values[mask] = value
-                replay_duplicates(duplicates, needs_by_state)
-            elif by_state:
-                # Identical query points run in lockstep, so coalesce
-                # them here too: the first state with a given point key
-                # computes, the rest replay through the shared cache.
-                seen_round_keys = set()
-                duplicates = []
-                for i, masks in needs_by_state.items():
-                    state = states[i]
-                    key = SharedODCache.point_key(state.evaluator.query, excludes[i])
-                    if key in seen_round_keys:
-                        duplicates.append(i)
-                        continue
-                    seen_round_keys.add(key)
-                    serve_with_sums(state, i, masks)
-                replay_duplicates(duplicates, needs_by_state)
-            else:
-                for mask, needers in need_map.items():
-                    # Coalesce identical query points: one representative
-                    # evaluation per distinct point, replayed to
-                    # duplicates through the shared cache.
-                    representatives: list[int] = []
-                    seen_keys: set[tuple[str, object]] = set()
-                    for i in needers:
-                        key = SharedODCache.point_key(
-                            states[i].evaluator.query, excludes[i]
-                        )
-                        if key not in seen_keys:
-                            seen_keys.add(key)
-                            representatives.append(i)
-                    answers = backend.knn_batch(
-                        queries[representatives],
-                        k,
-                        dims_for(mask),
-                        excludes=[excludes[i] for i in representatives],
-                    )
-                    for i, (_, distances) in zip(representatives, answers):
-                        value = float(distances.sum())
-                        # knn_batch is exact; its kth distance is a safe
-                        # bound as-is (short prefixes carry no bound).
-                        kth = float(distances[-1]) if distances.size == k else None
-                        states[i].evaluator.prime(mask, value, kth=kth)
-                        states[i].values[mask] = value
-                    for i in needers:
-                        if mask not in states[i].values:
-                            states[i].values[mask] = states[i].evaluator.cached_od(mask)
+                    serve([i], leftovers)
 
             still_active: list[int] = []
             for i in active:
@@ -670,10 +396,7 @@ class BatchQueryEngine:
                     still_active.append(i)
                 except StopIteration as stop:
                     state.outcome = stop.value
-                    if state.components is not None:
-                        component_bytes -= per_state_bytes
-                        state.components = None
-                        state.components32 = None
+                    budget.release(state)
             active = still_active
 
         results = [
@@ -681,36 +404,6 @@ class BatchQueryEngine:
         ]
         knn_evaluations = sum(state.evaluator.evaluations for state in states)
         shared_hits = sum(state.evaluator.shared_hits for state in states)
-        return results, knn_evaluations, shared_hits
-
-    # ------------------------------------------------------------------
-    def _run_query_split(
-        self, queries: np.ndarray, excludes: "list[int | None]"
-    ) -> tuple[list[OutlyingSubspaceResult], int, int]:
-        """Legacy ``shard="queries"`` mode: split the batch across full
-        miner copies. The executor (and the one-time miner pickle it
-        paid at creation) is cached on the miner and reused by every
-        subsequent call."""
-        m = queries.shape[0]
-        pool = self.miner._ensure_query_pool(self.workers)
-        n_workers = min(self.workers, m)
-        chunks = np.array_split(np.arange(m), n_workers)
-        futures = [
-            pool.submit(
-                _run_worker_chunk,
-                queries[chunk],
-                [excludes[i] for i in chunk],
-            )
-            for chunk in chunks
-        ]
-        parts = [future.result() for future in futures]
-        results: list[OutlyingSubspaceResult] = []
-        knn_evaluations = 0
-        shared_hits = 0
-        for part_results, part_knn, part_hits in parts:
-            results.extend(part_results)
-            knn_evaluations += part_knn
-            shared_hits += part_hits
         return results, knn_evaluations, shared_hits
 
     # ------------------------------------------------------------------

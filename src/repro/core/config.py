@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 from repro.core.exceptions import ConfigurationError
 from repro.core.metrics import KERNELS
 from repro.core.precision import PRECISIONS
-from repro.index.topk import TOPK_KERNELS
 
 __all__ = ["HOSMinerConfig"]
 
 _INDEX_BACKENDS = ("linear", "rstar", "xtree", "vafile")
 _RESELECT_MODES = ("level", "evaluation")
-_SHARD_MODES = ("rows", "queries")
+_SHARD_MODES = ("rows",)
 _CACHE_INVALIDATION_MODES = ("delta", "all")
 
 
@@ -122,33 +121,23 @@ class HOSMinerConfig:
         re-verification band to a rigorous rounding bound
         (:func:`repro.core.precision.reverify_rtol`), keeping answer
         sets bit-identical to float64 at either setting.
-    topk_kernel:
-        Post-GEMM top-k selection kernel
-        (:data:`repro.index.topk.TOPK_KERNELS`): ``"auto"`` (default)
-        prefers the compiled numba selection when numba is importable
-        and otherwise the per-dtype numpy default; ``"partition"``,
-        ``"filter"`` and ``"numba"`` force one (``"numba"`` without
-        numba silently falls back — every kernel is value-identical).
-        Forwarded to backends that reduce a GEMM block (``"linear"``).
     workers:
         Worker processes of :meth:`~repro.core.miner.HOSMiner.query_batch`
         (default 1 = in-process; reads the ``HOSMINER_WORKERS``
         environment variable when set). Values above 1 route batches
-        through the execution engine selected by ``shard``. Like every
-        cost knob, answers are element-wise identical at any setting.
+        through the persistent scatter-gather engine
+        (:mod:`repro.core.shard`): workers are spawned once per fit,
+        attach to shared-memory row shards of the dataset, and every
+        batch ships only masks + query rows across the pipe; per-shard
+        k-nearest partials are merged exactly at the coordinator. Like
+        every cost knob, answers are element-wise identical at any
+        setting.
     shard:
-        Multi-worker execution strategy. ``"rows"`` (default) is the
-        persistent scatter-gather engine (:mod:`repro.core.shard`):
-        workers are spawned once per fit, attach to shared-memory row
-        shards of the dataset, and every batch ships only masks + query
-        rows across the pipe; per-shard k-nearest partials are merged
-        exactly at the coordinator. ``"queries"`` is the legacy
-        query-split fallback: each worker holds a full miner copy and
-        serves a slice of the batch (the executor is still cached across
-        calls).
+        Multi-worker execution strategy; ``"rows"`` (the only one) is
+        the row-shard engine described under ``workers``.
     timeout_s:
         Reply deadline of one shard scatter round (and of the
-        post-respawn health ping) in the ``shard="rows"`` engine.
+        post-respawn health ping) in the row-shard engine.
         Default 30 s; reads the ``HOSMINER_TIMEOUT_S`` environment
         variable when set (``none``/``off``/``0`` disable deadlines —
         a hung worker then blocks its round forever). On expiry the
@@ -195,7 +184,6 @@ class HOSMinerConfig:
     adaptive: bool = False
     kernel: str = "auto"
     precision: str = field(default_factory=_default_precision)
-    topk_kernel: str = "auto"
     workers: int = field(default_factory=_default_workers)
     shard: str = "rows"
     timeout_s: float | None = field(default_factory=_default_timeout)
@@ -238,10 +226,6 @@ class HOSMinerConfig:
         if self.precision not in PRECISIONS:
             raise ConfigurationError(
                 f"precision must be one of {PRECISIONS}, got {self.precision!r}"
-            )
-        if self.topk_kernel not in TOPK_KERNELS:
-            raise ConfigurationError(
-                f"topk_kernel must be one of {TOPK_KERNELS}, got {self.topk_kernel!r}"
             )
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")

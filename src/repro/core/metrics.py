@@ -51,7 +51,7 @@ exception: BLAS accumulates the per-dimension sum in its own order, so
 its distances agree with the exact views only to float tolerance —
 callers that make threshold decisions on GEMM output re-verify
 near-threshold values with the exact kernel (see
-:meth:`repro.core.od.ODEvaluator.od_many`).
+:func:`repro.core.od.evaluate`).
 
 Monotonicity
 ------------
@@ -147,7 +147,11 @@ class EuclideanMetric:
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         diff = X - q
-        return diff * diff
+        with np.errstate(over="ignore"):
+            # Squares past float64 range become inf; repro.core.od's
+            # component_entry flags such matrices so the work unit keeps
+            # them off the GEMM (0 * inf = NaN) and reduces them exactly.
+            return diff * diff
 
     def reduce_components(self, gathered: np.ndarray) -> np.ndarray:
         # Sequential einsum reduction — the same accumulation order as

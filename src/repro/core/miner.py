@@ -39,10 +39,10 @@ from repro.core.result import BatchResult, OutlyingSubspaceResult
 from repro.core.search import DynamicSubspaceSearch, SearchOutcome
 from repro.core.subspace import Subspace, full_mask
 from repro.index import make_backend
-from repro.index.base import KnnBackend
+from repro.index.base import KnnBackend, require_finite
 
 if TYPE_CHECKING:
-    from repro.core.shard import QuerySplitPool, ShardPool
+    from repro.core.shard import ShardPool
 
 __all__ = ["HOSMiner", "calibrate_threshold"]
 
@@ -121,7 +121,6 @@ class HOSMiner:
         self._kernel: str | None = None
         self._precision: str | None = None
         self._shard_pool: "ShardPool | None" = None
-        self._query_pool: "QuerySplitPool | None" = None
         self.fit_time_s: float = 0.0
 
     # ------------------------------------------------------------------
@@ -130,14 +129,15 @@ class HOSMiner:
     def fit(self, X: np.ndarray, feature_names: list[str] | None = None) -> "HOSMiner":
         """Index the dataset, calibrate ``T`` if needed, learn the priors."""
         start = time.perf_counter()
-        # A refit invalidates everything the worker pools hold (data
-        # shards, pickled miner state); the next batch respawns them.
+        # A refit invalidates the shard pool's data shards; the next
+        # multi-worker batch respawns it.
         self.close()
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
             raise DataShapeError(
                 f"expected an (n >= 2, d >= 1) matrix, got shape {X.shape}"
             )
+        require_finite(X, "data row")
         if self.config.k > X.shape[0] - 1:
             raise ConfigurationError(
                 f"k={self.config.k} needs at least k+1={self.config.k + 1} rows, "
@@ -150,24 +150,19 @@ class HOSMiner:
 
         self._X = X
         self._feature_names = list(feature_names) if feature_names else None
-        index_options = dict(self.config.index_options)
-        if self.config.index == "linear":
-            # The linear scan owns a post-GEMM top-k reduction; other
-            # backends have no block to reduce, so the knob stays inert.
-            index_options.setdefault("topk_kernel", self.config.topk_kernel)
         self._backend = make_backend(
-            self.config.index, X, metric=self.config.metric, **index_options
+            self.config.index, X, metric=self.config.metric, **self.config.index_options
         )
         # Resolve the OD-kernel selector against the *actual* metric and
         # backend before any search runs: an explicit kernel="gemm" that
         # cannot be served must fail here, loudly, not deep inside a
         # query — and "auto" must report the kernel that will really run.
         self._kernel = resolve_kernel(self.config.kernel, self._backend.metric)
-        if self._kernel == "gemm" and not hasattr(self._backend, "knn_distance_sums"):
+        if self._kernel == "gemm" and not hasattr(self._backend, "knn_distance_prefix"):
             if self.config.kernel == "gemm":
                 raise ConfigurationError(
                     f"kernel='gemm' requires a backend with the level-wide "
-                    f"knn_distance_sums kernel; index {self.config.index!r} "
+                    f"knn_distance_prefix kernel; index {self.config.index!r} "
                     f"answers kNN per subspace — use kernel='auto' or 'exact'"
                 )
             self._kernel = "exact"
@@ -288,12 +283,13 @@ class HOSMiner:
             raise DataShapeError(
                 f"new rows have {rows.shape[1]} columns, the miner was fitted on {self.d_}"
             )
+        require_finite(rows, "new row")
         for row in rows:
             self._backend.insert(row)  # type: ignore[union-attr]
         self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
         # New rows can change any point's neighbour set in any subspace,
-        # so every cached OD value is stale from here on. Worker pools
-        # hold pre-extend data shards / miner copies, equally stale.
+        # so every cached OD value is stale from here on. The shard pool
+        # holds pre-extend data shards, equally stale.
         self._od_cache.invalidate()  # type: ignore[union-attr]
         self.close()
 
@@ -349,6 +345,7 @@ class HOSMiner:
             raise DataShapeError(
                 f"new rows have shape {X_new.shape}, the miner was fitted on d={self.d_}"
             )
+        require_finite(X_new, "new row")
         if X_new.shape[0] == 0:
             return self
         for row in X_new:
@@ -400,15 +397,13 @@ class HOSMiner:
         return self
 
     def _propagate_update(self, rows: "np.ndarray | None", expired: int) -> None:
-        """Push a window update into the live worker pools.
+        """Push a window update into the live shard pool.
 
         A live row-shard pool absorbs the update in place
         (:meth:`~repro.core.shard.ShardPool.apply_update`: tail-segment
         append + head trim + per-shard resync); when it cannot — the
         head shard would drain, or the sync ultimately fails — the pool
         is closed and the next batch respawns it over the new window.
-        Query-split pools hold pickled pre-update miner copies and are
-        always dropped.
         """
         pool = self._shard_pool
         if pool is not None:
@@ -418,9 +413,6 @@ class HOSMiner:
             if not applied:
                 pool.close()
                 self._shard_pool = None
-        if self._query_pool is not None:
-            self._query_pool.close()
-            self._query_pool = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -444,7 +436,9 @@ class HOSMiner:
     def query_point(self, point: np.ndarray) -> OutlyingSubspaceResult:
         """Outlying subspaces of an external point."""
         self._require_fitted()
-        return self._run_query(np.asarray(point, dtype=np.float64), exclude=None)
+        point = ODEvaluator._validate_query(point, self.d_)
+        require_finite(point, "query point")
+        return self._run_query(point, exclude=None)
 
     def query_many(
         self, targets: "list[int | np.ndarray]"
@@ -458,7 +452,6 @@ class HOSMiner:
         self,
         targets: "np.ndarray | Sequence[int | np.ndarray]",
         workers: "int | None" = None,
-        shard: "str | None" = None,
     ) -> BatchResult:
         """Answer many queries at once through the batched engine.
 
@@ -468,15 +461,14 @@ class HOSMiner:
         sequential :meth:`query_row`/:meth:`query_point` calls; the
         engine only restructures the work — vectorised multi-query kNN
         across concurrent searches, OD reuse through the per-fit shared
-        cache (see :attr:`od_cache_`), and with ``workers > 1`` the
-        multiprocessing strategy selected by ``shard``
-        (:mod:`repro.core.batch`). Both default to the config knobs.
-        Worker pools persist on the miner across calls; :meth:`close`
-        (or the context-manager protocol) releases them eagerly.
-        Returns a :class:`~repro.core.result.BatchResult`.
+        cache (see :attr:`od_cache_`), and with ``workers > 1`` (default
+        ``config.workers``) the persistent row-shard pool
+        (:mod:`repro.core.batch`). The pool persists on the miner across
+        calls; :meth:`close` (or the context-manager protocol) releases
+        it eagerly. Returns a :class:`~repro.core.result.BatchResult`.
         """
         self._require_fitted()
-        return BatchQueryEngine(self, workers=workers, shard=shard).run(targets)
+        return BatchQueryEngine(self, workers=workers).run(targets)
 
     def detect_outliers(
         self, max_results: int | None = None
@@ -584,9 +576,9 @@ class HOSMiner:
     # Worker-pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_shard_pool(self, workers: int) -> "ShardPool":
-        """The persistent row-shard pool (``shard="rows"``), spawned on
-        first use and reused by every subsequent batch; recreated when
-        closed or when a different worker count is requested."""
+        """The persistent row-shard pool, spawned on first use and
+        reused by every subsequent batch; recreated when closed or when
+        a different worker count is requested."""
         from repro.core.shard import ShardPool
 
         pool = self._shard_pool
@@ -594,15 +586,12 @@ class HOSMiner:
             pool.close()
             pool = None
         if pool is None:
-            index_options = dict(self.config.index_options)
-            if self.config.index == "linear":
-                index_options.setdefault("topk_kernel", self.config.topk_kernel)
             pool = ShardPool(
                 self.backend_.data,
                 workers,
                 index=self.config.index,
                 metric=self.config.metric,
-                index_options=index_options,
+                index_options=self.config.index_options,
                 timeout_s=self.config.timeout_s,
                 max_retries=self.config.max_retries,
                 backoff_s=self.config.backoff_s,
@@ -610,35 +599,18 @@ class HOSMiner:
             self._shard_pool = pool
         return pool
 
-    def _ensure_query_pool(self, workers: int) -> "QuerySplitPool":
-        """The cached query-split executor (``shard="queries"``);
-        recreated when closed or when more workers are requested."""
-        from repro.core.shard import QuerySplitPool
-
-        pool = self._query_pool
-        if pool is not None and (pool.closed or pool.workers < workers):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = QuerySplitPool(self, workers)
-            self._query_pool = pool
-        return pool
-
     def close(self) -> None:
-        """Release the worker pools (processes, pipes, shared memory).
+        """Release the shard pool (processes, pipes, shared memory).
 
         Idempotent and safe on an unfitted miner. The miner itself stays
         fully usable — a later multi-worker ``query_batch`` simply
-        spawns fresh pools. Garbage collection and interpreter exit
-        release the pools too (``weakref.finalize``), so ``close`` is
+        spawns a fresh pool. Garbage collection and interpreter exit
+        release the pool too (``weakref.finalize``), so ``close`` is
         about promptness, not correctness.
         """
         if self._shard_pool is not None:
             self._shard_pool.close()
             self._shard_pool = None
-        if self._query_pool is not None:
-            self._query_pool.close()
-            self._query_pool = None
 
     def __enter__(self) -> "HOSMiner":
         return self
@@ -647,13 +619,12 @@ class HOSMiner:
         self.close()
 
     def __getstate__(self) -> dict:
-        # Worker pools hold processes, pipes and shared-memory handles —
-        # never picklable, never meaningful in another process. A pickled
-        # miner (e.g. shipped to a query-split worker) arrives poolless
-        # and lazily spawns its own if ever asked.
+        # The shard pool holds processes, pipes and shared-memory handles
+        # — never picklable, never meaningful in another process. A
+        # pickled miner arrives poolless and lazily spawns its own if
+        # ever asked.
         state = self.__dict__.copy()
         state["_shard_pool"] = None
-        state["_query_pool"] = None
         return state
 
     def __repr__(self) -> str:

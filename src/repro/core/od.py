@@ -15,6 +15,17 @@ with ``Dist_s1 >= Dist_s2`` when ``s1 ⊇ s2``:
              ≥ Σ Dist_s2(p, kNN_s2)      (kNN_s2 minimises the s2 sum)
              = OD_s2(p)
 
+Every OD value the searches decide on comes out of one evaluation path:
+
+    work unit  (queries × masks) → sorted k-prefixes, shape (q, m, k)
+               served in process by :func:`knn_prefixes`, or by
+               :meth:`repro.core.shard.ShardPool.scatter_prefixes`
+    settle     :func:`evaluate` sums each prefix into an OD, re-verifies
+               near-threshold GEMM cells with the exact kernel through
+               the same executor, and inflates the kth-distance bounds
+    cache      values and bounds land in :class:`ODEvaluator` and the
+               per-fit :class:`SharedODCache`
+
 :class:`ODEvaluator` wraps a kNN backend with a per-``(query, subspace)``
 cache, because the dynamic search and the learning pass revisit
 subspaces for the same point (e.g. when ablation baselines replay a
@@ -32,7 +43,8 @@ approximation), so sharing never changes answers, only cost.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +58,9 @@ __all__ = [
     "GEMM_REVERIFY_RTOL",
     "ODEvaluator",
     "SharedODCache",
+    "component_entry",
+    "evaluate",
+    "knn_prefixes",
     "kth_bound",
     "near_threshold",
     "outlying_degree",
@@ -59,38 +74,37 @@ __all__ = [
 #: ``OD >= T`` decision, inside it the exact kernel decides.
 GEMM_REVERIFY_RTOL = 1e-9
 
+def near_threshold(value, threshold: float, rtol: float = GEMM_REVERIFY_RTOL):
+    """Whether GEMM OD values are too close to ``T`` to decide alone.
 
-def near_threshold(
-    value: float, threshold: float, rtol: float = GEMM_REVERIFY_RTOL
-) -> bool:
-    """Whether a GEMM OD value is too close to ``T`` to decide alone.
-
-    *rtol* widens with the kernel precision — the float32 tier passes
-    its rigorous rounding band from
-    :func:`repro.core.precision.reverify_rtol`. Non-finite values (a
-    float32 or float64 accumulation that overflowed, or a NaN from
-    pathological data) are always in-band: no bound certifies them, so
-    the exact kernel decides.
+    Element-wise over arrays (a scalar gives a numpy bool). *rtol*
+    widens with the kernel precision — the float32 tier passes its
+    rigorous rounding band from :func:`repro.core.precision.reverify_rtol`.
+    Non-finite values (a float32 or float64 accumulation that
+    overflowed) are always in-band: no bound certifies them, so the
+    exact kernel decides.
     """
-    if not np.isfinite(value):
-        return True
-    return abs(value - threshold) <= rtol * (abs(value) + abs(threshold) + 1.0)
+    value = np.asarray(value, dtype=np.float64)
+    band = rtol * (np.abs(value) + abs(threshold) + 1.0)
+    return ~np.isfinite(value) | (np.abs(value - threshold) <= band)
 
 
-def kth_bound(kth: float, rtol: float) -> float:
-    """Safe upper bound on the true kth-neighbour distance.
+def kth_bound(kth, rtol):
+    """Safe upper bound on the true kth-neighbour distance, element-wise.
 
     *kth* is the kth-smallest distance as computed by some kernel whose
     relative error band is *rtol* (0 for the exact float64 kernel, the
-    rigorous rounding band for GEMM/float32 tiers). Inflating by the
-    band makes the bound conservative in the only direction that
-    matters for delta invalidation: a too-large bound can only cause
-    extra eviction, never a wrong retention. Non-finite values get an
-    infinite bound, i.e. the entry is always evicted.
+    rigorous rounding band for GEMM/float32 tiers; an array gives one
+    band per cell). Inflating by the band makes the bound conservative
+    in the only direction that matters for delta invalidation: a
+    too-large bound can only cause extra eviction, never a wrong
+    retention. Non-finite values get an infinite bound, i.e. the entry
+    is always evicted.
     """
-    if not np.isfinite(kth):
-        return float("inf")
-    return kth + rtol * (abs(kth) + 1.0)
+    kth = np.asarray(kth, dtype=np.float64)
+    finite = np.isfinite(kth)
+    safe = np.where(finite, kth, 0.0)
+    return np.where(finite, safe + rtol * (np.abs(safe) + 1.0), np.inf)
 
 
 def outlying_degree(
@@ -103,6 +117,180 @@ def outlying_degree(
     """One-shot OD computation against a backend (no caching)."""
     _, distances = backend.knn(query, k, dims, exclude=exclude)
     return float(distances.sum())
+
+
+def component_entry(backend, query: np.ndarray, precision: str) -> "tuple | None":
+    """One query's component entry ``(components, components32, finite)``.
+
+    The ``(n, d)`` distance-component matrix, its float32 transpose
+    (``None`` outside the float32 tier or on float32 overflow), and
+    whether every component is finite — i.e. whether the GEMM may use
+    it. ``None`` when the backend (or its metric) has no component
+    decomposition. Callers own the entry's lifetime: an evaluator keeps
+    it for its search, the batch engine per search under a memory
+    budget, a shard worker in a small FIFO. A float32 copy that survived
+    the cast proves the float64 matrix finite, so the full finiteness
+    scan only runs outside the float32 tier.
+    """
+    components_fn = getattr(backend, "distance_components", None)
+    components = None if components_fn is None else components_fn(query)
+    if components is None:
+        return None
+    components32 = components32_from(components) if precision == "float32" else None
+    finite = components32 is not None or bool(np.isfinite(components).all())
+    return components, components32, finite
+
+
+def knn_prefixes(
+    backend,
+    queries: np.ndarray,
+    dims_list: "Sequence[np.ndarray]",
+    k: int,
+    excludes: "Sequence[int | None]",
+    kernel: str,
+    precision: str,
+    entries: "Sequence[tuple | None] | None" = None,
+) -> np.ndarray:
+    """The work unit in process: sorted k-nearest distance prefixes.
+
+    Returns ``(q, m, k)`` — row ``[i, j]`` is query ``i``'s ``k``
+    smallest distances in subspace ``dims_list[j]``, ascending. Rows are
+    inf-padded when the backend holds fewer than ``k`` candidates (a
+    small shard; the coordinator's merge drowns the padding).
+
+    * Backends with the level kernel answer all masks at once: one
+      ``knn_distance_prefix`` call for a single query (the column-blocked
+      memory ceiling of the level GEMM), one stacked
+      ``knn_distance_prefix_batch`` GEMM for several.
+    * Backends without it (the trees) answer one exact ``knn`` per
+      ``(query, mask)``.
+    * Under the GEMM kernel a query whose component matrix has a
+      non-finite entry runs the exact kernel instead: a masked-out
+      ``inf`` component would turn into ``0 * inf = NaN`` inside the
+      product, and top-k selection would silently drop a true neighbour.
+
+    *entries* are the callers' cached :func:`component_entry` values per
+    query (``None`` entries are built here when the GEMM needs them and
+    dropped afterwards). Shard workers, the degraded-shard fallback, the
+    batch engine and :meth:`ODEvaluator.od_many` all run this function.
+    """
+    q_count, m = queries.shape[0], len(dims_list)
+    out = np.full((q_count, m, k), np.inf)
+    if q_count == 0 or m == 0:
+        return out
+    k_local = [min(k, backend.size - (ex is not None)) for ex in excludes]
+    if not hasattr(backend, "knn_distance_prefix"):
+        for i, (query, exclude) in enumerate(zip(queries, excludes)):
+            if k_local[i] < 1:
+                continue
+            for j, dims in enumerate(dims_list):
+                _, distances = backend.knn(query, k_local[i], dims, exclude=exclude)
+                out[i, j, : distances.size] = distances
+        return out
+    entries = [None] * q_count if entries is None else list(entries)
+    runs: dict[str, list[int]] = {}
+    for i in range(q_count):
+        row_kernel = kernel
+        if kernel == "gemm":
+            if entries[i] is None:
+                entries[i] = component_entry(backend, queries[i], precision)
+            if entries[i] is not None and not entries[i][2]:
+                row_kernel = "exact"
+        runs.setdefault(row_kernel, []).append(i)
+    for row_kernel, rows in runs.items():
+        parts = [entries[i] or (None, None, True) for i in rows]
+        if len(rows) > 1 and all(k_local[i] == k for i in rows):
+            out[rows] = backend.knn_distance_prefix_batch(
+                queries[rows],
+                k,
+                dims_list,
+                excludes=[excludes[i] for i in rows],
+                components_list=[part[0] for part in parts],
+                kernel=row_kernel,
+                precision=precision,
+                components32_list=[part[1] for part in parts],
+            )
+            continue
+        for i, (components, components32, _) in zip(rows, parts):
+            if k_local[i] < 1:
+                continue
+            out[i, :, : k_local[i]] = backend.knn_distance_prefix(
+                queries[i],
+                k_local[i],
+                dims_list,
+                exclude=excludes[i],
+                components=components,
+                kernel=row_kernel,
+                precision=precision,
+                components32=components32,
+            )
+    return out
+
+
+def evaluate(
+    execute: "Callable[..., np.ndarray]",
+    queries: np.ndarray,
+    dims_list: "Sequence[np.ndarray]",
+    k: int,
+    excludes: "Sequence[int | None]",
+    kernel: str,
+    precision: str,
+    threshold: "float | None",
+    rtol: float,
+    entries: "Sequence[tuple | None] | None" = None,
+    stats=None,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Run one work unit through *execute* and settle it.
+
+    *execute* takes ``(queries, dims_list, k, excludes, kernel,
+    precision, entries)`` and returns the ``(q, m, k)`` prefixes — it is
+    :func:`knn_prefixes` bound to a backend, or a shard pool's scatter.
+    Returns ``(values, bounds, reverified)``: the ``(q, m)`` OD values,
+    their safe kth-distance bounds (:func:`kth_bound`) for the delta
+    cache, and per query the number of cells re-verified. The settle
+    step is the single place that keeps the kernel knob's contract:
+
+    1. each OD is its prefix summed ascending — the accumulation order
+       of the sorted kNN result, so exact-kernel values are bit-identical
+       to ``knn(...)[1].sum()``;
+    2. under the GEMM kernel and a *threshold*, every cell inside the
+       :func:`near_threshold` band is recomputed with the exact float64
+       kernel through the same *execute* (one request per query), so
+       every ``OD >= T`` decision matches the exact kernel's;
+    3. the last prefix column becomes the cell's kth bound, inflated by
+       *rtol* wherever a GEMM value stands (re-verified and exact cells
+       need no slack).
+
+    *stats* (the coordinator backend's counters) records
+    ``reverified_masks``.
+    """
+    prefixes = execute(queries, dims_list, k, excludes, kernel, precision, entries)
+    values = prefixes.sum(axis=-1)
+    kths = prefixes[..., -1].copy()
+    reverified = np.zeros(queries.shape[0], dtype=np.intp)
+    if kernel != "gemm":
+        return values, kth_bound(kths, 0.0), reverified
+    band = np.full(values.shape, rtol)
+    if threshold is not None:
+        near = near_threshold(values, threshold, rtol)
+        for row in np.flatnonzero(near.any(axis=1)):
+            cols = np.flatnonzero(near[row])
+            exact = execute(
+                queries[row : row + 1],
+                [dims_list[col] for col in cols],
+                k,
+                excludes[row : row + 1],
+                "exact",
+                "float64",
+                None if entries is None else entries[row : row + 1],
+            )[0]
+            values[row, cols] = exact.sum(axis=-1)
+            kths[row, cols] = exact[:, -1]
+            band[row, cols] = 0.0
+            reverified[row] = cols.size
+        if stats is not None and reverified.any():
+            stats.bump("reverified_masks", int(reverified.sum()))
+    return values, kth_bound(kths, band), reverified
 
 
 class SharedODCache:
@@ -130,8 +318,7 @@ class SharedODCache:
     def __init__(self) -> None:
         self._values: dict[tuple[object, int], float] = {}
         #: Per-entry safe upper bound on the true kth-neighbour distance
-        #: (:func:`kth_bound`); entries without one are conservatively
-        #: evicted by every delta pass.
+        #: (:func:`kth_bound`).
         self._kth: dict[tuple[object, int], float] = {}
         #: Number of lookups served from the cache.
         self.hits = 0
@@ -156,31 +343,19 @@ class SharedODCache:
         return value
 
     def put(
-        self,
-        point_key: tuple[str, object],
-        mask: int,
-        value: float,
-        kth: float | None = None,
+        self, point_key: tuple[str, object], mask: int, value: float, kth: float
     ) -> None:
-        """Record a value, optionally with its safe kth-distance bound.
+        """Record a value with its safe kth-distance bound.
 
-        *kth* must come from :func:`kth_bound` (or be exact). A ``None``
-        keeps any previously recorded bound (overwrites always store the
-        same exact value, so an existing bound stays valid); when there
-        is none, the OD value itself steps in: the sum of the k smallest
-        distances is always ``>=`` the kth of them, so ``value`` is a
-        safe — merely loose, by up to a factor of k — upper bound. That
-        keeps entries from kernel paths that never see per-mask kth
-        distances (the fused stacked-GEMM batch kernel) delta-retainable
-        instead of unconditionally evicted.
+        *kth* must come from :func:`kth_bound` (or be exact): every
+        producer of an OD value sees the whole k-prefix, so every entry
+        carries the bound its delta invalidation needs.
         """
-        if (point_key, mask) not in self._values:
+        key = (point_key, mask)
+        if key not in self._values:
             self.stores += 1
-        self._values[(point_key, mask)] = value
-        if kth is not None:
-            self._kth[(point_key, mask)] = kth
-        elif (point_key, mask) not in self._kth:
-            self._kth[(point_key, mask)] = value
+        self._values[key] = value
+        self._kth[key] = kth
 
     def kth_of(self, point_key: tuple[str, object], mask: int) -> float | None:
         """The recorded kth-distance bound for an entry, if any."""
@@ -221,7 +396,7 @@ class SharedODCache:
         k-smallest multiset (hence the sum, bit for bit) unchanged. The
         stored bound over-approximates the true kth, so comparing the
         inserted rows' subspace distances against it errs only toward
-        eviction. Entries without a bound are evicted.
+        eviction.
 
         *data* is the post-insert window matrix (row keys are unshifted
         by inserts). Returns ``(evicted, retained)``.
@@ -278,15 +453,14 @@ class SharedODCache:
             if shift and kind == "row" and ident < shift:
                 evicted += 1
                 continue
-            kth = self._kth.get((point_key, mask))
-            query = self._entry_query(point_key, data, shift) if kth is not None else None
+            query = self._entry_query(point_key, data, shift)
             if query is None:
                 evicted += 1
                 continue
             keys, queries, bounds = by_mask.setdefault(mask, ([], [], []))
             keys.append((point_key, value))
             queries.append(query)
-            bounds.append(kth)
+            bounds.append(self._kth[(point_key, mask)])
         survivors: dict[tuple[object, int], float] = {}
         kths: dict[tuple[object, int], float] = {}
         batch_arr = np.asarray(batch, dtype=np.float64)
@@ -347,7 +521,9 @@ class ODEvaluator:
         OD-kernel selector for :meth:`od_many` — ``"exact"`` (default),
         ``"gemm"`` or ``"auto"``; resolved once against the backend's
         metric (an explicit ``"gemm"`` with an incapable metric fails
-        here, loudly). Single-mask :meth:`od` always runs exact.
+        here, loudly). A backend without the level kernel (the trees)
+        answers exactly whatever the selector says. Single-mask
+        :meth:`od` always runs exact.
     precision:
         GEMM precision tier, resolved once against the resolved kernel
         (:func:`~repro.core.precision.resolve_precision`; ``"auto"``
@@ -389,6 +565,8 @@ class ODEvaluator:
         self.exclude = exclude
         metric = getattr(backend, "metric", None)
         self.kernel = "exact" if metric is None else resolve_kernel(kernel, metric)
+        if not hasattr(backend, "knn_distance_prefix"):
+            self.kernel = "exact"
         self.precision = resolve_precision(precision, self.kernel)
         #: Half-width of the near-threshold exact re-verification band.
         self.reverify_rtol = reverify_rtol(self.precision, backend.d)
@@ -401,10 +579,11 @@ class ODEvaluator:
         self._point_key = (
             SharedODCache.point_key(query, exclude) if shared_cache is not None else None
         )
-        self._components: np.ndarray | None = None
-        self._components_probed = False
-        self._components32: np.ndarray | None = None
-        self._components32_probed = False
+        #: This query's component entry (:func:`component_entry`), built
+        #: on the first multi-mask or GEMM :meth:`od_many` miss and kept
+        #: for the evaluator's lifetime.
+        self._entry: "tuple | None" = None
+        self._entry_built = False
 
     @staticmethod
     def _validate_query(query: np.ndarray, d: int) -> np.ndarray:
@@ -442,19 +621,17 @@ class ODEvaluator:
     def od_many(self, masks: Sequence[int], threshold: float | None = None) -> dict[int, float]:
         """OD of the query point in every subspace of *masks* at once.
 
-        The level-wide evaluation point of the sequential search: cache
-        replays are split off mask by mask, and every remaining subspace
-        is served by **one** backend ``knn_distance_sums`` call under
-        this evaluator's kernel — for ``kernel="gemm"`` that is the
-        single-GEMM level kernel, with a per-query component matrix
-        reused across every level of the search.
-
-        When *threshold* is given and the GEMM kernel computed the
-        values, any value inside the :func:`near_threshold` band is
-        re-computed with the exact kernel and replaced, so the caller's
-        ``OD >= threshold`` decisions are guaranteed to match what the
-        exact kernel would have decided — the pruning contract of the
-        kernel knob.
+        The level-wide evaluation point of the sequential search, in
+        three steps: cache replays are split off mask by mask, every
+        remaining subspace goes into **one** work unit
+        (:func:`knn_prefixes` with a single query — the single-GEMM
+        level kernel for ``kernel="gemm"``, with the query's component
+        matrix reused across every level of the search), and
+        :func:`evaluate` settles it. When *threshold* is given, GEMM
+        values inside the :func:`near_threshold` band are re-computed
+        with the exact kernel, so the caller's ``OD >= threshold``
+        decisions match what the exact kernel would have decided — the
+        pruning contract of the kernel knob.
         """
         values: dict[int, float] = {}
         new_masks: list[int] = []
@@ -466,90 +643,29 @@ class ODEvaluator:
                 new_masks.append(mask)
         if not new_masks:
             return values
-        prefix_fn = getattr(self.backend, "knn_distance_prefix", None)
-        if prefix_fn is None:
-            # Tree backends: no level kernel, one branch-and-bound kNN
-            # per subspace (their per-query descent is inherently serial).
-            for mask in new_masks:
-                values[mask] = self.od(mask)
-            return values
-        dims_arrays = [
-            np.asarray(dims_of_mask(mask), dtype=np.intp) for mask in new_masks
-        ]
-        components = self._ensure_components(len(dims_arrays))
-        kwargs = {}
-        if self.precision == "float32":
-            kwargs["precision"] = "float32"
-            kwargs["components32"] = self._ensure_components32(components)
-        # The prefix kernel rather than the sums kernel: the sums ARE
-        # prefix.sum(axis=1) (documented on both backends), and the last
-        # prefix column is the kth-neighbour distance the delta cache
-        # invalidation needs as a bound — captured here for free.
-        prefixes = prefix_fn(
-            self.query,
+        if not self._entry_built and (len(new_masks) > 1 or self.kernel == "gemm"):
+            # A lone exact mask is cheaper as one projection pass.
+            self._entry_built = True
+            self._entry = component_entry(self.backend, self.query, self.precision)
+        sums, bounds, reverified = evaluate(
+            partial(knn_prefixes, self.backend),
+            self.query[None, :],
+            [np.asarray(dims_of_mask(mask), dtype=np.intp) for mask in new_masks],
             self.k,
-            dims_arrays,
-            exclude=self.exclude,
-            components=components,
-            kernel=self.kernel,
-            **kwargs,
+            [self.exclude],
+            self.kernel,
+            self.precision,
+            threshold,
+            self.reverify_rtol,
+            entries=[self._entry],
+            stats=getattr(self.backend, "stats", None),
         )
-        sums = prefixes.sum(axis=1)
-        kths = prefixes[:, -1].copy()
-        if self.kernel == "gemm" and threshold is not None:
-            stats = getattr(self.backend, "stats", None)
-            for idx in range(len(new_masks)):
-                if near_threshold(float(sums[idx]), threshold, self.reverify_rtol):
-                    row = prefix_fn(
-                        self.query,
-                        self.k,
-                        [dims_arrays[idx]],
-                        exclude=self.exclude,
-                        components=components,
-                        kernel="exact",
-                    )[0]
-                    sums[idx] = row.sum()
-                    kths[idx] = row[-1]
-                    self.reverifications += 1
-                    if stats is not None:
-                        stats.bump("reverified_masks")
-        # GEMM values carry kernel noise inside the re-verification
-        # band; inflate the recorded kth bound by it so delta retention
-        # decisions are safe at every precision tier.
-        band = self.reverify_rtol if self.kernel == "gemm" else 0.0
-        for idx, mask in enumerate(new_masks):
-            value = float(sums[idx])
-            self._store(mask, value, kth=kth_bound(float(kths[idx]), band))
+        self.reverifications += int(reverified[0])
+        for mask, value, bound in zip(new_masks, sums[0].tolist(), bounds[0].tolist()):
+            self._store(mask, value, kth=bound)
             self.evaluations += 1
             values[mask] = value
         return values
-
-    def _ensure_components(self, new_count: int) -> "np.ndarray | None":
-        """Lazily build the per-query distance-component matrix.
-
-        Allocated on the first multi-subspace evaluation and kept for
-        the evaluator's lifetime — a search revisits the backend once
-        per lattice level, and one ``(n, d)`` matrix serves them all.
-        """
-        if (
-            self._components is None
-            and not self._components_probed
-            and (new_count > 1 or self.kernel == "gemm")
-        ):
-            self._components_probed = True
-            components_fn = getattr(self.backend, "distance_components", None)
-            if components_fn is not None:
-                self._components = components_fn(self.query)
-        return self._components
-
-    def _ensure_components32(self, components: "np.ndarray | None") -> "np.ndarray | None":
-        """Lazily build (and keep) the pre-transposed float32 component
-        copy of the precision tier; ``None`` (float32 overflow or no
-        component matrix) makes the backend fall back to float64."""
-        if not self._components32_probed:
-            self._components32_probed = True
-            self._components32 = components32_from(components)
-        return self._components32
 
     def cached_od(self, mask: int) -> float | None:
         """Cached OD for *mask* (local, then shared), or ``None``.
@@ -570,14 +686,14 @@ class ODEvaluator:
                 return shared
         return None
 
-    def prime(self, mask: int, value: float, kth: float | None = None) -> None:
+    def prime(self, mask: int, value: float, kth: float) -> None:
         """Record an OD value computed externally on this point's behalf
-        (the batched kNN path); counts as one real evaluation. *kth*, if
-        given, must already be a safe bound (:func:`kth_bound`)."""
+        (the batched engine); counts as one real evaluation. *kth* must
+        already be a safe bound (:func:`kth_bound`)."""
         self._store(mask, value, kth=kth)
         self.evaluations += 1
 
-    def _store(self, mask: int, value: float, kth: float | None = None) -> None:
+    def _store(self, mask: int, value: float, kth: float) -> None:
         self._cache[mask] = value
         if self._shared is not None:
             self._shared.put(self._point_key, mask, value, kth=kth)

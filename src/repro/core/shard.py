@@ -21,16 +21,11 @@ its runtime:
     the view itself). Per round, only masks + query rows cross the pipe
     (never data rows — ``bytes_shipped`` is counter-asserted independent
     of ``n`` in the tests), each shard answers with its local sorted
-    k-nearest distance prefixes under the miner's ``kernel``/
-    ``precision``/top-k knobs, and the coordinator performs an exact
-    k-way streaming merge (:func:`merge_prefixes`) so every OD value is
-    element-wise identical to the sequential kernels.
-
-:class:`QuerySplitPool`
-    The legacy ``shard="queries"`` fallback — each worker holds a full
-    miner copy and serves whole queries — kept behind the same
-    persistent lifecycle so repeated batches stop paying the old
-    per-call executor spin-up and miner re-pickle.
+    k-nearest distance prefixes — the work unit of
+    :func:`repro.core.od.knn_prefixes` under the miner's ``kernel``/
+    ``precision`` knobs — and the coordinator performs an exact k-way
+    streaming merge (:func:`merge_prefixes`) so every OD value is
+    element-wise identical to the in-process work unit.
 
 Fault tolerance (the supervision triad)
 ---------------------------------------
@@ -55,8 +50,8 @@ shard per round.
 *Graceful degradation.* A shard that exhausts its retry budget is
 marked irrecoverable: the coordinator attaches its own view of that
 shard's segment and serves the slice in-process through the same
-sequential kernels the worker would have run (:func:`_local_prefixes`
-— literally the same function), so answers stay element-wise identical
+work unit the worker would have run (:func:`_shard_prefixes` —
+literally the same function), so answers stay element-wise identical
 while throughput, not correctness, absorbs the loss. Every such round
 is recorded as a degraded-round event.
 
@@ -68,7 +63,7 @@ per batch into ``SearchStats`` and show up in
 via :mod:`repro.testing.faults` (``HOSMINER_FAULTS``), which drives the
 chaos test suite and the E16 robustness benchmark.
 
-Lifecycle: both pools expose explicit ``close()`` and the context-manager
+Lifecycle: the pool exposes explicit ``close()`` and the context-manager
 protocol; teardown also runs via ``weakref.finalize`` (which covers both
 garbage collection and ``atexit``), guarded by the owning PID so forked
 children can never unlink a parent's live segments. ``close()`` is
@@ -89,23 +84,19 @@ import logging
 import os
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import Pipe, Process
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.od import component_entry, knn_prefixes
 from repro.index import make_backend
-from repro.index.base import components32_from
 from repro.index.topk import topk_prefix
 from repro.testing.faults import FaultPlan, parse_faults
 
-if TYPE_CHECKING:
-    from repro.core.miner import HOSMiner
-
-__all__ = ["ShardPool", "QuerySplitPool", "merge_prefixes", "shard_bounds"]
+__all__ = ["ShardPool", "merge_prefixes", "shard_bounds"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -155,7 +146,7 @@ def merge_prefixes(parts: Sequence[np.ndarray], k: int) -> np.ndarray:
     merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     q, m, width = merged.shape
     if width > k:
-        flat = topk_prefix(merged.reshape(q * m, width), k, "partition")
+        flat = topk_prefix(merged.reshape(q * m, width), k)
         merged = flat.reshape(q, m, k)
     return merged
 
@@ -171,7 +162,7 @@ def _attach_segment(name: str, n: int, d: int):
     return segment, rows
 
 
-def _local_prefixes(
+def _shard_prefixes(
     backend,
     queries: np.ndarray,
     dims_list: "list[np.ndarray]",
@@ -183,58 +174,29 @@ def _local_prefixes(
 ) -> np.ndarray:
     """One shard's sorted k-nearest distance prefixes, ``(q, m, k)``.
 
-    Rows are inf-padded when the shard holds fewer than ``k`` candidate
-    points — the coordinator's merge drowns the padding in the other
-    shards' finite values. Backends with the level-wide
-    ``knn_distance_prefix`` kernel answer all masks at once (the linear
-    scan under the fitted ``kernel``/``precision`` tier, the VA-file via
-    its candidate prefilter); any other backend falls back to per-mask
-    ``knn``, which is exact by construction.
+    The work unit of :func:`repro.core.od.knn_prefixes` over the shard's
+    rows, one query at a time, with each query's component entry kept
+    in a small FIFO keyed by the query's bytes (hot traffic repeats
+    points). Runs identically in a shard worker and, for a degraded
+    shard, in the coordinator's in-process fallback — one code path is
+    what keeps degraded answers element-wise identical to healthy ones.
 
-    Runs identically in a shard worker and, for a degraded shard, in
-    the coordinator's in-process fallback — one code path is what keeps
-    degraded answers element-wise identical to healthy ones.
+    Queries go one by one because the workers already share the cores:
+    a stacked multi-query product is big enough to start BLAS threads
+    on top of them, which made 4-shard batches about 1.7x slower on a
+    2-core host.
     """
-    q_count = queries.shape[0]
-    m = len(dims_list)
-    out = np.full((q_count, m, k), np.inf)
-    prefix_fn = getattr(backend, "knn_distance_prefix", None)
-    has_components = hasattr(backend, "distance_components")
-    for i in range(q_count):
-        query = queries[i]
-        exclude = excludes[i]
-        available = backend.size - (1 if exclude is not None else 0)
-        k_local = min(k, available)
-        if k_local < 1:
-            continue
-        if prefix_fn is not None:
-            components = components32 = None
-            if has_components:
-                key = query.tobytes()
-                entry = cache.get(key)
-                if entry is None:
-                    components = backend.distance_components(query)
-                    if precision == "float32" and components is not None:
-                        components32 = components32_from(components)
-                    if len(cache) >= COMPONENT_CACHE_ENTRIES:
-                        cache.pop(next(iter(cache)))
-                    cache[key] = (components, components32)
-                else:
-                    components, components32 = entry
-            out[i, :, :k_local] = prefix_fn(
-                query,
-                k_local,
-                dims_list,
-                exclude=exclude,
-                components=components,
-                kernel=kernel,
-                precision=precision,
-                components32=components32,
-            )
-        else:
-            for j, dims in enumerate(dims_list):
-                _, distances = backend.knn(query, k_local, dims, exclude=exclude)
-                out[i, j, : distances.size] = distances
+    out = np.empty((queries.shape[0], len(dims_list), k))
+    for i, query in enumerate(queries):
+        key = query.tobytes()
+        if key not in cache:
+            if len(cache) >= COMPONENT_CACHE_ENTRIES:
+                cache.pop(next(iter(cache)))
+            cache[key] = component_entry(backend, query, precision)
+        out[i] = knn_prefixes(
+            backend, queries[i : i + 1], dims_list, k, excludes[i : i + 1],
+            kernel, precision, [cache[key]],
+        )[0]
     return out
 
 
@@ -338,7 +300,7 @@ def _shard_worker(
                 queries, dims_list, k, excludes, kernel, precision = message
                 reply = (
                     "ok",
-                    _local_prefixes(
+                    _shard_prefixes(
                         backend, queries, dims_list, k, excludes, kernel,
                         precision, cache,
                     ),
@@ -391,8 +353,8 @@ def _release_shards(owner_pid, conns, procs, segments, fallback) -> None:
 
     Runs at most once per pool via ``weakref.finalize`` — explicit
     ``close()``, garbage collection and ``atexit`` all funnel here. The
-    PID guard keeps forked children (the query-split workers inherit the
-    parent's pool handles) from unlinking segments they do not own.
+    PID guard keeps forked children (which inherit the parent's pool
+    handles) from unlinking segments they do not own.
 
     Worst-case latency is bounded: the graceful sentinel gets one grace
     window per worker, then :func:`_reap_process` escalates
@@ -746,7 +708,7 @@ class ShardPool:
         """Serve a degraded shard's slice in-process.
 
         The coordinator maps its own view of the shard's segment and
-        runs :func:`_local_prefixes` — the exact function the worker
+        runs :func:`_shard_prefixes` — the exact function the worker
         runs — over a backend built the same way, so the values are
         element-wise identical to what the healthy worker would have
         returned. Backend and component cache persist across rounds.
@@ -767,7 +729,7 @@ class ShardPool:
             self._fallback[s] = entry
         backend, cache = entry
         queries, dims_list, k, excludes, kernel, precision = request
-        return _local_prefixes(
+        return _shard_prefixes(
             backend, queries, dims_list, k, excludes, kernel, precision, cache
         )
 
@@ -1072,23 +1034,6 @@ class ShardPool:
             raise self._attach_failure_notes(errors)
         return merge_prefixes([part for part in parts if part is not None], k)
 
-    def scatter_sums(
-        self,
-        queries: np.ndarray,
-        dims_list: "Sequence[np.ndarray]",
-        k: int,
-        excludes: "Sequence[int | None]",
-        kernel: str,
-        precision: str,
-    ) -> np.ndarray:
-        """Merged OD sums, ``(q, m)`` — ascending sums of the global
-        k-prefixes, the same accumulation order as the sequential
-        kernels (hence the same float64 result)."""
-        prefixes = self.scatter_prefixes(
-            queries, dims_list, k, excludes, kernel, precision
-        )
-        return prefixes.sum(axis=-1)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Idempotent teardown: stop workers, close + unlink segments.
@@ -1114,63 +1059,3 @@ class ShardPool:
             f"d={self.d}, round_trips={self.round_trips}, "
             f"respawns={self.respawns}{degraded})"
         )
-
-
-def _shutdown_executor(owner_pid: int, executor: ProcessPoolExecutor) -> None:
-    """Finalizer of the query-split executor (PID-guarded like shards)."""
-    if os.getpid() != owner_pid:
-        return
-    executor.shutdown(wait=True, cancel_futures=True)
-
-
-class QuerySplitPool:
-    """Persistent executor for the ``shard="queries"`` fallback.
-
-    The miner is shipped to each worker exactly once, through the
-    executor initializer, when the pool is created — not per
-    ``query_batch`` call as the old engine did. Subsequent batches only
-    ship ``(queries, excludes)`` slices. The owning miner closes the
-    pool whenever its fitted state changes (refit / ``extend``), so a
-    live pool never serves a stale miner.
-    """
-
-    def __init__(self, miner: "HOSMiner", workers: int) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        from repro.core.batch import _init_worker
-
-        self.workers = workers
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(miner,)
-        )
-        self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _shutdown_executor, os.getpid(), self._executor
-        )
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def submit(self, fn, *args):
-        if self._closed:
-            raise ConfigurationError(
-                "QuerySplitPool is closed — create a new pool (HOSMiner "
-                "spawns one automatically on the next query_batch call)"
-            )
-        return self._executor.submit(fn, *args)
-
-    def close(self) -> None:
-        """Idempotent executor shutdown."""
-        self._closed = True
-        self._finalizer()
-
-    def __enter__(self) -> "QuerySplitPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"QuerySplitPool({state}, workers={self.workers})"

@@ -29,8 +29,9 @@ __all__ = [
     "knn_batch_fallback",
     "mask_matrix",
     "normalize_excludes",
+    "require_finite",
     "validate_query_matrix",
-    "validate_sums_request",
+    "validate_prefix_request",
 ]
 
 
@@ -148,26 +149,28 @@ def components32_from(components: "np.ndarray | None") -> "np.ndarray | None":
     """
     if components is None:
         return None
-    transposed = np.ascontiguousarray(components.T, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        # An overflowing cast yields inf, detected just below.
+        transposed = np.ascontiguousarray(components.T, dtype=np.float32)
     if not np.isfinite(transposed).all():
         return None
     return transposed
 
 
-def validate_sums_request(
+def validate_prefix_request(
     dims_list,
     validate_dims,
     k: int,
     size: int,
     excludes: "Sequence[int | None]",
 ) -> "list[np.ndarray]":
-    """Shared argument validation of the OD-sum kernels.
+    """Shared argument validation of the OD prefix kernels.
 
     Coerces every entry of *dims_list* through the backend's
     *validate_dims* (ready-made intp arrays are trusted — the batch
     engine validates and caches them once per mask) and checks ``k``
     against the candidate rows available to each exclusion. One helper
-    so every backend's sums kernel validates — and errors — identically.
+    so every backend's prefix kernel validates — and errors — identically.
     """
     from repro.core.exceptions import ConfigurationError
 
@@ -225,6 +228,30 @@ def validate_query_matrix(queries: np.ndarray, d: int) -> np.ndarray:
             f"expected a query matrix of shape (m, {d}), got {queries.shape}"
         )
     return queries
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`~repro.core.exceptions.DataShapeError` at the first
+    non-finite entry of a 1-D or 2-D float array.
+
+    The API boundary's guard: a NaN OD compares false against ``T`` and
+    would silently read as "no outlying subspace", and a NaN or inf row
+    poisons every neighbour set it joins. *what* names a row of a 2-D
+    array (``"data row"`` gives "data row 7, column 0 is nan") or the
+    whole of a 1-D one (``"query point"``).
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    index = np.unravel_index(int(np.argmin(finite)), values.shape)
+    where = f"{what}, column {index[0]}" if values.ndim == 1 else (
+        f"{what} {index[0]}, column {index[1]}"
+    )
+    from repro.core.exceptions import DataShapeError
+
+    raise DataShapeError(
+        f"{where} is {values[index]}: every coordinate must be finite"
+    )
 
 
 def knn_batch_fallback(

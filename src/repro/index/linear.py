@@ -26,10 +26,10 @@ from repro.index.base import (
     mask_matrix,
     normalize_excludes,
     validate_query_matrix,
-    validate_sums_request,
+    validate_prefix_request,
 )
 from repro.index.stats import IndexStats
-from repro.index.topk import TOPK_KERNELS, resolve_topk_kernel, topk_prefix
+from repro.index.topk import topk_prefix
 
 __all__ = ["LinearScanIndex", "BLOCK_ROWS"]
 
@@ -56,25 +56,16 @@ class LinearScanIndex:
         contiguous for fast fancy-indexing on dimension subsets.
     metric:
         Metric instance or registry name (default ``"euclidean"``).
-    topk_kernel:
-        Post-GEMM top-k selection kernel, one of
-        :data:`repro.index.topk.TOPK_KERNELS` (default ``"auto"``).
-        Every kernel returns identical values; the knob only moves time.
     """
 
     def __init__(
         self,
         X: np.ndarray,
         metric: "Metric | str" = "euclidean",
-        topk_kernel: str = "auto",
     ) -> None:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
             raise DataShapeError(f"expected a non-empty (n, d) matrix, got shape {X.shape}")
-        if topk_kernel not in TOPK_KERNELS:
-            raise ConfigurationError(
-                f"topk_kernel must be one of {TOPK_KERNELS}, got {topk_kernel!r}"
-            )
         # The scanned matrix lives in a capacity-doubling buffer so that
         # insert() is amortised O(d) instead of an O(n·d) vstack per
         # call. Sliding-window expiry only bumps the _lo head offset —
@@ -86,7 +77,6 @@ class LinearScanIndex:
         self._n = X.shape[0]
         self._X = self._buf[self._lo : self._n]
         self.metric = get_metric(metric)
-        self.topk_kernel = topk_kernel
         self.stats = IndexStats()
 
     # -- KnnBackend interface ------------------------------------------------
@@ -196,7 +186,7 @@ class LinearScanIndex:
     def distance_components(self, query: np.ndarray) -> "np.ndarray | None":
         """Per-dimension distance contribution matrix for *query*.
 
-        Shape ``(n, d)``; feed it to :meth:`knn_distance_sums` to answer
+        Shape ``(n, d)``; feed it to :meth:`knn_distance_prefix` to answer
         many subspace queries for the same point without recomputing any
         per-dimension term. Returns ``None`` when the metric does not
         expose a component decomposition (custom metrics) — callers then
@@ -211,77 +201,9 @@ class LinearScanIndex:
         # Building the matrix is one full per-dimension pass over the
         # data — the same logical work as one full-space distance scan —
         # and is charged here, once; later component-reuse calls charge
-        # only gathers (see knn_distance_sums).
+        # only gathers (see knn_distance_prefix).
         self._account_scan()
         return components_fn(self._X, query)
-
-    def knn_distance_sums(
-        self,
-        query: np.ndarray,
-        k: int,
-        dims_list: "Sequence[Sequence[int]]",
-        exclude: int | None = None,
-        components: "np.ndarray | None" = None,
-        kernel: str = "exact",
-        precision: str = "float64",
-        components32: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Sum of the ``k`` smallest distances in many subspaces at once.
-
-        The OD kernel of the search engines — the dual of
-        :meth:`knn_batch`: there the query axis is vectorised for one
-        subspace, here one query is evaluated in ``m`` subspaces. Two
-        kernels serve the call:
-
-        ``kernel="exact"`` (default)
-            One gather-and-reduce per subspace over the *components*
-            matrix (see :meth:`distance_components`) when given, else
-            one ``pairwise`` projection pass per subspace. Every value
-            is bit-identical to
-            ``float(knn(query, k, dims, exclude)[1].sum())``: the
-            gathered reduction replays ``pairwise``'s arithmetic
-            exactly, and the ``k`` smallest distances are summed in
-            ascending order — the same value sequence the sorted kNN
-            result produces (ties are equal values, so neighbour
-            identity cannot change the sum).
-        ``kernel="gemm"`` (or ``"auto"`` with a capable metric)
-            The level-wide kernel: all ``m`` subspaces' component sums
-            come from one BLAS product ``M @ C.T`` of the 0/1 mask
-            matrix against the component matrix, followed by one
-            axis-wise top-k partition. Per-mask Python looping, dimension
-            gathers and reduction passes all disappear into the GEMM.
-            BLAS accumulates in its own order, so values agree with the
-            exact kernel to float tolerance (~1e-13 relative) rather
-            than bit-for-bit — threshold decisions made on GEMM output
-            are re-verified near the threshold by the OD layer. The
-            product is blocked along the column (point) axis whenever it
-            would exceed :data:`BATCH_CHUNK_BYTES`, with a streaming
-            top-k merge that is value-identical to the unblocked kernel.
-
-        *precision* selects the GEMM dtype (``"float64"`` default at
-        this layer; resolved via
-        :func:`repro.core.precision.resolve_precision`). Under
-        ``"float32"`` the product runs on a pre-transposed ``(d, n)``
-        float32 component copy — *components32*, built here via
-        :func:`~repro.index.base.components32_from` when not supplied —
-        and the OD layer widens its exact re-verification band to the
-        rigorous float32 rounding bound, so answer *sets* stay identical
-        to the float64 kernel. Data whose components overflow float32
-        silently falls back to the float64 product.
-        """
-        prefixes = self.knn_distance_prefix(
-            query,
-            k,
-            dims_list,
-            exclude=exclude,
-            components=components,
-            kernel=kernel,
-            precision=precision,
-            components32=components32,
-        )
-        # Ascending sum over each sorted prefix row — the exact
-        # accumulation order of the sorted kNN result.
-        return prefixes.sum(axis=1)
 
     def knn_distance_prefix(
         self,
@@ -296,23 +218,59 @@ class LinearScanIndex:
     ) -> np.ndarray:
         """Sorted k-nearest *distances* per subspace, shape ``(m, k)``.
 
-        The shard partial behind :meth:`knn_distance_sums` (which is
-        exactly ``prefix.sum(axis=1)``) and the scatter-gather engine
-        (:mod:`repro.core.shard`): because the ``k`` smallest of a union
-        of per-shard sorted k-prefixes is the global k smallest, a
-        coordinator can merge these rows across row shards and recover
-        values identical to one full scan. Kernels and *precision*
-        behave exactly as documented on :meth:`knn_distance_sums`; under
-        the GEMM kernel the selection happens on component sums and the
-        monotone L_p finalizer maps the prefix to distances afterwards,
-        so the returned rows are ascending under either kernel.
+        The OD kernel of the search engines — the dual of
+        :meth:`knn_batch`: there the query axis is vectorised for one
+        subspace, here one query is evaluated in ``m`` subspaces. The OD
+        is ``prefix.sum(axis=1)`` (ascending, the accumulation order of
+        the sorted kNN result) and the last column is the kth-neighbour
+        distance. Because the ``k`` smallest of a union of per-shard
+        sorted k-prefixes is the global k smallest, the scatter-gather
+        engine (:mod:`repro.core.shard`) merges these rows across row
+        shards and recovers values identical to one full scan. Two
+        kernels serve the call:
+
+        ``kernel="exact"`` (default)
+            One gather-and-reduce per subspace over the *components*
+            matrix (see :meth:`distance_components`) when given, else
+            one ``pairwise`` projection pass per subspace. Every row is
+            bit-identical to ``knn(query, k, dims, exclude)[1]``: the
+            gathered reduction replays ``pairwise``'s arithmetic exactly
+            (ties are equal values, so neighbour identity cannot change
+            the sequence).
+        ``kernel="gemm"`` (or ``"auto"`` with a capable metric)
+            The level-wide kernel: all ``m`` subspaces' component sums
+            come from one BLAS product ``M @ C.T`` of the 0/1 mask
+            matrix against the component matrix, followed by one
+            axis-wise top-k selection on component sums; the monotone
+            L_p finalizer maps the prefix to distances afterwards. BLAS
+            accumulates in its own order, so values agree with the exact
+            kernel to float tolerance (~1e-13 relative) rather than
+            bit-for-bit — :func:`repro.core.od.evaluate` re-verifies
+            near-threshold values exactly. Components must be finite: a
+            masked-out ``inf`` component turns into ``0 * inf = NaN``,
+            which is why :func:`repro.core.od.knn_prefixes` sends such
+            queries to the exact kernel. The product is blocked along
+            the column (point) axis whenever it would exceed
+            :data:`BATCH_CHUNK_BYTES`, with a streaming top-k merge that
+            is value-identical to the unblocked kernel.
+
+        *precision* selects the GEMM dtype (``"float64"`` default at
+        this layer; resolved via
+        :func:`repro.core.precision.resolve_precision`). Under
+        ``"float32"`` the product runs on a pre-transposed ``(d, n)``
+        float32 component copy — *components32*, built here via
+        :func:`~repro.index.base.components32_from` when not supplied —
+        and the OD layer widens its exact re-verification band to the
+        rigorous float32 rounding bound, so answer *sets* stay identical
+        to the float64 kernel. Data whose components overflow float32
+        silently falls back to the float64 product.
         """
         query = np.asarray(query, dtype=np.float64)
         if query.shape != (self.d,):
             raise DataShapeError(
                 f"query must be a length-{self.d} vector, got shape {query.shape}"
             )
-        dims_arrays = validate_sums_request(
+        dims_arrays = validate_prefix_request(
             dims_list, self._validate_dims, k, self.size, [exclude]
         )
         kernel = resolve_kernel(kernel, self.metric)
@@ -367,50 +325,6 @@ class LinearScanIndex:
         self.stats.knn_queries += count
         return out
 
-    def knn_distance_sums_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        dims_list: "Sequence[Sequence[int]]",
-        excludes: "Sequence[int | None] | None" = None,
-        components_list: "Sequence[np.ndarray | None] | None" = None,
-        kernel: str = "auto",
-        precision: str = "float64",
-        components32_list: "Sequence[np.ndarray | None] | None" = None,
-    ) -> np.ndarray:
-        """OD sums for every ``(query row, subspace)`` pair, ``(q, m)``.
-
-        The mask-major fusion point of the batched engine: when several
-        concurrent searches request the same subspace list in one round,
-        their component matrices are stacked into ``C_batch`` and a
-        single ``M @ C_batch.T`` GEMM serves every search at once. Each
-        query's block of the product is then reduced exactly like the
-        single-query kernel, so ``out[i]`` equals
-        ``knn_distance_sums(queries[i], ...)`` under the same kernel
-        and *precision* (``"float64"`` default at this layer — the
-        miner resolves ``"auto"`` and passes the tier down explicitly;
-        under ``"float32"`` the stack concatenates the pre-transposed
-        ``(d, n)`` float32 copies — *components32_list* when supplied —
-        and any overflowing query drops the whole batch back to
-        float64).
-
-        The query axis is chunked so the ``(m, chunk·n)`` product stays
-        under :data:`BATCH_CHUNK_BYTES` at the kernel's element size;
-        chunking never changes results.
-        """
-        # Ascending sum over each sorted prefix row — the exact
-        # accumulation order of the single-query kernel's _topk_sums.
-        return self.knn_distance_prefix_batch(
-            queries,
-            k,
-            dims_list,
-            excludes=excludes,
-            components_list=components_list,
-            kernel=kernel,
-            precision=precision,
-            components32_list=components32_list,
-        ).sum(axis=2)
-
     def knn_distance_prefix_batch(
         self,
         queries: np.ndarray,
@@ -425,18 +339,28 @@ class LinearScanIndex:
         """Sorted k-nearest distances per ``(query row, subspace)`` pair,
         shape ``(q, m, k)``.
 
-        The prefix-grade sibling of :meth:`knn_distance_sums_batch` (the
-        sums ARE ``prefix.sum(axis=2)``) and the batch-fusion point where
-        the streaming delta cache harvests kth-neighbour bounds for
-        free: ``out[..., -1]`` is each pair's kth distance. Kernels,
-        *precision* and query-axis chunking behave exactly as documented
-        there; ``out[i]`` equals ``knn_distance_prefix(queries[i], ...)``
-        under the same kernel.
+        The mask-major fusion point of the batched engine: when several
+        concurrent searches request the same subspace list in one round,
+        their component matrices are stacked into ``C_batch`` and a
+        single ``M @ C_batch.T`` GEMM serves every search at once. Each
+        query's block of the product is then reduced exactly like the
+        single-query kernel, so ``out[i]`` equals
+        ``knn_distance_prefix(queries[i], ...)`` under the same kernel
+        and *precision* (``"float64"`` default at this layer — the
+        miner resolves ``"auto"`` and passes the tier down explicitly;
+        under ``"float32"`` the stack concatenates the pre-transposed
+        ``(d, n)`` float32 copies — *components32_list* when supplied —
+        and any overflowing query drops the whole batch back to
+        float64).
+
+        The query axis is chunked so the ``(m, chunk·n)`` product stays
+        under :data:`BATCH_CHUNK_BYTES` at the kernel's element size;
+        chunking never changes results.
         """
         queries = validate_query_matrix(queries, self.d)
         q_count = queries.shape[0]
         excludes = normalize_excludes(excludes, q_count, self.size)
-        dims_arrays = validate_sums_request(
+        dims_arrays = validate_prefix_request(
             dims_list, self._validate_dims, k, self.size, excludes
         )
         kernel = resolve_kernel(kernel, self.metric)
@@ -489,7 +413,11 @@ class LinearScanIndex:
                     parts.append(C)
                 C_batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
                 right = C_batch.T
-            S = M @ right  # (m, chunk·n): every search's sums at once
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Overflowing sums come out inf, which evaluate() always
+                # re-verifies; 0 * inf = NaN needs a non-finite component,
+                # and knn_prefixes() sends those queries to the exact kernel.
+                S = M @ right  # (m, chunk·n): every search's sums at once
             self.stats.record_peak("peak_intermediate_bytes", S.nbytes)
             for i in range(start, stop):
                 block = S[:, (i - start) * n : (i - start + 1) * n]
@@ -553,25 +481,30 @@ class LinearScanIndex:
         m = M.shape[0]
         n = right.shape[1]
         itemsize = M.dtype.itemsize
-        topk = resolve_topk_kernel(self.topk_kernel, M.dtype)
         block = max(k, BATCH_CHUNK_BYTES // max(1, m * itemsize))
         if block >= n:
-            S = M @ right
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Overflowing sums come out inf, which evaluate() always
+                # re-verifies; 0 * inf = NaN needs a non-finite component,
+                # and knn_prefixes() sends those queries to the exact kernel.
+                S = M @ right
             self.stats.record_peak("peak_intermediate_bytes", S.nbytes)
             if exclude is not None:
                 S[:, exclude] = np.inf
-            return topk_prefix(S, k, topk)
+            return topk_prefix(S, k)
         self.stats.record_peak("peak_intermediate_bytes", m * block * itemsize)
         running = None
         for start in range(0, n, block):
             stop = min(start + block, n)
-            S = M @ right[:, start:stop]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Same non-finite handling as the unblocked product above.
+                S = M @ right[:, start:stop]
             if exclude is not None and start <= exclude < stop:
                 S[:, exclude - start] = np.inf
-            prefix = topk_prefix(S, min(k, stop - start), topk)
+            prefix = topk_prefix(S, min(k, stop - start))
             if running is not None:
                 merged = np.concatenate([running, prefix], axis=1)
-                prefix = topk_prefix(merged, min(k, merged.shape[1]), "partition")
+                prefix = topk_prefix(merged, min(k, merged.shape[1]))
             running = prefix
         return running
 
@@ -579,24 +512,18 @@ class LinearScanIndex:
         """Reduce an ``(m, n)`` component-sum block to sorted k-nearest
         distances, ``(m, k)``.
 
-        Selects each row's sorted k-prefix with the configured top-k
-        kernel (every kernel returns identical values — see
-        :mod:`repro.index.topk`) and finalizes component sums into
+        Selects each row's sorted k-prefix (:func:`repro.index.topk.topk_prefix`)
+        and finalizes component sums into
         distances only for those ``m·k`` entries — the L_p finalizers
         are monotone, so selecting on component sums selects exactly the
         k nearest. ``S`` is owned by the caller and may be partitioned in
         place; row layout (contiguous vs strided view) cannot change the
         result, which is determined by values alone.
         """
-        prefix = topk_prefix(S, k, resolve_topk_kernel(self.topk_kernel, S.dtype))
+        prefix = topk_prefix(S, k)
         if prefix.dtype != np.float64:
             prefix = prefix.astype(np.float64)
         return self.metric.finalize_component_sums(prefix)
-
-    def _topk_sums(self, S: np.ndarray, k: int) -> np.ndarray:
-        """Per-row OD sums of an ``(m, n)`` component-sum block: the
-        sorted k-prefix distances summed ascending in float64."""
-        return self._topk_distances(S, k).sum(axis=1)
 
     def range_query(
         self,

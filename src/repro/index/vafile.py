@@ -56,7 +56,7 @@ from repro.index.base import (
     mask_matrix,
     normalize_excludes,
     validate_query_matrix,
-    validate_sums_request,
+    validate_prefix_request,
 )
 from repro.index.stats import IndexStats
 
@@ -281,7 +281,7 @@ class VAFile:
         self.stats.knn_queries += m
         return results
 
-    def knn_distance_sums(
+    def knn_distance_prefix(
         self,
         query: np.ndarray,
         k: int,
@@ -292,15 +292,18 @@ class VAFile:
         precision: str = "float64",
         components32: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Sum of the ``k`` smallest distances in many subspaces at once.
+        """Sorted k-nearest *distances* per subspace, shape ``(m, k)``.
 
         The VA-file's OD kernel: subspace bounds come from the
         approximation file, the survivors are refined exactly, and the
-        ``k`` smallest exact distances are summed ascending — so every
-        value is bit-identical to ``float(knn(...)[1].sum())`` under
-        **either** kernel (the kernels differ only in how the candidate
-        prefilter is computed, and any superset of the true kNN refines
-        to the same answer).
+        ``k`` smallest exact distances come back ascending — so every
+        row is bit-identical to ``knn(...)[1]`` under **either** kernel
+        (the kernels differ only in how the candidate prefilter is
+        computed, and any superset of the true kNN refines to the same
+        answer). The same holds for a shard-local view in the
+        scatter-gather engine (:mod:`repro.core.shard`): refinement is
+        exact per row and never crosses shard boundaries, so the
+        cross-shard merge of the partials is the global exact prefix.
 
         ``kernel="gemm"`` builds per-dimension lower/upper gap component
         tables once (power-domain, one approximation-file pass) and
@@ -322,51 +325,7 @@ class VAFile:
         """
         del components, components32  # interface parity with LinearScanIndex
         query, _ = self._validate(query, range(self.d))
-        dims_arrays = validate_sums_request(
-            dims_list, self._validate_dims, k, self.size, [exclude]
-        )
-        kernel = resolve_kernel(kernel, self.metric)
-        count = len(dims_arrays)
-        if count == 0:
-            return np.empty(0)
-
-        sums = np.empty(count)
-        candidates_list = self._mask_candidates(
-            query, k, dims_arrays, exclude, kernel, precision
-        )
-        for j, dims in enumerate(dims_arrays):
-            sums[j] = float(
-                self._refine_prefix(query, k, dims, candidates_list[j]).sum()
-            )
-        self.stats.knn_queries += count
-        return sums
-
-    def knn_distance_prefix(
-        self,
-        query: np.ndarray,
-        k: int,
-        dims_list: "Sequence[Sequence[int]]",
-        exclude: int | None = None,
-        components: "np.ndarray | None" = None,
-        kernel: str = "exact",
-        precision: str = "float64",
-        components32: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Sorted k-nearest *distances* per subspace, shape ``(m, k)``.
-
-        The VA-file's shard partial for the scatter-gather engine
-        (:mod:`repro.core.shard`): a shard-local view runs the same
-        approximation-file candidate prefilter as
-        :meth:`knn_distance_sums` (under either bound *kernel* and
-        *precision*), refines the survivors exactly, and hands the
-        coordinator its sorted k-prefix — candidate partials whose
-        cross-shard merge is the global exact prefix, because refinement
-        is exact per row and never crosses shard boundaries.
-        ``knn_distance_sums`` is exactly ``prefix.sum(axis=1)``.
-        """
-        del components, components32  # interface parity with LinearScanIndex
-        query, _ = self._validate(query, range(self.d))
-        dims_arrays = validate_sums_request(
+        dims_arrays = validate_prefix_request(
             dims_list, self._validate_dims, k, self.size, [exclude]
         )
         kernel = resolve_kernel(kernel, self.metric)
@@ -394,9 +353,9 @@ class VAFile:
     ) -> "list[np.ndarray]":
         """Per-mask candidate supersets of the true kNN (bounds prefilter).
 
-        The shared front half of :meth:`knn_distance_sums` and
-        :meth:`knn_distance_prefix` — see the sums docstring for the
-        bound derivation and the float32 slack argument.
+        The front half of :meth:`knn_distance_prefix` — see its
+        docstring for the bound derivation and the float32 slack
+        argument.
         """
         count = len(dims_arrays)
         candidates_list: list[np.ndarray] = []
@@ -408,21 +367,25 @@ class VAFile:
             # selection can stay in the power domain.
             SL = SU = None
             rtol = 1e-9
-            if precision == "float32":
-                L32 = np.ascontiguousarray(lower_gaps.T, dtype=np.float32)
-                U32 = np.ascontiguousarray(upper_gaps.T, dtype=np.float32)
-                if np.isfinite(L32).all() and np.isfinite(U32).all():
-                    M32 = mask_matrix(dims_arrays, self.d, dtype=np.float32)
-                    SL = M32 @ L32
-                    SU = M32 @ U32
-                    if np.isfinite(SL).all() and np.isfinite(SU).all():
-                        rtol = reverify_rtol(precision, self.d)
-                    else:
-                        SL = SU = None  # accumulation overflow: use float64
-            if SL is None:
-                M = mask_matrix(dims_arrays, self.d)
-                SL = M @ lower_gaps.T
-                SU = M @ upper_gaps.T
+            # Non-finite casts and products are handled below: overflow
+            # drops the float32 tier, and the negated candidate test keeps
+            # inf/NaN bounds as candidates for exact refinement.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if precision == "float32":
+                    L32 = np.ascontiguousarray(lower_gaps.T, dtype=np.float32)
+                    U32 = np.ascontiguousarray(upper_gaps.T, dtype=np.float32)
+                    if np.isfinite(L32).all() and np.isfinite(U32).all():
+                        M32 = mask_matrix(dims_arrays, self.d, dtype=np.float32)
+                        SL = M32 @ L32
+                        SU = M32 @ U32
+                        if np.isfinite(SL).all() and np.isfinite(SU).all():
+                            rtol = reverify_rtol(precision, self.d)
+                        else:
+                            SL = SU = None  # accumulation overflow: use float64
+                if SL is None:
+                    M = mask_matrix(dims_arrays, self.d)
+                    SL = M @ lower_gaps.T
+                    SU = M @ upper_gaps.T
             self.stats.record_peak(
                 "peak_intermediate_bytes", SL.nbytes + SU.nbytes
             )
@@ -456,35 +419,6 @@ class VAFile:
                 candidates_list.append(np.flatnonzero(lower <= tau))
         return candidates_list
 
-    def knn_distance_sums_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        dims_list: "Sequence[Sequence[int]]",
-        excludes: "Sequence[int | None] | None" = None,
-        components_list: "Sequence[np.ndarray | None] | None" = None,
-        kernel: str = "auto",
-        precision: str = "float64",
-        components32_list: "Sequence[np.ndarray | None] | None" = None,
-    ) -> np.ndarray:
-        """OD sums for every ``(query row, subspace)`` pair, ``(q, m)``.
-
-        Candidate refinement is inherently query-local for a VA-file, so
-        this is a loop over :meth:`knn_distance_sums` — each query still
-        gets the one-pass gap tables and two-GEMM bound derivation (in
-        *precision*, resolved there against the kernel).
-        """
-        del components_list, components32_list  # interface parity
-        queries = validate_query_matrix(queries, self.d)
-        excludes = normalize_excludes(excludes, queries.shape[0], self.size)
-        out = np.empty((queries.shape[0], len(dims_list)))
-        for i, (query, exclude) in enumerate(zip(queries, excludes)):
-            out[i] = self.knn_distance_sums(
-                query, k, dims_list, exclude=exclude, kernel=kernel,
-                precision=precision,
-            )
-        return out
-
     def knn_distance_prefix_batch(
         self,
         queries: np.ndarray,
@@ -497,8 +431,13 @@ class VAFile:
         components32_list: "Sequence[np.ndarray | None] | None" = None,
     ) -> np.ndarray:
         """Sorted k-nearest distances per ``(query row, subspace)`` pair,
-        ``(q, m, k)`` — the prefix-grade sibling of
-        :meth:`knn_distance_sums_batch`, same per-query loop."""
+        ``(q, m, k)``.
+
+        Candidate refinement is inherently query-local for a VA-file, so
+        this is a loop over :meth:`knn_distance_prefix` — each query
+        still gets the one-pass gap tables and two-GEMM bound derivation
+        (in *precision*, resolved there against the kernel).
+        """
         del components_list, components32_list  # interface parity
         queries = validate_query_matrix(queries, self.d)
         excludes = normalize_excludes(excludes, queries.shape[0], self.size)
@@ -543,12 +482,15 @@ class VAFile:
             cell_upper = edges[1:]
             low_gap = np.maximum(0.0, np.maximum(cell_lower - q, q - cell_upper))
             up_gap = np.maximum(np.abs(q - cell_lower), np.abs(q - cell_upper))
-            if self._order == 2.0:
-                low_gap = low_gap * low_gap
-                up_gap = up_gap * up_gap
-            elif self._order != 1.0:
-                low_gap = np.power(low_gap, self._order)
-                up_gap = np.power(up_gap, self._order)
+            # Gaps too large to raise to the power become inf; the bound
+            # GEMMs in _mask_candidates keep such rows as candidates.
+            with np.errstate(over="ignore"):
+                if self._order == 2.0:
+                    low_gap = low_gap * low_gap
+                    up_gap = up_gap * up_gap
+                elif self._order != 1.0:
+                    low_gap = np.power(low_gap, self._order)
+                    up_gap = np.power(up_gap, self._order)
             codes = self._approx[:, dim]
             lower_gaps[:, dim] = low_gap[codes]
             upper_gaps[:, dim] = up_gap[codes]

@@ -95,9 +95,9 @@ class TestKnnDistanceSums:
         query = rng.normal(size=5)
         components = backend.distance_components(query) if use_components else None
         dims_list = [(0, 1), (1, 4), (2, 3)]
-        sums = backend.knn_distance_sums(
+        sums = backend.knn_distance_prefix(
             query, 4, dims_list, exclude=17, components=components
-        )
+        ).sum(axis=1)
         for dims, value in zip(dims_list, sums):
             _, distances = backend.knn(query, 4, dims, exclude=17)
             assert value == float(distances.sum())  # bit-identical
@@ -120,7 +120,7 @@ class TestKnnDistanceSums:
         backend = LinearScanIndex(rng.normal(size=(30, 3)), metric=WeirdMetric())
         assert backend.distance_components(np.zeros(3)) is None
         # The sums kernel still answers correctly via pairwise fallback.
-        sums = backend.knn_distance_sums(np.zeros(3), 2, [(0, 1)])
+        sums = backend.knn_distance_prefix(np.zeros(3), 2, [(0, 1)]).sum(axis=1)
         _, distances = backend.knn(np.zeros(3), 2, (0, 1))
         assert sums[0] == float(distances.sum())
 
@@ -288,6 +288,38 @@ class TestQueryBatch:
         assert batched.stats.od_evaluations == sum(
             result.stats.od_evaluations for result in batched.results
         )
+
+
+# ----------------------------------------------------------------------
+# The settle step: one re-verification point for every executor
+# ----------------------------------------------------------------------
+class TestSettleStep:
+    def test_threshold_on_an_od_value_reverifies_alike_everywhere(self, dataset):
+        """T placed exactly on the target's full-space OD: the GEMM value
+        lands inside the band, the search must evaluate the full space
+        (no proper subspace reaches T), and the exact kernel decides —
+        in the sequential search, the in-process batch and the shard
+        pool alike."""
+        from repro.core.subspace import full_mask
+
+        row, d = 0, dataset.X.shape[1]
+        exact = ODEvaluator(LinearScanIndex(dataset.X), dataset.X[row], 4, exclude=row)
+        threshold = exact.od(full_mask(d))
+
+        def make():
+            return HOSMiner(k=4, sample_size=0, kernel="gemm", threshold=threshold).fit(
+                dataset.X
+            )
+
+        with make() as a, make() as b, make() as c:
+            sequential = a.query_row(row)
+            inprocess = b.query_batch([row], workers=1).results[0]
+            sharded = c.query_batch([row], workers=2).results[0]
+        assert sequential.stats.reverified >= 1
+        assert full_mask(d) in [s.mask for s in sequential.minimal]
+        for result in (inprocess, sharded):
+            assert_results_identical([sequential], [result])
+            assert result.stats.reverified == sequential.stats.reverified
 
 
 # ----------------------------------------------------------------------

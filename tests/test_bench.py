@@ -129,7 +129,8 @@ class TestExperiment:
         experiment = Experiment("EX", "demo", ["v"])
         experiment.add_row(v=2)
         path = experiment.save(directory=str(tmp_path))
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.loads(handle.read())
         assert payload["id"] == "EX"
         assert payload["rows"] == [{"v": "2"}]
 

@@ -62,12 +62,12 @@ class TestKernelValues:
         X, query, masks_dims = _random_problem(seed, 60, d, dtype)
         backend = LinearScanIndex(X, metric=metric)
         exclude = 7 if use_exclude else None
-        exact = backend.knn_distance_sums(
+        exact = backend.knn_distance_prefix(
             query, k, masks_dims, exclude=exclude, kernel="exact"
-        )
-        gemm = backend.knn_distance_sums(
+        ).sum(axis=1)
+        gemm = backend.knn_distance_prefix(
             query, k, masks_dims, exclude=exclude, kernel="gemm"
-        )
+        ).sum(axis=1)
         np.testing.assert_allclose(gemm, exact, rtol=RTOL)
         # The exact kernel itself is bit-identical to summed kNN.
         for dims, value in zip(masks_dims, exact):
@@ -87,13 +87,13 @@ class TestKernelValues:
         generator = np.random.default_rng(seed + 1)
         queries = generator.normal(size=(4, d))
         excludes = [None, 3, 49, None]
-        grid = backend.knn_distance_sums_batch(
+        grid = backend.knn_distance_prefix_batch(
             queries, k, masks_dims, excludes=excludes, kernel="gemm"
-        )
+        ).sum(axis=2)
         for i in range(queries.shape[0]):
-            single = backend.knn_distance_sums(
+            single = backend.knn_distance_prefix(
                 queries[i], k, masks_dims, exclude=excludes[i], kernel="gemm"
-            )
+            ).sum(axis=1)
             np.testing.assert_array_equal(grid[i], single)
 
     def test_components_reuse_same_values(self, rng):
@@ -102,10 +102,10 @@ class TestKernelValues:
         query = rng.normal(size=6)
         dims_list = [(0, 1), (2, 4, 5), (0, 1, 2, 3, 4, 5)]
         components = backend.distance_components(query)
-        with_c = backend.knn_distance_sums(
+        with_c = backend.knn_distance_prefix(
             query, 4, dims_list, components=components, kernel="gemm"
-        )
-        without_c = backend.knn_distance_sums(query, 4, dims_list, kernel="gemm")
+        ).sum(axis=1)
+        without_c = backend.knn_distance_prefix(query, 4, dims_list, kernel="gemm").sum(axis=1)
         np.testing.assert_array_equal(with_c, without_c)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "minkowski:3"])
@@ -117,8 +117,8 @@ class TestKernelValues:
         lin = LinearScanIndex(X, metric=metric)
         query = rng.normal(size=6)
         dims_list = [(0,), (1, 3), (0, 2, 4, 5)]
-        exact = va.knn_distance_sums(query, 5, dims_list, exclude=9, kernel="exact")
-        gemm = va.knn_distance_sums(query, 5, dims_list, exclude=9, kernel="gemm")
+        exact = va.knn_distance_prefix(query, 5, dims_list, exclude=9, kernel="exact").sum(axis=1)
+        gemm = va.knn_distance_prefix(query, 5, dims_list, exclude=9, kernel="gemm").sum(axis=1)
         np.testing.assert_array_equal(gemm, exact)
         reference = [
             float(lin.knn(query, 5, dims, exclude=9)[1].sum()) for dims in dims_list
@@ -127,7 +127,7 @@ class TestKernelValues:
 
     def test_empty_mask_list(self, rng):
         backend = LinearScanIndex(rng.normal(size=(30, 3)))
-        assert backend.knn_distance_sums(np.zeros(3), 2, [], kernel="gemm").size == 0
+        assert backend.knn_distance_prefix(np.zeros(3), 2, [], kernel="gemm").sum(axis=1).size == 0
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +241,7 @@ class TestKernelConfiguration:
     def test_index_rejects_gemm_for_incapable_metric(self, rng):
         backend = LinearScanIndex(rng.normal(size=(30, 3)), metric=WeirdMetric())
         with pytest.raises(ConfigurationError, match="component decomposition"):
-            backend.knn_distance_sums(np.zeros(3), 2, [(0, 1)], kernel="gemm")
+            backend.knn_distance_prefix(np.zeros(3), 2, [(0, 1)], kernel="gemm").sum(axis=1)
 
     def test_evaluator_tree_backend_falls_back(self, rng):
         from repro.index.rstar import RStarTree
@@ -257,7 +257,7 @@ class TestKernelConfiguration:
         """A user who demanded the fast kernel must not silently get the
         per-subspace tree descent instead."""
         X = rng.normal(size=(60, 4))
-        with pytest.raises(ConfigurationError, match="knn_distance_sums"):
+        with pytest.raises(ConfigurationError, match="knn_distance_prefix"):
             HOSMiner(k=3, sample_size=0, kernel="gemm", index="rstar").fit(X)
 
     def test_auto_reports_exact_for_tree_backend(self, rng):
@@ -323,8 +323,8 @@ class TestInsertBuffer:
         for row in rng.normal(size=(50, 5)):
             backend.insert(row)
         query = rng.normal(size=5)
-        exact = backend.knn_distance_sums(query, 4, [(0, 1), (2, 3, 4)])
-        gemm = backend.knn_distance_sums(query, 4, [(0, 1), (2, 3, 4)], kernel="gemm")
+        exact = backend.knn_distance_prefix(query, 4, [(0, 1), (2, 3, 4)]).sum(axis=1)
+        gemm = backend.knn_distance_prefix(query, 4, [(0, 1), (2, 3, 4)], kernel="gemm").sum(axis=1)
         np.testing.assert_allclose(gemm, exact, rtol=RTOL)
 
 
@@ -340,9 +340,9 @@ class TestAccounting:
         # Building the matrix is one full per-dimension pass.
         assert backend.stats.distance_computations == 100
         before = backend.stats.distance_computations
-        backend.knn_distance_sums(
+        backend.knn_distance_prefix(
             query, 3, [(0, 1), (2, 4)], components=components, kernel="exact"
-        )
+        ).sum(axis=1)
         assert backend.stats.distance_computations == before  # no new scans
         assert backend.stats.extra["component_gathers"] == 100 * 4  # 2+2 dims
         assert backend.stats.knn_queries == 2
@@ -350,7 +350,7 @@ class TestAccounting:
     def test_fresh_exact_scans_still_charged(self, rng):
         X = rng.normal(size=(100, 5))
         backend = LinearScanIndex(X)
-        backend.knn_distance_sums(rng.normal(size=5), 3, [(0, 1), (2, 4)])
+        backend.knn_distance_prefix(rng.normal(size=5), 3, [(0, 1), (2, 4)]).sum(axis=1)
         assert backend.stats.distance_computations == 200
         assert "component_gathers" not in backend.stats.extra
 
@@ -360,9 +360,9 @@ class TestAccounting:
         query = rng.normal(size=5)
         components = backend.distance_components(query)
         before = backend.stats.distance_computations
-        backend.knn_distance_sums(
+        backend.knn_distance_prefix(
             query, 3, [(0, 1), (2, 4), (0, 3)], components=components, kernel="gemm"
-        )
+        ).sum(axis=1)
         assert backend.stats.extra["gemm_flops"] == 2 * 100 * 5 * 3
         assert backend.stats.distance_computations == before
 

@@ -5,8 +5,8 @@ the level-wide GEMM runs in float32 but every answer set stays
 **bit-identical** to the float64 kernel, because values inside the
 rigorous rounding band of :func:`repro.core.precision.reverify_rtol`
 are re-verified in exact float64 before any threshold decision. The
-satellites ride along: the interchangeable top-k selection kernels
-(value-identical, silent numba fallback), the column-blocked
+satellites ride along: the top-k selection (value-identical to a full
+sort on both of its paths), the column-blocked
 single-query GEMM (bounded intermediate, bit-identical merge), the
 float32 overflow fallback, and the schema-v2 bench counters
 (percentiles, peak high-water marks, ``reverify_fraction``).
@@ -35,12 +35,7 @@ from repro.core.precision import (
 from repro.data.synthetic import make_planted_outliers
 from repro.index.base import components32_from
 from repro.index.linear import LinearScanIndex
-from repro.index.topk import (
-    TOPK_KERNELS,
-    numba_available,
-    resolve_topk_kernel,
-    topk_prefix,
-)
+from repro.index.topk import topk_prefix
 from repro.index.vafile import VAFile
 
 
@@ -83,8 +78,6 @@ class TestResolvePrecision:
     def test_config_knob_validated(self):
         with pytest.raises(ConfigurationError, match="precision"):
             HOSMiner(precision="double")
-        with pytest.raises(ConfigurationError, match="topk_kernel"):
-            HOSMiner(topk_kernel="quickselect")
 
 
 class TestReverifyRtol:
@@ -120,17 +113,17 @@ class TestReverifyRtol:
         backend = LinearScanIndex(X)
         masks = _random_masks(generator, d, 12)
         components = backend.distance_components(query)
-        exact = backend.knn_distance_sums(
+        exact = backend.knn_distance_prefix(
             query, k, masks, components=components, kernel="gemm"
-        )
-        f32 = backend.knn_distance_sums(
+        ).sum(axis=1)
+        f32 = backend.knn_distance_prefix(
             query,
             k,
             masks,
             components=components,
             kernel="gemm",
             precision="float32",
-        )
+        ).sum(axis=1)
         rel = np.abs(f32 - exact) / np.maximum(np.abs(exact), 1e-300)
         assert float(rel.max()) < reverify_rtol("float32", d)
 
@@ -161,15 +154,15 @@ class TestComponents32:
         backend = LinearScanIndex(X)
         query = rng.normal(size=4)
         masks = _random_masks(rng, 4, 8)
-        exact = backend.knn_distance_sums(query, 3, masks, kernel="gemm")
-        f32 = backend.knn_distance_sums(
+        exact = backend.knn_distance_prefix(query, 3, masks, kernel="gemm").sum(axis=1)
+        f32 = backend.knn_distance_prefix(
             query, 3, masks, kernel="gemm", precision="float32"
-        )
+        ).sum(axis=1)
         np.testing.assert_array_equal(f32, exact)
 
 
 # ----------------------------------------------------------------------
-# Top-k selection kernels
+# Top-k selection
 # ----------------------------------------------------------------------
 class TestTopkKernels:
     @settings(max_examples=30, deadline=None)
@@ -182,6 +175,8 @@ class TestTopkKernels:
         ties=st.booleans(),
     )
     def test_all_kernels_value_identical(self, seed, m, n, k, dtype, ties):
+        """Both selection paths — the min-filter on wide rows and plain
+        introselect on narrow ones — return the full sort's prefix."""
         generator = np.random.default_rng(seed)
         k = min(k, n)
         S = generator.normal(size=(m, n)).astype(dtype)
@@ -189,53 +184,15 @@ class TestTopkKernels:
             S[:, : n // 2] = np.round(S[:, : n // 2])  # mass-produce ties
             S[:, -1] = np.inf  # excluded-self sentinel
         reference = np.sort(S, axis=1)[:, :k]
-        for kernel in ("partition", "filter", "numba"):
-            got = topk_prefix(S.copy(), k, kernel)
-            np.testing.assert_array_equal(got, reference)
+        np.testing.assert_array_equal(topk_prefix(S.copy(), k), reference)
 
     def test_strided_input(self, rng):
-        """The filter kernel's as_strided view must respect the source
-        strides — a column-sliced (non-contiguous) block is legal input."""
+        """The filter's as_strided view must respect the source strides —
+        a column-sliced (non-contiguous) block is legal input."""
         wide = rng.normal(size=(4, 8192)).astype(np.float32)
         S = wide[:, ::2]
         reference = np.sort(S, axis=1)[:, :5]
-        for kernel in ("partition", "filter", "numba"):
-            np.testing.assert_array_equal(
-                topk_prefix(S.copy(), 5, kernel), reference
-            )
-
-    def test_resolution_per_dtype(self):
-        if numba_available():  # pragma: no cover - numba CI job
-            assert resolve_topk_kernel("auto", np.dtype(np.float32)) == "numba"
-            assert resolve_topk_kernel("numba", np.dtype(np.float64)) == "numba"
-        else:
-            # "filter" for float32 blocks; "partition" keeps the float64
-            # reference byte-stable.
-            assert resolve_topk_kernel("auto", np.dtype(np.float32)) == "filter"
-            assert resolve_topk_kernel("auto", np.dtype(np.float64)) == "partition"
-            # An explicit "numba" without numba falls back silently.
-            assert resolve_topk_kernel("numba", np.dtype(np.float32)) == "filter"
-            assert resolve_topk_kernel("numba", np.dtype(np.float64)) == "partition"
-        assert resolve_topk_kernel("partition", np.dtype(np.float32)) == "partition"
-        assert resolve_topk_kernel("filter", np.dtype(np.float64)) == "filter"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError, match="topk_kernel"):
-            resolve_topk_kernel("heap")
-
-    @pytest.mark.parametrize("knob", TOPK_KERNELS)
-    def test_backend_knob_end_to_end(self, rng, knob):
-        X = rng.normal(size=(400, 6))
-        query = rng.normal(size=6)
-        masks = _random_masks(rng, 6, 10)
-        reference = LinearScanIndex(X).knn_distance_sums(query, 4, masks, kernel="gemm")
-        backend = LinearScanIndex(X, topk_kernel=knob)
-        got = backend.knn_distance_sums(query, 4, masks, kernel="gemm")
-        np.testing.assert_array_equal(got, reference)
-
-    def test_backend_rejects_unknown_knob(self, rng):
-        with pytest.raises(ConfigurationError, match="topk_kernel"):
-            LinearScanIndex(rng.normal(size=(10, 2)), topk_kernel="heap")
+        np.testing.assert_array_equal(topk_prefix(S, 5), reference)
 
 
 # ----------------------------------------------------------------------
@@ -248,15 +205,15 @@ class TestBlockedGemm:
         query = rng.normal(size=7)
         masks = _random_masks(rng, 7, 24)
         backend = LinearScanIndex(X)
-        unblocked = backend.knn_distance_sums(
+        unblocked = backend.knn_distance_prefix(
             query, 5, masks, exclude=11, kernel="gemm", precision=precision
-        )
+        ).sum(axis=1)
         ceiling = 32 * 2**10  # 32 KiB: forces many column blocks
         monkeypatch.setattr(linear_module, "BATCH_CHUNK_BYTES", ceiling)
         blocked_backend = LinearScanIndex(X)
-        blocked = blocked_backend.knn_distance_sums(
+        blocked = blocked_backend.knn_distance_prefix(
             query, 5, masks, exclude=11, kernel="gemm", precision=precision
-        )
+        ).sum(axis=1)
         np.testing.assert_array_equal(blocked, unblocked)
         peak = blocked_backend.stats.snapshot()["peak_intermediate_bytes"]
         itemsize = 4 if precision == "float32" else 8
@@ -276,10 +233,10 @@ class TestBlockedGemm:
         block32 = max(5, 64 * 2**10 // (m * itemsize32))
         assert block32 == 2 * block64
         backend = LinearScanIndex(X)
-        f64 = backend.knn_distance_sums(query, 3, masks, kernel="gemm")
-        f32 = backend.knn_distance_sums(
+        f64 = backend.knn_distance_prefix(query, 3, masks, kernel="gemm").sum(axis=1)
+        f32 = backend.knn_distance_prefix(
             query, 3, masks, kernel="gemm", precision="float32"
-        )
+        ).sum(axis=1)
         np.testing.assert_allclose(f32, f64, rtol=reverify_rtol("float32", 5))
 
 
@@ -364,10 +321,10 @@ class TestVAFilePrecision:
         va = VAFile(X)
         query = rng.normal(size=5)
         masks = _random_masks(rng, 5, 12)
-        exact = va.knn_distance_sums(query, 4, masks, exclude=7, kernel="exact")
-        f32 = va.knn_distance_sums(
+        exact = va.knn_distance_prefix(query, 4, masks, exclude=7, kernel="exact").sum(axis=1)
+        f32 = va.knn_distance_prefix(
             query, 4, masks, exclude=7, kernel="gemm", precision="float32"
-        )
+        ).sum(axis=1)
         np.testing.assert_array_equal(f32, exact)
 
     def test_pathological_magnitudes_stay_exact(self, rng):
@@ -379,11 +336,11 @@ class TestVAFilePrecision:
         va = VAFile(X)
         query = rng.normal(size=4)
         masks = _random_masks(rng, 4, 8)
-        exact = va.knn_distance_sums(query, 3, masks, kernel="exact")
+        exact = va.knn_distance_prefix(query, 3, masks, kernel="exact").sum(axis=1)
         for precision in ("float64", "float32"):
-            got = va.knn_distance_sums(
+            got = va.knn_distance_prefix(
                 query, 3, masks, kernel="gemm", precision=precision
-            )
+            ).sum(axis=1)
             np.testing.assert_array_equal(got, exact)
 
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive_search import exhaustive_search
+from repro.core.exceptions import DataShapeError
+from repro.core.filtering import minimal_masks
 from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator
 from repro.core.priors import PruningPriors
@@ -59,6 +61,89 @@ class TestDegenerateData:
         result = miner.query_row(0)
         assert result.is_outlier
         assert [s.dims for s in result.minimal] == [(0,)]
+
+
+class TestHugeMagnitudes:
+    """A coordinate whose square overflows float64 (|x| > ~1.3e154) gives
+    an inf distance component. Inside the GEMM a masked-out inf
+    component is 0 * inf = NaN, and top-k selection would drop a true
+    neighbour; the work unit answers such queries exactly instead."""
+
+    @staticmethod
+    def data():
+        X = np.random.default_rng(3).normal(size=(60, 4))
+        X[7, 0] = 1e300
+        twin = X[7].copy()
+        twin[0] = 0.0  # row 7's nearest neighbour in every subspace without dim 0
+        return np.vstack([X, twin])
+
+    @pytest.mark.parametrize("threshold", [0.6, 1.0, 1.8])
+    def test_answers_match_exhaustive_search(self, threshold):
+        X = self.data()
+        row = X.shape[0] - 1
+        with HOSMiner(k=3, sample_size=0, threshold=threshold).fit(X) as miner:
+            assert miner.kernel_ == "gemm"
+            oracle = exhaustive_search(
+                ODEvaluator(miner.backend_, X[row], 3, exclude=row), threshold
+            )
+            want = (sorted(minimal_masks(oracle.outlying_masks)), len(oracle.outlying_masks))
+            for result in (
+                miner.query_row(row),
+                miner.query_batch([row], workers=1).results[0],
+                miner.query_batch([row], workers=2).results[0],
+            ):
+                got = (sorted(s.mask for s in result.minimal), result.total_outlying)
+                assert got == want
+
+
+class TestNonFiniteInput:
+    """NaN and inf are rejected at the API boundary, naming the row and
+    column, before any state changes."""
+
+    @pytest.fixture()
+    def miner(self):
+        X = np.random.default_rng(8).normal(size=(40, 3))
+        with HOSMiner(k=3, sample_size=0, threshold=2.0).fit(X) as miner:
+            yield miner
+
+    def test_fit(self):
+        X = np.random.default_rng(8).normal(size=(40, 3))
+        X[7, 2] = np.nan
+        with pytest.raises(DataShapeError, match="data row 7, column 2 is nan"):
+            HOSMiner(k=3, sample_size=0, threshold=2.0).fit(X)
+
+    def test_extend(self, miner):
+        rows = np.zeros((2, 3))
+        rows[1, 0] = np.inf
+        with pytest.raises(DataShapeError, match="new row 1, column 0 is inf"):
+            miner.extend(rows)
+        assert miner.backend_.size == 40
+
+    def test_insert(self, miner):
+        rows = np.zeros((3, 3))
+        rows[2, 1] = -np.inf
+        with pytest.raises(DataShapeError, match="new row 2, column 1 is -inf"):
+            miner.insert(rows)
+        assert miner.backend_.size == 40
+
+    def test_stream_push(self, miner):
+        from repro.core.stream import StreamEngine
+
+        engine = StreamEngine(miner, window=40)
+        with pytest.raises(DataShapeError, match="new row 0, column 1 is nan"):
+            engine.push(np.array([[0.0, np.nan, 0.0]]))
+        assert engine.pushes == 0 and engine.occupancy == 40
+
+    def test_query_point(self, miner):
+        with pytest.raises(DataShapeError, match="query point, column 2 is nan"):
+            miner.query_point(np.array([0.0, 0.0, np.nan]))
+
+    def test_query_batch(self, miner):
+        point = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(DataShapeError, match="target 1, column 0 is nan"):
+            miner.query_batch([0, point])
+        with pytest.raises(DataShapeError, match="target 0, column 0 is nan"):
+            miner.query_batch(point[None, :])
 
 
 class TestMetricVariations:

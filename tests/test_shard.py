@@ -1,6 +1,6 @@
 """Persistent sharded scatter-gather engine: exactness, lifecycle, wire.
 
-The ``shard="rows"`` engine must be *indistinguishable* from the
+The row-shard engine must be *indistinguishable* from the
 sequential path in its answers — element-wise identical, including exact
 OD floats — under every kernel/precision pair and any shard count. On
 top of that contract sit the runtime guarantees: the pool persists
@@ -21,12 +21,7 @@ from multiprocessing import shared_memory
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.miner import HOSMiner
-from repro.core.shard import (
-    QuerySplitPool,
-    ShardPool,
-    merge_prefixes,
-    shard_bounds,
-)
+from repro.core.shard import ShardPool, merge_prefixes, shard_bounds
 from repro.data.synthetic import make_planted_outliers
 from repro.index.topk import topk_prefix
 
@@ -90,9 +85,7 @@ class TestMergePrefixes:
             parts.append(padded)
         merged = merge_prefixes(parts, k)
         everything = np.concatenate(pool, axis=-1)
-        expected = topk_prefix(everything.reshape(6, -1), k, "partition").reshape(
-            3, 2, k
-        )
+        expected = topk_prefix(everything.reshape(6, -1), k).reshape(3, 2, k)
         np.testing.assert_array_equal(merged, expected)
 
     def test_single_part_passthrough(self, rng):
@@ -128,7 +121,7 @@ class TestShardedIdentity:
                 # Drop the previous count's primed ODs, else the next
                 # batch is a pure cache replay and never scatters.
                 sharded.od_cache_.invalidate()
-                batched = sharded.query_batch(targets, workers=workers, shard="rows")
+                batched = sharded.query_batch(targets, workers=workers)
                 assert batched.workers == workers
                 assert batched.stats.shard_round_trips > 0
                 assert batched.stats.bytes_shipped > 0
@@ -141,7 +134,7 @@ class TestShardedIdentity:
         ).fit(dataset.X) as miner:
             rows = list(range(8))
             sequential = [miner.query_row(row) for row in rows]
-            batched = miner.query_batch(rows, workers=3, shard="rows")
+            batched = miner.query_batch(rows, workers=3)
             assert_results_identical(sequential, batched.results)
 
     def test_single_query_rides_the_pool(self, dataset):
@@ -154,7 +147,7 @@ class TestShardedIdentity:
             # pre-cached by calibration, which can settle the whole
             # lattice without any scatter.
             point = dataset.X[11] * 1.05
-            single = miner.query_batch([point], workers=2, shard="rows")
+            single = miner.query_batch([point], workers=2)
             assert single.workers == 2
             assert single.stats.shard_round_trips >= 1
             assert_results_identical([miner.query_point(point)], single.results)
@@ -163,14 +156,14 @@ class TestShardedIdentity:
         with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
             dataset.X
         ) as miner:
-            miner.query_batch(list(range(4)), workers=2, shard="rows")
+            miner.query_batch(list(range(4)), workers=2)
             pool = miner._shard_pool
             assert pool is not None and not pool.closed
-            miner.query_batch(list(range(4, 8)), workers=2, shard="rows")
+            miner.query_batch(list(range(4, 8)), workers=2)
             assert miner._shard_pool is pool  # reused, not respawned
             assert pool.round_trips > 0
             # A different worker count respawns.
-            miner.query_batch(list(range(2)), workers=3, shard="rows")
+            miner.query_batch(list(range(2)), workers=3)
             assert miner._shard_pool is not pool
             assert pool.closed
 
@@ -191,35 +184,35 @@ class TestLifecycle:
         pool = ShardPool(dataset.X, 2)
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
-            pool.scatter_sums(
+            pool.scatter_prefixes(
                 dataset.X[:1],
                 [np.array([0, 1], dtype=np.intp)],
                 3,
                 [None],
                 "exact",
                 "float64",
-            )
+            ).sum(axis=-1)
 
     def test_pool_survives_worker_exception(self, dataset):
         with ShardPool(dataset.X, 3) as pool:
             with pytest.raises(Exception):
-                pool.scatter_sums(
+                pool.scatter_prefixes(
                     dataset.X[:1],
                     [np.array([dataset.X.shape[1] + 5], dtype=np.intp)],
                     3,
                     [None],
                     "exact",
                     "float64",
-                )
+                ).sum(axis=-1)
             # Same pool, same workers: still serving.
-            out = pool.scatter_sums(
+            out = pool.scatter_prefixes(
                 dataset.X[:2],
                 [np.array([0, 1], dtype=np.intp)],
                 3,
                 [None, None],
                 "exact",
                 "float64",
-            )
+            ).sum(axis=-1)
             assert out.shape == (2, 1) and np.all(np.isfinite(out))
             assert not pool.closed
 
@@ -232,34 +225,34 @@ class TestLifecycle:
 
     def test_miner_close_releases_and_respawns(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        first = miner.query_batch(list(range(4)), workers=2, shard="rows")
+        first = miner.query_batch(list(range(4)), workers=2)
         names = miner._shard_pool.segment_names
         miner.close()
         miner.close()  # idempotent at the miner level too
         assert_no_segments(names)
         assert miner._shard_pool is None
         # The miner stays fully usable: the next batch spawns fresh.
-        second = miner.query_batch(list(range(4)), workers=2, shard="rows")
+        second = miner.query_batch(list(range(4)), workers=2)
         assert_results_identical(first.results, second.results)
         miner.close()
 
     def test_extend_closes_stale_pools(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        miner.query_batch(list(range(4)), workers=2, shard="rows")
+        miner.query_batch(list(range(4)), workers=2)
         pool = miner._shard_pool
         miner.extend(dataset.X[:2] + 5.0)
         assert pool.closed and miner._shard_pool is None
         # Post-extend shard batches see the new rows (fresh shards).
         sequential = [miner.query_row(row) for row in range(4)]
-        batched = miner.query_batch(list(range(4)), workers=2, shard="rows")
+        batched = miner.query_batch(list(range(4)), workers=2)
         assert_results_identical(sequential, batched.results)
         miner.close()
 
     def test_pickled_miner_drops_pools(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        miner.query_batch(list(range(2)), workers=2, shard="rows")
+        miner.query_batch(list(range(2)), workers=2)
         clone = pickle.loads(pickle.dumps(miner))
-        assert clone._shard_pool is None and clone._query_pool is None
+        assert clone._shard_pool is None
         # The original's pool is untouched by pickling.
         assert not miner._shard_pool.closed
         miner.close()
@@ -285,12 +278,12 @@ class TestWire:
         shipped = []
         for X in (small, big):
             with ShardPool(X, 3) as pool:
-                pool.scatter_sums(
+                pool.scatter_prefixes(
                     queries, dims_list, 4, [None] * 3, "exact", "float64"
-                )
-                pool.scatter_sums(
+                ).sum(axis=-1)
+                pool.scatter_prefixes(
                     queries, dims_list, 4, [None] * 3, "gemm", "float64"
-                )
+                ).sum(axis=-1)
                 shipped.append(pool.bytes_shipped)
                 assert pool.round_trips == 2
         assert shipped[0] == shipped[1]
@@ -299,7 +292,7 @@ class TestWire:
         with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
             dataset.X
         ) as miner:
-            batched = miner.query_batch(list(range(6)), workers=2, shard="rows")
+            batched = miner.query_batch(list(range(6)), workers=2)
             assert batched.stats.shard_round_trips > 0
             assert batched.stats.bytes_shipped > 0
             assert "shard scatter" in batched.summary()
@@ -331,30 +324,3 @@ class TestWire:
                     queries, dims_list, 5, excludes, kernel, precision
                 )
                 np.testing.assert_array_equal(got, ref)
-
-
-# ----------------------------------------------------------------------
-# The query-split fallback: cached executor (satellite)
-# ----------------------------------------------------------------------
-class TestQuerySplitPool:
-    def test_executor_cached_across_calls(self, dataset):
-        with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
-            dataset.X
-        ) as miner:
-            sequential = [miner.query_row(row) for row in range(6)]
-            first = miner.query_batch(list(range(6)), workers=2, shard="queries")
-            pool = miner._query_pool
-            assert isinstance(pool, QuerySplitPool) and not pool.closed
-            second = miner.query_batch(list(range(6)), workers=2, shard="queries")
-            assert miner._query_pool is pool  # reused, not respawned
-            assert_results_identical(sequential, first.results)
-            assert_results_identical(sequential, second.results)
-
-    def test_use_after_close_raises(self, dataset):
-        miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
-        pool = QuerySplitPool(miner, 2)
-        pool.close()
-        pool.close()
-        with pytest.raises(ConfigurationError, match="closed"):
-            pool.submit(int, "3")
-        miner.close()

@@ -196,21 +196,23 @@ class TestBackendParity:
                 got, LinearScanIndex(frame).knn_distance_prefix(query, K, dims_list)
             )
 
-    def test_prefix_batch_agrees_with_sums_batch(self):
-        """The (q, m, k) prefix batch is the sums batch before summing."""
+    def test_prefix_batch_agrees_with_single_prefix(self):
+        """Row i of the (q, m, k) prefix batch is query i's own prefix."""
         warm, _ = drift_windows()
         dims_list = [np.array([0, 1], dtype=np.intp), np.arange(D, dtype=np.intp)]
+        excludes = [0, 1, None]
         for cls in (LinearScanIndex, VAFile):
             index = cls(warm)
             queries = warm[:3]
             prefix = index.knn_distance_prefix_batch(
-                queries, K, dims_list, excludes=[0, 1, None], kernel="gemm"
-            )
-            sums = index.knn_distance_sums_batch(
-                queries, K, dims_list, excludes=[0, 1, None], kernel="gemm"
+                queries, K, dims_list, excludes=excludes, kernel="gemm"
             )
             assert prefix.shape == (3, len(dims_list), K)
-            np.testing.assert_array_equal(prefix.sum(axis=2), sums)
+            for i, exclude in enumerate(excludes):
+                single = index.knn_distance_prefix(
+                    queries[i], K, dims_list, exclude=exclude, kernel="gemm"
+                )
+                np.testing.assert_array_equal(prefix[i], single)
 
 
 # ----------------------------------------------------------------------
@@ -229,16 +231,15 @@ class TestDeltaCache:
         assert kth_bound(float("inf"), 0.0) == float("inf")
         assert kth_bound(float("nan"), 0.0) == float("inf")
 
-    def test_put_records_bound_and_value_fallback(self):
+    def test_put_records_bound(self):
         cache = SharedODCache()
         key = ("row", 0)
         cache.put(key, self.MASK, 7.0, kth=2.0)
         assert cache.kth_of(key, self.MASK) == 2.0
-        cache.put(key, self.MASK, 7.0)  # overwrite sans kth keeps the bound
-        assert cache.kth_of(key, self.MASK) == 2.0
-        other = ("row", 1)
-        cache.put(other, self.MASK, 7.0)  # no bound anywhere: value steps in
-        assert cache.kth_of(other, self.MASK) == 7.0
+        cache.put(key, self.MASK, 7.0, kth=1.5)  # an overwrite carries its own bound
+        assert cache.kth_of(key, self.MASK) == 1.5
+        with pytest.raises(TypeError):
+            cache.put(("row", 1), self.MASK, 7.0)  # every entry needs a bound
 
     def test_insert_keeps_far_rows_and_ties_evicts_near(self):
         data = self.data()
@@ -282,15 +283,13 @@ class TestDeltaCache:
         cache2.put(("row", 2), self.MASK, 5.0, kth=tie_kth)
         assert cache2.delta_expire(data[:2], 2, shrunk, metric) == (1, 0)
 
-    def test_unresolvable_and_boundless_entries_evict(self):
+    def test_unresolvable_entries_evict(self):
         data = self.data()
         cache = SharedODCache()
         cache.put(("ext", np.zeros(D + 1).tobytes()), self.MASK, 1.0, kth=1e-9)
         cache.put(("row", 999), self.MASK, 1.0, kth=1e-9)  # beyond the window
-        cache.put(("row", 1), self.MASK, 1.0, kth=1e-9)
-        del cache._kth[(("row", 1), self.MASK)]  # simulate a legacy boundless entry
         far = (data[0] + 100.0)[None, :]
-        assert cache.delta_insert(far, np.vstack([data, far]), metric=EuclideanMetric()) == (3, 0)
+        assert cache.delta_insert(far, np.vstack([data, far]), metric=EuclideanMetric()) == (2, 0)
 
     def test_pairwise_only_metric_matches_broadcasted_path(self):
         """The pairwise_many fast path and the per-row fallback agree."""
@@ -419,7 +418,7 @@ class TestDifferentialIdentity:
                 frame = np.vstack([frame, rows])[-WINDOW:]
                 oracle = fitted(frame, threshold=threshold)
                 targets = list(range(0, WINDOW, WINDOW // 6))
-                got = engine.query_batch(targets, workers=2, shard="rows")
+                got = engine.query_batch(targets, workers=2)
                 assert_answers_identical(
                     got, oracle.query_batch(targets), f"workers=2 cycle {cycle}"
                 )
@@ -494,8 +493,8 @@ class TestRandomizedOpSequences:
         """A divergence report must include seed and op list."""
         import repro.core.stream as stream_mod
 
-        def broken_query_batch(self, targets, workers=None, shard=None):
-            result = HOSMiner.query_batch(self.miner, targets, workers=workers, shard=shard)
+        def broken_query_batch(self, targets, workers=None):
+            result = HOSMiner.query_batch(self.miner, targets, workers=workers)
             for r in result.results:
                 r.total_outlying += 1  # corrupt every answer
             return result
