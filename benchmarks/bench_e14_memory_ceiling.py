@@ -8,6 +8,9 @@ bytes), merging per-block k-smallest prefixes exactly. This experiment
 pins the ceiling to a small budget, runs the kernel both ways on the
 same cell, asserts the sums are bit-identical, and records both
 high-water marks from the backend's ``peak_intermediate_bytes`` counter.
+A 4-query ``knn_distance_prefix_batch`` call runs under the same
+ceiling (``peak_blocked_batch_mb``), asserted bit-identical to its
+unblocked stacked twin.
 
 The measurement lives in :data:`repro.bench.perf.E14_SPEC`; this script
 is its classic entry point. ``python benchmarks/bench_e14_memory_ceiling.py``
@@ -34,6 +37,7 @@ def test_benchmark_memory_ceiling_blocked(benchmark):
     row = benchmark(lambda: run_memory_cell(20000, 12, 256, "float32", chunk_mb=2))
     assert row["identical"]
     assert row["peak_blocked_mb"] <= 2.0 + 1e-9
+    assert row["peak_blocked_batch_mb"] <= 2.0 + 1e-9
     assert np.isfinite(row["footprint_ratio"])
 
 

@@ -43,7 +43,7 @@ def main() -> None:
 
     # Control: a regular squad member has no outlying subspace.
     regular = miner.query_row(37)
-    print(f"=== athlete #37 (control) ===")
+    print("=== athlete #37 (control) ===")
     print(regular.explain())
 
 

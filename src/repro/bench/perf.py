@@ -13,8 +13,9 @@ push, failing when a gated measure regresses by more than 15%
 Only *machine-relative* ratios and deterministic counters are gated
 — E12's ``speedup`` (batched vs sequential wall time), E13's
 ``speedup``/``fused_speedup``/``f32_speedup`` (GEMM vs exact kernel;
-float32 vs float64 GEMM), E14's ``peak_blocked_mb`` (the blocked
-kernel's intermediate footprint, exact bytes), E15's
+float32 vs float64 GEMM), E14's ``peak_blocked_mb``/
+``peak_blocked_batch_mb`` (the blocked kernel's intermediate footprint
+for one and for four queries, exact bytes), E15's
 ``persist_speedup`` (persistent warm shard pool vs per-call spin-up)
 plus its deterministic wire counters ``round_trips``/``bytes_shipped``,
 E16's ``identity``/``respawns``/``timeouts``/``degraded_rounds``
@@ -334,9 +335,13 @@ def run_memory_cell(
     (a per-dtype *element* budget, so float32 doubles the effective
     block width); this cell pins the ceiling to ``chunk_mb`` MiB, runs
     both ways, asserts the sums are bit-identical, and reports both
-    high-water marks. The byte counts are deterministic, so
-    ``peak_blocked_mb`` gates exactly (any growth past the CI tolerance
-    means the ceiling logic regressed).
+    high-water marks. A 4-query ``knn_distance_prefix_batch`` call runs
+    under the same ceiling and is asserted bit-identical to its
+    unblocked (stacked) twin: ``peak_blocked_batch_mb`` shows the
+    ceiling holds at any query count. The byte counts are
+    deterministic, so ``peak_blocked_mb`` and ``peak_blocked_batch_mb``
+    gate exactly (any growth past the CI tolerance means the ceiling
+    logic regressed).
     """
     import repro.index.linear as linear_module
 
@@ -346,6 +351,9 @@ def run_memory_cell(
     backend = LinearScanIndex(X)
     masks = make_level_masks(rng, d, width)
     components = backend.distance_components(query)
+    # Drawn last, so the one-query cell's data does not move.
+    queries = rng.normal(size=(4, d))
+    batch_components = [backend.distance_components(row) for row in queries]
 
     def run_once() -> "tuple[np.ndarray, int, float]":
         backend.stats.reset()
@@ -357,17 +365,35 @@ def run_memory_cell(
         peak = backend.stats.snapshot().get("peak_intermediate_bytes", 0)
         return sums, peak, elapsed
 
+    def run_batch() -> "tuple[np.ndarray, int]":
+        backend.stats.reset()
+        prefixes = backend.knn_distance_prefix_batch(
+            queries,
+            k,
+            masks,
+            components_list=batch_components,
+            kernel="gemm",
+            precision=precision,
+        )
+        return prefixes, backend.stats.snapshot().get("peak_intermediate_bytes", 0)
+
     saved = linear_module.BATCH_CHUNK_BYTES
     linear_module.BATCH_CHUNK_BYTES = 2**62  # effectively unblocked
     try:
         unblocked, peak_unblocked, unblocked_s = run_once()
+        batch_unblocked, _ = run_batch()
         linear_module.BATCH_CHUNK_BYTES = chunk_mb * 2**20
         blocked, peak_blocked, blocked_s = run_once()
+        counters = backend.stats.snapshot()
+        batch_blocked, peak_blocked_batch = run_batch()
     finally:
         linear_module.BATCH_CHUNK_BYTES = saved
 
     assert np.array_equal(blocked, unblocked), (
         "blocked GEMM diverged from the unblocked kernel"
+    )
+    assert np.array_equal(batch_blocked, batch_unblocked), (
+        "blocked multi-query GEMM diverged from the unblocked kernel"
     )
 
     return {
@@ -379,10 +405,11 @@ def run_memory_cell(
         "chunk_mb": chunk_mb,
         "peak_unblocked_mb": peak_unblocked / 2**20,
         "peak_blocked_mb": peak_blocked / 2**20,
+        "peak_blocked_batch_mb": peak_blocked_batch / 2**20,
         "footprint_ratio": peak_unblocked / max(1, peak_blocked),
         "blocked_overhead": blocked_s / unblocked_s,
         "identical": True,
-        "_counters": backend.stats.snapshot(),
+        "_counters": counters,
     }
 
 
@@ -412,24 +439,25 @@ E14_SPEC = ExperimentSpec(
         "chunk_mb",
         "peak_unblocked_mb",
         "peak_blocked_mb",
+        "peak_blocked_batch_mb",
         "footprint_ratio",
         "blocked_overhead",
         "identical",
     ],
     expectation=(
         "column blocking caps the level GEMM's intermediate at the "
-        "configured chunk budget regardless of n, with bit-identical "
-        "sums; the float32 tier halves both footprints at the same "
-        "element budget"
+        "configured chunk budget regardless of n and of the query count, "
+        "with bit-identical sums; the float32 tier halves both footprints "
+        "at the same element budget"
     ),
     notes=[
         "blocked and unblocked sums asserted bit-identical on every cell "
         "(the reduction axis is never split; merging per-block k-prefixes "
-        "is exact)"
+        "is exact), for the one-query call and a 4-query batch call"
     ],
     warmup=1,
     repeats=3,
-    regression={"peak_blocked_mb": "lower"},
+    regression={"peak_blocked_mb": "lower", "peak_blocked_batch_mb": "lower"},
 )
 
 

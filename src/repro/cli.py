@@ -257,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="GEMM precision tier (answer sets are identical at any setting)",
     )
     stream.add_argument(
-        "--cache-invalidation", choices=["delta", "all"], default="delta",
-        help="OD-cache treatment per window update: delta (default) keeps "
-        "entries whose kth-distance bound proves them unaffected, all drops "
-        "everything; answers are identical either way",
-    )
-    stream.add_argument(
         "--workers", type=int, default=None,
         help="worker processes; above 1 the window updates propagate into "
         "the live shard pool (default: HOSMINER_WORKERS, else 1)",
@@ -528,7 +522,6 @@ def _run_stream(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         kernel=args.kernel,
         precision=args.precision,
-        cache_invalidation=args.cache_invalidation,
         stream_window=args.window,
         **({} if args.workers is None else {"workers": args.workers}),
     ).fit(warm)

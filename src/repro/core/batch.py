@@ -24,8 +24,9 @@ lock-step rounds:
    them.
 
 The work unit's executor is chosen once per call. In process it is
-:func:`repro.core.od.knn_prefixes`: one stacked multi-query GEMM per
-group under the GEMM kernel, with each search's component matrix built
+:func:`repro.core.od.knn_prefixes`: one prefix-kernel call per group,
+stacking the group's queries into GEMMs under the kernel's memory
+ceiling, with each search's component matrix built
 on its first miss and dropped when it finishes (under
 :data:`COMPONENT_BUDGET_BYTES`). With ``workers > 1`` (default from
 ``HOSMinerConfig.workers`` / the ``HOSMINER_WORKERS`` environment

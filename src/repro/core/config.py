@@ -20,7 +20,6 @@ __all__ = ["HOSMinerConfig"]
 _INDEX_BACKENDS = ("linear", "rstar", "xtree", "vafile")
 _RESELECT_MODES = ("level", "evaluation")
 _SHARD_MODES = ("rows",)
-_CACHE_INVALIDATION_MODES = ("delta", "all")
 
 
 def _default_precision() -> str:
@@ -153,16 +152,6 @@ class HOSMinerConfig:
         First exponential-backoff sleep between respawn attempts
         (doubles per attempt, capped at
         :data:`repro.core.shard.BACKOFF_CAP_S`).
-    cache_invalidation:
-        How :meth:`~repro.core.miner.HOSMiner.insert` /
-        :meth:`~repro.core.miner.HOSMiner.expire` treat the per-fit OD
-        cache. ``"delta"`` (default) keeps every entry whose cached
-        kth-distance bound proves the update cannot have changed its kNN
-        k-prefix (:meth:`~repro.core.od.SharedODCache.delta_insert`);
-        ``"all"`` drops everything, matching ``extend``'s conservative
-        behaviour. Both modes produce identical answers — retention is
-        only ever proof-backed — so the knob trades invalidation-pass
-        cost against cold re-evaluation cost (docs/streaming.md).
     stream_window:
         Default sliding-window size for
         :class:`~repro.core.stream.StreamEngine` (``None`` = unbounded:
@@ -189,7 +178,6 @@ class HOSMinerConfig:
     timeout_s: float | None = field(default_factory=_default_timeout)
     max_retries: int = 2
     backoff_s: float = 0.05
-    cache_invalidation: str = "delta"
     stream_window: int | None = None
 
     def __post_init__(self) -> None:
@@ -245,11 +233,6 @@ class HOSMinerConfig:
         if self.backoff_s < 0:
             raise ConfigurationError(
                 f"backoff_s must be >= 0, got {self.backoff_s}"
-            )
-        if self.cache_invalidation not in _CACHE_INVALIDATION_MODES:
-            raise ConfigurationError(
-                f"cache_invalidation must be one of {_CACHE_INVALIDATION_MODES}, "
-                f"got {self.cache_invalidation!r}"
             )
         if self.stream_window is not None and self.stream_window < self.k + 1:
             raise ConfigurationError(

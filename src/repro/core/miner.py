@@ -158,11 +158,13 @@ class HOSMiner:
         # cannot be served must fail here, loudly, not deep inside a
         # query — and "auto" must report the kernel that will really run.
         self._kernel = resolve_kernel(self.config.kernel, self._backend.metric)
-        if self._kernel == "gemm" and not hasattr(self._backend, "knn_distance_prefix"):
+        if self._kernel == "gemm" and not hasattr(
+            self._backend, "knn_distance_prefix_batch"
+        ):
             if self.config.kernel == "gemm":
                 raise ConfigurationError(
                     f"kernel='gemm' requires a backend with the level-wide "
-                    f"knn_distance_prefix kernel; index {self.config.index!r} "
+                    f"knn_distance_prefix_batch kernel; index {self.config.index!r} "
                     f"answers kNN per subspace — use kernel='auto' or 'exact'"
                 )
             self._kernel = "exact"
@@ -330,8 +332,7 @@ class HOSMiner:
         The streaming counterpart of :meth:`extend`: instead of dropping
         every cached OD and every worker pool, only cache entries whose
         kNN k-prefix *could* contain an inserted row are evicted
-        (``cache_invalidation="delta"``, see
-        :meth:`~repro.core.od.SharedODCache.delta_insert`), and a live
+        (:meth:`~repro.core.od.SharedODCache.delta_insert`), and a live
         row-shard pool absorbs the rows into its tail segment instead of
         being torn down. ``T`` and the priors are kept — the threshold is
         part of the window's query contract (see docs/streaming.md), and
@@ -351,12 +352,9 @@ class HOSMiner:
         for row in X_new:
             self._backend.insert(row)  # type: ignore[union-attr]
         self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
-        if self.config.cache_invalidation == "delta":
-            self._od_cache.delta_insert(  # type: ignore[union-attr]
-                X_new, self._X, self._backend.metric  # type: ignore[union-attr]
-            )
-        else:
-            self._od_cache.invalidate()  # type: ignore[union-attr]
+        self._od_cache.delta_insert(  # type: ignore[union-attr]
+            X_new, self._X, self._backend.metric  # type: ignore[union-attr]
+        )
         self._propagate_update(X_new, 0)
         return self
 
@@ -387,12 +385,9 @@ class HOSMiner:
             )
         expired = self._backend.expire(n_oldest)  # type: ignore[union-attr]
         self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
-        if self.config.cache_invalidation == "delta":
-            self._od_cache.delta_expire(  # type: ignore[union-attr]
-                expired, n_oldest, self._X, self._backend.metric  # type: ignore[union-attr]
-            )
-        else:
-            self._od_cache.invalidate()  # type: ignore[union-attr]
+        self._od_cache.delta_expire(  # type: ignore[union-attr]
+            expired, n_oldest, self._X, self._backend.metric  # type: ignore[union-attr]
+        )
         self._propagate_update(None, n_oldest)
         return self
 
@@ -426,19 +421,11 @@ class HOSMiner:
     def query_row(self, row: int) -> OutlyingSubspaceResult:
         """Outlying subspaces of dataset member *row* (self excluded from
         its own neighbour sets)."""
-        self._require_fitted()
-        if not 0 <= row < self._X.shape[0]:  # type: ignore[union-attr]
-            raise ConfigurationError(
-                f"row {row} out of range for n={self._X.shape[0]}"  # type: ignore[union-attr]
-            )
-        return self._run_query(self._X[row], exclude=row)  # type: ignore[index]
+        return self._run_query(*self._resolve_target(row, is_row=True))
 
     def query_point(self, point: np.ndarray) -> OutlyingSubspaceResult:
         """Outlying subspaces of an external point."""
-        self._require_fitted()
-        point = ODEvaluator._validate_query(point, self.d_)
-        require_finite(point, "query point")
-        return self._run_query(point, exclude=None)
+        return self._run_query(*self._resolve_target(point, is_row=False))
 
     def query_many(
         self, targets: "list[int | np.ndarray]"
@@ -505,11 +492,9 @@ class HOSMiner:
     ) -> tuple[SearchOutcome, ODEvaluator]:
         """Lower-level access: the raw (unfiltered) search outcome and the
         OD evaluator, for experiments that need the full lattice."""
-        self._require_fitted()
-        if isinstance(target, (int, np.integer)):
-            query, exclude = self._X[int(target)], int(target)  # type: ignore[index]
-        else:
-            query, exclude = np.asarray(target, dtype=np.float64), None
+        query, exclude = self._resolve_target(
+            target, is_row=isinstance(target, (int, np.integer))
+        )
         evaluator = ODEvaluator(
             self._backend,
             query,
@@ -521,6 +506,23 @@ class HOSMiner:
         return self._make_search(evaluator).run(), evaluator
 
     # ------------------------------------------------------------------
+    def _resolve_target(
+        self, target: "int | np.ndarray", is_row: bool
+    ) -> "tuple[np.ndarray, int | None]":
+        """The ``(query, exclude)`` pair of a query target, checked at the
+        API boundary: a dataset row id must be in range (the row is then
+        excluded from its own neighbour sets), an external point must be
+        a finite length-``d`` vector."""
+        self._require_fitted()
+        if is_row:
+            n = self._X.shape[0]  # type: ignore[union-attr]
+            if not 0 <= target < n:
+                raise ConfigurationError(f"row {target} out of range for n={n}")
+            return self._X[target], int(target)  # type: ignore[index]
+        point = ODEvaluator._validate_query(target, self.d_)
+        require_finite(point, "query point")
+        return point, None
+
     def _make_search(self, evaluator: ODEvaluator) -> DynamicSubspaceSearch:
         """A search over *evaluator* with this miner's fitted parameters.
 

@@ -158,10 +158,10 @@ def knn_prefixes(
     inf-padded when the backend holds fewer than ``k`` candidates (a
     small shard; the coordinator's merge drowns the padding).
 
-    * Backends with the level kernel answer all masks at once: one
-      ``knn_distance_prefix`` call for a single query (the column-blocked
-      memory ceiling of the level GEMM), one stacked
-      ``knn_distance_prefix_batch`` GEMM for several.
+    * Backends with the level kernel (``knn_distance_prefix_batch``)
+      answer all masks at once: one kernel call per group of rows that
+      share a row kernel and a ``k``, under the kernel's memory ceiling
+      at any group size.
     * Backends without it (the trees) answer one exact ``knn`` per
       ``(query, mask)``.
     * Under the GEMM kernel a query whose component matrix has a
@@ -179,7 +179,7 @@ def knn_prefixes(
     if q_count == 0 or m == 0:
         return out
     k_local = [min(k, backend.size - (ex is not None)) for ex in excludes]
-    if not hasattr(backend, "knn_distance_prefix"):
+    if not hasattr(backend, "knn_distance_prefix_batch"):
         for i, (query, exclude) in enumerate(zip(queries, excludes)):
             if k_local[i] < 1:
                 continue
@@ -188,42 +188,29 @@ def knn_prefixes(
                 out[i, j, : distances.size] = distances
         return out
     entries = [None] * q_count if entries is None else list(entries)
-    runs: dict[str, list[int]] = {}
+    groups: dict[tuple[str, int], list[int]] = {}
     for i in range(q_count):
+        if k_local[i] < 1:
+            continue
         row_kernel = kernel
         if kernel == "gemm":
             if entries[i] is None:
                 entries[i] = component_entry(backend, queries[i], precision)
             if entries[i] is not None and not entries[i][2]:
                 row_kernel = "exact"
-        runs.setdefault(row_kernel, []).append(i)
-    for row_kernel, rows in runs.items():
+        groups.setdefault((row_kernel, k_local[i]), []).append(i)
+    for (row_kernel, k_row), rows in groups.items():
         parts = [entries[i] or (None, None, True) for i in rows]
-        if len(rows) > 1 and all(k_local[i] == k for i in rows):
-            out[rows] = backend.knn_distance_prefix_batch(
-                queries[rows],
-                k,
-                dims_list,
-                excludes=[excludes[i] for i in rows],
-                components_list=[part[0] for part in parts],
-                kernel=row_kernel,
-                precision=precision,
-                components32_list=[part[1] for part in parts],
-            )
-            continue
-        for i, (components, components32, _) in zip(rows, parts):
-            if k_local[i] < 1:
-                continue
-            out[i, :, : k_local[i]] = backend.knn_distance_prefix(
-                queries[i],
-                k_local[i],
-                dims_list,
-                exclude=excludes[i],
-                components=components,
-                kernel=row_kernel,
-                precision=precision,
-                components32=components32,
-            )
+        out[rows, :, :k_row] = backend.knn_distance_prefix_batch(
+            queries[rows],
+            k_row,
+            dims_list,
+            excludes=[excludes[i] for i in rows],
+            components_list=[part[0] for part in parts],
+            kernel=row_kernel,
+            precision=precision,
+            components32_list=[part[1] for part in parts],
+        )
     return out
 
 
@@ -565,7 +552,7 @@ class ODEvaluator:
         self.exclude = exclude
         metric = getattr(backend, "metric", None)
         self.kernel = "exact" if metric is None else resolve_kernel(kernel, metric)
-        if not hasattr(backend, "knn_distance_prefix"):
+        if not hasattr(backend, "knn_distance_prefix_batch"):
             self.kernel = "exact"
         self.precision = resolve_precision(precision, self.kernel)
         #: Half-width of the near-threshold exact re-verification band.

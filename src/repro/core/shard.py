@@ -5,9 +5,10 @@ smallest subspace distances depends only on the *multiset* of per-point
 distances, and the k smallest of a union of per-shard sorted k-prefixes
 is exactly the global k smallest (the same argument that makes the
 column-blocked level GEMM of
-:meth:`~repro.index.linear.LinearScanIndex._level_prefix` value-identical
-to the unblocked product — the reduction axis ``d`` is never split, so
-every per-shard distance equals the corresponding full-scan distance).
+:meth:`~repro.index.linear.LinearScanIndex.knn_distance_prefix_batch`
+value-identical to the unblocked product — the reduction axis ``d`` is
+never split, so every per-shard distance equals the corresponding
+full-scan distance).
 That makes row sharding an *exact* scale-out axis, and this module is
 its runtime:
 
@@ -832,6 +833,7 @@ class ShardPool:
             return True
 
         affected: set[int] = set()
+        retired = None
         if fresh:
             tail = len(self._bounds) - 1
             start_t, count_t, cap_t = self._starts[tail], self._counts[tail], self._caps[tail]
@@ -839,7 +841,7 @@ class ShardPool:
                 # Regrow: a new segment with doubled headroom, live tail
                 # rows + fresh rows copied once, swapped in place (the
                 # finalizer holds the list, so element assignment keeps
-                # teardown accurate), old segment unlinked.
+                # teardown accurate), old segment retired.
                 new_cap = 2 * (count_t + fresh)
                 new_segment = shared_memory.SharedMemory(
                     create=True, size=new_cap * self.d * 8
@@ -851,18 +853,13 @@ class ShardPool:
                 view[:count_t] = old_view[start_t : start_t + count_t]
                 view[count_t : count_t + fresh] = rows
                 del view, old_view
-                old_segment = self._segments[tail]
+                retired = self._segments[tail]
                 self._fallback.pop(tail, None)  # held views into the old segment
                 self._segments[tail] = new_segment
                 self._starts[tail] = 0
                 self._counts[tail] = count_t + fresh
                 self._caps[tail] = new_cap
                 self.tail_regrows += 1
-                try:
-                    old_segment.close()
-                    old_segment.unlink()
-                except Exception:
-                    pass
             else:
                 view = np.ndarray(
                     (cap_t, self.d), dtype=np.float64, buffer=self._segments[tail].buf
@@ -883,8 +880,18 @@ class ShardPool:
             lo += count
         self._bounds = bounds
 
-        for s in sorted(affected):
-            self._sync_shard(s)
+        try:
+            for s in sorted(affected):
+                self._sync_shard(s)
+        finally:
+            if retired is not None:
+                # Only after the sync: a worker spawned with the old
+                # segment's name may not have attached it yet.
+                try:
+                    retired.close()
+                    retired.unlink()
+                except Exception:
+                    pass
         return True
 
     def _sync_shard(self, s: int) -> None:

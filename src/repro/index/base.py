@@ -26,7 +26,6 @@ from repro.index.stats import IndexStats
 __all__ = [
     "KnnBackend",
     "components32_from",
-    "knn_batch_fallback",
     "mask_matrix",
     "normalize_excludes",
     "require_finite",
@@ -81,36 +80,6 @@ class KnnBackend(Protocol):
         exclude: int | None = None,
     ) -> np.ndarray:
         """Row indices within *radius* of *query* in subspace *dims*."""
-
-    def knn_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        dims: Sequence[int],
-        excludes: "Sequence[int | None] | None" = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """kNN of every row of *queries* within subspace *dims*.
-
-        The multi-query entry point of the batched engine. Each element
-        of the returned list is exactly what :meth:`knn` returns for the
-        corresponding query row (same values, same deterministic tie
-        order), so the two paths are interchangeable.
-
-        Parameters
-        ----------
-        queries:
-            Query matrix, shape ``(m, d)``; ``m = 0`` is legal.
-        k:
-            Number of neighbours per query.
-        dims:
-            Sorted 0-based dimension indices of the shared subspace.
-        excludes:
-            Per-query row exclusions (``None`` entries for external
-            points), or ``None`` for no exclusions anywhere.
-
-        Backends without a vectorised multi-query path may implement
-        this as :func:`knn_batch_fallback`, which loops over :meth:`knn`.
-        """
 
 
 def mask_matrix(
@@ -252,26 +221,3 @@ def require_finite(values: np.ndarray, what: str) -> None:
     raise DataShapeError(
         f"{where} is {values[index]}: every coordinate must be finite"
     )
-
-
-def knn_batch_fallback(
-    backend: KnnBackend,
-    queries: np.ndarray,
-    k: int,
-    dims: Sequence[int],
-    excludes: "Sequence[int | None] | None" = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Reference :meth:`KnnBackend.knn_batch` implementation: one
-    :meth:`~KnnBackend.knn` call per query row.
-
-    Tree backends use this directly — their branch-and-bound descent is
-    inherently per-query — which keeps ``knn_batch`` universally
-    available while the scan-shaped backends provide truly vectorised
-    overrides.
-    """
-    queries = validate_query_matrix(queries, backend.d)
-    excludes = normalize_excludes(excludes, queries.shape[0], backend.size)
-    return [
-        backend.knn(query, k, dims, exclude=exclude)
-        for query, exclude in zip(queries, excludes)
-    ]

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError, DataShapeError, IndexError_
 from repro.core.metrics import Metric, get_metric
-from repro.index.base import knn_batch_fallback
 from repro.index.knn import tree_knn, tree_range_query
 from repro.index.mbr import MBR
 from repro.index.node import Node
@@ -137,18 +136,6 @@ class RStarTree:
         exclude: int | None = None,
     ) -> np.ndarray:
         return tree_range_query(self, query, radius, dims, exclude)
-
-    def knn_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        dims: Sequence[int],
-        excludes: "Sequence[int | None] | None" = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-query loop fallback: best-first tree descent is inherently
-        query-local, so there is nothing to vectorise across the batch.
-        (Inherited unchanged by :class:`~repro.index.xtree.XTree`.)"""
-        return knn_batch_fallback(self, queries, k, dims, excludes)
 
     def insert(self, point: np.ndarray) -> int:
         """Insert one new point through the full R*/X-tree machinery

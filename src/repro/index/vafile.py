@@ -67,11 +67,6 @@ __all__ = ["VAFile", "APPROX_BLOCK_ROWS"]
 #: 64, so a block holds proportionally more of them than raw vectors.
 APPROX_BLOCK_ROWS = 512
 
-#: Memory ceiling for one batched bound intermediate (see
-#: :data:`repro.index.linear.BATCH_CHUNK_BYTES`); divided by 16 rather
-#: than 8 because the bound pass holds a lower and an upper gap array.
-_BATCH_CHUNK_BYTES = 64 * 2**20
-
 
 def _metric_order(metric: Metric) -> float:
     """The L_p order used to combine per-dimension gap vectors."""
@@ -225,62 +220,6 @@ class VAFile:
         self.stats.knn_queries += 1
         return candidates[order], distances[order]
 
-    def knn_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        dims: Sequence[int],
-        excludes: "Sequence[int | None] | None" = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Vectorised multi-query kNN: one approximation-file scan for
-        the whole batch.
-
-        Phase 1 (the bulk of VA-file work — scanning the approximation
-        file for lower/upper bounds) is computed for all ``m`` queries in
-        one broadcasted pass per dimension. Phase 2 (per-query candidate
-        refinement) is inherently query-local and stays a loop, exactly
-        mirroring :meth:`knn` so answers and tie order are identical.
-        """
-        queries = validate_query_matrix(queries, self.d)
-        m = queries.shape[0]
-        excludes = normalize_excludes(excludes, m, self.size)
-        dims = self._validate_dims(dims)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        for exclude in excludes:
-            available = self.size - (1 if exclude is not None else 0)
-            if k > available:
-                raise ConfigurationError(
-                    f"k={k} neighbours requested but only {available} candidate rows exist"
-                )
-        if m == 0:
-            return []
-
-        # Chunk the query axis so the (m_chunk, n, |dims|) bound
-        # intermediates stay bounded for huge batches; per-query results
-        # are unaffected by the chunking.
-        chunk = max(1, _BATCH_CHUNK_BYTES // (self.size * dims.size * 16))
-        results = []
-        for start in range(0, m, chunk):
-            stop = min(start + chunk, m)
-            lower, upper = self._bounds_many(queries[start:stop], dims)
-            for i in range(start, stop):
-                row_lower, row_upper = lower[i - start], upper[i - start]
-                exclude = excludes[i]
-                if exclude is not None:
-                    row_lower[exclude] = np.inf
-                    row_upper[exclude] = np.inf
-                tau = np.partition(row_upper, k - 1)[k - 1]
-                candidates = np.flatnonzero(row_lower <= tau)
-                self.stats.bump("candidates_refined", int(candidates.size))
-                distances = self.metric.pairwise(self._X[candidates], queries[i], dims)
-                self.stats.distance_computations += int(candidates.size)
-                self.stats.node_accesses += int(candidates.size)
-                order = np.lexsort((candidates, distances))[:k]
-                results.append((candidates[order], distances[order]))
-        self.stats.knn_queries += m
-        return results
-
     def knn_distance_prefix(
         self,
         query: np.ndarray,
@@ -292,54 +231,84 @@ class VAFile:
         precision: str = "float64",
         components32: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Sorted k-nearest *distances* per subspace, shape ``(m, k)``.
+        """Sorted k-nearest *distances* per subspace, shape ``(m, k)``:
+        the one-query view of :meth:`knn_distance_prefix_batch`."""
+        query, _ = self._validate(query, range(self.d))
+        return self.knn_distance_prefix_batch(
+            query[None, :],
+            k,
+            dims_list,
+            excludes=[exclude],
+            components_list=[components],
+            kernel=kernel,
+            precision=precision,
+            components32_list=[components32],
+        )[0]
 
-        The VA-file's OD kernel: subspace bounds come from the
-        approximation file, the survivors are refined exactly, and the
-        ``k`` smallest exact distances come back ascending — so every
-        row is bit-identical to ``knn(...)[1]`` under **either** kernel
-        (the kernels differ only in how the candidate prefilter is
-        computed, and any superset of the true kNN refines to the same
-        answer). The same holds for a shard-local view in the
-        scatter-gather engine (:mod:`repro.core.shard`): refinement is
-        exact per row and never crosses shard boundaries, so the
-        cross-shard merge of the partials is the global exact prefix.
+    def knn_distance_prefix_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        dims_list: "Sequence[Sequence[int]]",
+        excludes: "Sequence[int | None] | None" = None,
+        components_list: "Sequence[np.ndarray | None] | None" = None,
+        kernel: str = "auto",
+        precision: str = "float64",
+        components32_list: "Sequence[np.ndarray | None] | None" = None,
+    ) -> np.ndarray:
+        """Sorted k-nearest *distances* per ``(query row, subspace)``
+        pair, shape ``(q, m, k)`` — the VA-file's one prefix kernel.
+
+        Per query, subspace bounds come from the approximation file
+        (:meth:`_mask_candidates`), the survivors are refined exactly
+        (:meth:`_refine_prefix`), and the ``k`` smallest exact distances
+        come back ascending — so every row is bit-identical to
+        ``knn(...)[1]`` under **either** kernel (the kernels differ only
+        in how the candidate prefilter is computed, and any superset of
+        the true kNN refines to the same answer). The same holds for a
+        shard-local view in the scatter-gather engine
+        (:mod:`repro.core.shard`): refinement is exact per row and never
+        crosses shard boundaries, so the cross-shard merge of the
+        partials is the global exact prefix. Candidate refinement is
+        query-local, so queries run one after another; each still gets
+        the one-pass gap tables and two-GEMM bound derivation.
 
         ``kernel="gemm"`` builds per-dimension lower/upper gap component
-        tables once (power-domain, one approximation-file pass) and
-        derives every subspace's bounds with two ``M @ G.T`` GEMMs; a
-        tiny relative slack on the pruning comparison absorbs the BLAS
-        accumulation-order difference, which can only *add* candidates,
-        never lose a true neighbour. Under ``precision="float32"`` the
-        two bound GEMMs inherit the float32 tier: gap tables are cast
-        once per call and the slack widens to the rigorous float32
-        rounding band (:func:`repro.core.precision.reverify_rtol`) on
-        *both* sides of the comparison, so the candidate set can again
-        only grow — refinement stays exact, hence values stay
-        bit-identical at any precision (overflowing gap tables or a
-        non-finite bound product silently fall back to float64).
-        ``kernel="exact"`` computes bounds per mask exactly as
-        :meth:`knn` does. The *components*/*components32* arguments are
-        accepted for interface parity and ignored — refinement always
-        gathers exact rows itself.
+        tables once per query (power-domain, one approximation-file
+        pass) and derives every subspace's bounds with two ``M @ G.T``
+        GEMMs; a tiny relative slack on the pruning comparison absorbs
+        the BLAS accumulation-order difference, which can only *add*
+        candidates, never lose a true neighbour. Under
+        ``precision="float32"`` the two bound GEMMs inherit the float32
+        tier: gap tables are cast once per query and the slack widens to
+        the rigorous float32 rounding band
+        (:func:`repro.core.precision.reverify_rtol`) on *both* sides of
+        the comparison, so the candidate set can again only grow —
+        refinement stays exact, hence values stay bit-identical at any
+        precision (overflowing gap tables or a non-finite bound product
+        silently fall back to float64). ``kernel="exact"`` computes
+        bounds per mask exactly as :meth:`knn` does. The
+        *components_list*/*components32_list* arguments are accepted for
+        interface parity and ignored — refinement always gathers exact
+        rows itself.
         """
-        del components, components32  # interface parity with LinearScanIndex
-        query, _ = self._validate(query, range(self.d))
+        del components_list, components32_list  # interface parity
+        queries = validate_query_matrix(queries, self.d)
+        excludes = normalize_excludes(excludes, queries.shape[0], self.size)
         dims_arrays = validate_prefix_request(
-            dims_list, self._validate_dims, k, self.size, [exclude]
+            dims_list, self._validate_dims, k, self.size, excludes
         )
         kernel = resolve_kernel(kernel, self.metric)
-        count = len(dims_arrays)
-        if count == 0:
-            return np.empty((0, k))
-
-        out = np.empty((count, k))
-        candidates_list = self._mask_candidates(
-            query, k, dims_arrays, exclude, kernel, precision
-        )
-        for j, dims in enumerate(dims_arrays):
-            out[j] = self._refine_prefix(query, k, dims, candidates_list[j])
-        self.stats.knn_queries += count
+        out = np.empty((queries.shape[0], len(dims_arrays), k))
+        if not dims_arrays:
+            return out
+        for i, (query, exclude) in enumerate(zip(queries, excludes)):
+            candidates = self._mask_candidates(
+                query, k, dims_arrays, exclude, kernel, precision
+            )
+            for j, dims in enumerate(dims_arrays):
+                out[i, j] = self._refine_prefix(query, k, dims, candidates[j])
+        self.stats.knn_queries += out.shape[0] * out.shape[1]
         return out
 
     def _mask_candidates(
@@ -353,7 +322,7 @@ class VAFile:
     ) -> "list[np.ndarray]":
         """Per-mask candidate supersets of the true kNN (bounds prefilter).
 
-        The front half of :meth:`knn_distance_prefix` — see its
+        The front half of :meth:`knn_distance_prefix_batch` — see its
         docstring for the bound derivation and the float32 slack
         argument.
         """
@@ -418,36 +387,6 @@ class VAFile:
                 tau = np.partition(upper, k - 1)[k - 1]
                 candidates_list.append(np.flatnonzero(lower <= tau))
         return candidates_list
-
-    def knn_distance_prefix_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        dims_list: "Sequence[Sequence[int]]",
-        excludes: "Sequence[int | None] | None" = None,
-        components_list: "Sequence[np.ndarray | None] | None" = None,
-        kernel: str = "auto",
-        precision: str = "float64",
-        components32_list: "Sequence[np.ndarray | None] | None" = None,
-    ) -> np.ndarray:
-        """Sorted k-nearest distances per ``(query row, subspace)`` pair,
-        ``(q, m, k)``.
-
-        Candidate refinement is inherently query-local for a VA-file, so
-        this is a loop over :meth:`knn_distance_prefix` — each query
-        still gets the one-pass gap tables and two-GEMM bound derivation
-        (in *precision*, resolved there against the kernel).
-        """
-        del components_list, components32_list  # interface parity
-        queries = validate_query_matrix(queries, self.d)
-        excludes = normalize_excludes(excludes, queries.shape[0], self.size)
-        out = np.empty((queries.shape[0], len(dims_list), k))
-        for i, (query, exclude) in enumerate(zip(queries, excludes)):
-            out[i] = self.knn_distance_prefix(
-                query, k, dims_list, exclude=exclude, kernel=kernel,
-                precision=precision,
-            )
-        return out
 
     def _refine_prefix(
         self, query: np.ndarray, k: int, dims: np.ndarray, candidates: np.ndarray
@@ -620,34 +559,6 @@ class VAFile:
         self.stats.node_accesses += -(-n // APPROX_BLOCK_ROWS)
         self.stats.mindist_computations += n
         return _combine(gaps_lower, self._order), _combine(gaps_upper, self._order)
-
-    def _bounds_many(
-        self, queries: np.ndarray, dims: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper distance bounds for a whole query batch, ``(m, n)``.
-
-        Same per-cell gap tables as :meth:`_bounds`, but built for all
-        queries at once: each dimension produces an ``(m, cells)`` table
-        that is gathered through the shared approximation column.
-        """
-        m, n = queries.shape[0], self.size
-        gaps_lower = np.empty((m, n, dims.size))
-        gaps_upper = np.empty((m, n, dims.size))
-        for j, dim in enumerate(dims):
-            edges = self.boundaries[dim]
-            q = queries[:, dim][:, None]
-            cell_lower = edges[:-1][None, :]
-            cell_upper = edges[1:][None, :]
-            low_gap = np.maximum(0.0, np.maximum(cell_lower - q, q - cell_upper))
-            up_gap = np.maximum(np.abs(q - cell_lower), np.abs(q - cell_upper))
-            codes = self._approx[:, dim]
-            gaps_lower[:, :, j] = low_gap[:, codes]
-            gaps_upper[:, :, j] = up_gap[:, codes]
-        self.stats.node_accesses += m * -(-n // APPROX_BLOCK_ROWS)
-        self.stats.mindist_computations += m * n
-        lower = _combine(gaps_lower.reshape(m * n, dims.size), self._order)
-        upper = _combine(gaps_upper.reshape(m * n, dims.size), self._order)
-        return lower.reshape(m, n), upper.reshape(m, n)
 
     def _validate(self, query: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         query = np.asarray(query, dtype=np.float64)

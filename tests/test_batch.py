@@ -4,7 +4,7 @@ The batched path must be *indistinguishable* from the sequential one in
 its answers — element-wise identical results, including exact OD values
 and tie order — while provably doing less work (shared-cache replays,
 duplicate coalescing). These tests pin both halves of that contract,
-plus the index-layer batch kernels and the up-front validation.
+plus the index-layer prefix kernel and the up-front validation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator, SharedODCache
 from repro.core.result import BatchResult
 from repro.data.synthetic import make_planted_outliers
-from repro.index import LinearScanIndex, RStarTree, VAFile, XTree
+from repro.index import LinearScanIndex
 
 
 @pytest.fixture(scope="module")
@@ -45,48 +45,9 @@ def assert_results_identical(sequential, batched):
 
 
 # ----------------------------------------------------------------------
-# Index layer: knn_batch
+# Index layer: the exact prefix kernel
 # ----------------------------------------------------------------------
-class TestKnnBatch:
-    @pytest.mark.parametrize("backend_cls", [LinearScanIndex, VAFile, RStarTree, XTree])
-    def test_matches_sequential_knn(self, backend_cls, rng):
-        X = rng.normal(size=(120, 5))
-        backend = backend_cls(X)
-        queries = rng.normal(size=(9, 5))
-        excludes = [None, 3, None, 7, None, 0, None, None, 119]
-        for dims in [(0,), (1, 3), (0, 2, 4), (0, 1, 2, 3, 4)]:
-            batched = backend.knn_batch(queries, 4, dims, excludes=excludes)
-            for query, exclude, (indices, distances) in zip(queries, excludes, batched):
-                seq_indices, seq_distances = backend.knn(query, 4, dims, exclude=exclude)
-                np.testing.assert_array_equal(indices, seq_indices)
-                np.testing.assert_array_equal(distances, seq_distances)
-
-    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev", "minkowski:3"])
-    def test_linear_metrics_bit_identical(self, metric, rng):
-        X = rng.normal(size=(80, 4))
-        backend = LinearScanIndex(X, metric=metric)
-        queries = rng.normal(size=(6, 4))
-        batched = backend.knn_batch(queries, 3, (0, 2, 3))
-        for query, (indices, distances) in zip(queries, batched):
-            seq_indices, seq_distances = backend.knn(query, 3, (0, 2, 3))
-            np.testing.assert_array_equal(indices, seq_indices)
-            np.testing.assert_array_equal(distances, seq_distances)
-
-    def test_empty_batch(self, rng):
-        backend = LinearScanIndex(rng.normal(size=(30, 3)))
-        assert backend.knn_batch(np.empty((0, 3)), 2, (0, 1)) == []
-
-    def test_validates_shapes_and_excludes(self, rng):
-        backend = LinearScanIndex(rng.normal(size=(30, 3)))
-        with pytest.raises(DataShapeError, match=r"\(m, 3\)"):
-            backend.knn_batch(rng.normal(size=(4, 2)), 2, (0, 1))
-        with pytest.raises(ConfigurationError, match="exclusions"):
-            backend.knn_batch(rng.normal(size=(4, 3)), 2, (0, 1), excludes=[None])
-        with pytest.raises(ConfigurationError, match="out of range"):
-            backend.knn_batch(rng.normal(size=(1, 3)), 2, (0, 1), excludes=[99])
-
-
-class TestKnnDistanceSums:
+class TestKnnDistancePrefix:
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev", "minkowski:3"])
     @pytest.mark.parametrize("use_components", [False, True])
     def test_matches_knn_sum(self, metric, use_components, rng):
@@ -119,10 +80,23 @@ class TestKnnDistanceSums:
 
         backend = LinearScanIndex(rng.normal(size=(30, 3)), metric=WeirdMetric())
         assert backend.distance_components(np.zeros(3)) is None
-        # The sums kernel still answers correctly via pairwise fallback.
+        # The prefix kernel still answers correctly via pairwise fallback.
         sums = backend.knn_distance_prefix(np.zeros(3), 2, [(0, 1)]).sum(axis=1)
         _, distances = backend.knn(np.zeros(3), 2, (0, 1))
         assert sums[0] == float(distances.sum())
+
+    def test_batch_validates_shapes_and_excludes(self, rng):
+        backend = LinearScanIndex(rng.normal(size=(30, 3)))
+        with pytest.raises(DataShapeError, match=r"\(m, 3\)"):
+            backend.knn_distance_prefix_batch(rng.normal(size=(4, 2)), 2, [(0, 1)])
+        with pytest.raises(ConfigurationError, match="exclusions"):
+            backend.knn_distance_prefix_batch(
+                rng.normal(size=(4, 3)), 2, [(0, 1)], excludes=[None]
+            )
+        with pytest.raises(ConfigurationError, match="out of range"):
+            backend.knn_distance_prefix_batch(
+                rng.normal(size=(1, 3)), 2, [(0, 1)], excludes=[99]
+            )
 
 
 # ----------------------------------------------------------------------

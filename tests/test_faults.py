@@ -27,9 +27,11 @@ import pytest
 from repro.core.config import HOSMinerConfig
 from repro.core.exceptions import ConfigurationError
 from repro.core.miner import HOSMiner
+from repro.core.od import knn_prefixes
 from repro.core.shard import ShardPool
 from repro.core.stream import StreamEngine
 from repro.data.synthetic import make_drift_stream, make_planted_outliers
+from repro.index.linear import LinearScanIndex
 from repro.testing.faults import (
     CRASH_EXIT_CODE,
     FaultClause,
@@ -385,6 +387,31 @@ class TestCrashTiming:
             )
             assert pool.respawns == 1
         np.testing.assert_array_equal(got, ref)
+
+    def test_regrowing_update_before_workers_attach(self):
+        """A pool returns before its workers attach their segments, and a
+        fresh tail shard has no spare rows, so an immediate insert regrows
+        the tail segment. The old segment must outlive the sync, or a
+        worker that has not attached yet dies on it."""
+        X = np.random.default_rng(0).normal(size=(6400, 8))
+        dims_list = [np.arange(8, dtype=np.intp), np.array([1, 5], dtype=np.intp)]
+        for trial in range(5):
+            rows = np.random.default_rng(trial).normal(size=(32, 8))
+            window = np.vstack([X[32:], rows])
+            queries = window[[0, 3000, 6399]]
+            excludes = [0, 3000, 6399]
+            ref = knn_prefixes(
+                LinearScanIndex(window), queries, dims_list, 5, excludes,
+                "exact", "float64",
+            )
+            with ShardPool(X, 2, timeout_s=5.0, faults="") as pool:
+                assert pool.apply_update(rows, 32)
+                assert pool.tail_regrows == 1
+                got = pool.scatter_prefixes(
+                    queries, dims_list, 5, excludes, "exact", "float64"
+                )
+                assert pool.respawns == 0, f"trial {trial}"
+            np.testing.assert_array_equal(got, ref)
 
     def test_injected_crash_exitcode_is_visible(self, dataset, scatter_args):
         """The supervisor sees the distinctive injected exitcode — the

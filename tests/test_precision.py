@@ -201,25 +201,31 @@ class TestTopkKernels:
 class TestBlockedGemm:
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_blocked_bit_identical_and_bounded(self, rng, precision, monkeypatch):
+        """The ceiling holds at any query count: a 1-query and a 3-query
+        batch call stay under it, bit-identical to the unblocked call
+        (which stacks the three queries into one product)."""
         X = rng.normal(size=(3000, 7))
-        query = rng.normal(size=7)
+        queries = rng.normal(size=(3, 7))
         masks = _random_masks(rng, 7, 24)
-        backend = LinearScanIndex(X)
-        unblocked = backend.knn_distance_prefix(
-            query, 5, masks, exclude=11, kernel="gemm", precision=precision
-        ).sum(axis=1)
         ceiling = 32 * 2**10  # 32 KiB: forces many column blocks
-        monkeypatch.setattr(linear_module, "BATCH_CHUNK_BYTES", ceiling)
-        blocked_backend = LinearScanIndex(X)
-        blocked = blocked_backend.knn_distance_prefix(
-            query, 5, masks, exclude=11, kernel="gemm", precision=precision
-        ).sum(axis=1)
-        np.testing.assert_array_equal(blocked, unblocked)
-        peak = blocked_backend.stats.snapshot()["peak_intermediate_bytes"]
         itemsize = 4 if precision == "float32" else 8
-        # block = max(k, ceiling // (m * itemsize)) — the k floor is the
-        # only way past the budget, and these cells are far above it.
-        assert peak <= max(ceiling, len(masks) * 5 * itemsize)
+        for q, excludes in ((1, [11]), (3, [11, None, 2999])):
+            unblocked = LinearScanIndex(X).knn_distance_prefix_batch(
+                queries[:q], 5, masks, excludes=excludes, kernel="gemm",
+                precision=precision,
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(linear_module, "BATCH_CHUNK_BYTES", ceiling)
+                blocked_backend = LinearScanIndex(X)
+                blocked = blocked_backend.knn_distance_prefix_batch(
+                    queries[:q], 5, masks, excludes=excludes, kernel="gemm",
+                    precision=precision,
+                )
+            np.testing.assert_array_equal(blocked, unblocked)
+            peak = blocked_backend.stats.snapshot()["peak_intermediate_bytes"]
+            # block = max(k, ceiling // (m * itemsize)) — the k floor is the
+            # only way past the budget, and these cells are far above it.
+            assert peak <= max(ceiling, len(masks) * 5 * itemsize), (q, peak)
 
     def test_float32_blocks_twice_as_wide(self, rng, monkeypatch):
         """The chunk budget is per-dtype bytes, so float32 fits twice the

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive_search import exhaustive_search
-from repro.core.exceptions import DataShapeError
+from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.filtering import minimal_masks
 from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator
@@ -144,6 +144,28 @@ class TestNonFiniteInput:
             miner.query_batch([0, point])
         with pytest.raises(DataShapeError, match="target 0, column 0 is nan"):
             miner.query_batch(point[None, :])
+
+
+class TestSearchOutcomeBoundary:
+    """search_outcome resolves its target through the same API-boundary
+    checks as query_row and query_point."""
+
+    @pytest.fixture()
+    def miner(self):
+        X = np.random.default_rng(3).normal(size=(200, 4))
+        return HOSMiner(k=5, sample_size=5).fit(X)
+
+    def test_non_finite_point(self, miner):
+        with pytest.raises(DataShapeError, match="query point, column 0 is nan"):
+            miner.search_outcome(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+    def test_negative_row(self, miner):
+        with pytest.raises(ConfigurationError, match="row -1 out of range for n=200"):
+            miner.search_outcome(-1)
+
+    def test_row_past_the_end(self, miner):
+        with pytest.raises(ConfigurationError, match="row 500 out of range for n=200"):
+            miner.search_outcome(500)
 
 
 class TestMetricVariations:

@@ -345,17 +345,10 @@ class TestInvalidationModes:
 
     def test_insert_takes_the_delta_path_by_default(self):
         miner, batches = self.warm_miner_with_cache()
-        assert miner.config.cache_invalidation == "delta"
         far = batches[0] + 200.0  # can't reach any cached neighbourhood
         miner.insert(far)
         assert len(miner.od_cache_) > 0
         assert miner.od_cache_.delta_retained > 0
-
-    def test_cache_invalidation_all_drops_everything_on_insert(self):
-        miner, batches = self.warm_miner_with_cache(cache_invalidation="all")
-        miner.insert(batches[0] + 200.0)
-        assert len(miner.od_cache_) == 0
-        assert miner.od_cache_.delta_retained == 0
 
     def test_delta_retention_never_changes_answers(self):
         """Retained entries replay the same floats a fresh fit computes."""
