@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.subspace import Subspace, is_subset, popcount
+import numpy as np
+
+from repro.core.exceptions import DimensionalityError
+from repro.core.subspace import Subspace, is_subset, popcounts
 
 __all__ = [
     "minimal_masks",
@@ -27,19 +30,54 @@ __all__ = [
     "expand_upward",
 ]
 
+#: Cap on the cells of one candidates × kept subset-test block, so a
+#: level of many candidates against a large antichain stays in bounded
+#: memory (8 MiB of int64 intermediates).
+_BLOCK_CELLS = 1 << 20
+
 
 def minimal_masks(masks: Iterable[int]) -> list[int]:
     """Reduce a set of subspace masks to its minimal antichain.
 
     Runs the paper's upward sweep: ascending by dimensionality (ties by
     mask value, for determinism), a candidate survives only if no kept
-    subspace is a subset of it. Duplicates collapse naturally.
+    subspace is a subset of it. Duplicates collapse naturally. The sweep
+    goes one level at a time: same-level masks cannot contain one
+    another, so a whole level is tested against the antichain kept so
+    far in one numpy broadcast.
+
+    Raises
+    ------
+    DimensionalityError
+        If a mask lies outside ``[0, 2**63)``, i.e. names a dimension
+        past the 63rd.
     """
-    kept: list[int] = []
-    for mask in sorted(set(masks), key=lambda m: (popcount(m), m)):
-        if not any(is_subset(kept_mask, mask) for kept_mask in kept):
-            kept.append(mask)
-    return kept
+    masks = list(masks)
+    if not masks:
+        return masks
+    try:
+        values = np.sort(np.asarray(masks, dtype=np.int64))
+    except OverflowError:
+        values = None
+    if values is None or values[0] < 0:
+        raise DimensionalityError(
+            f"minimal_masks takes masks in [0, 2**63), got {min(masks):#x} to {max(masks):#x}"
+        )
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    levels = popcounts(values)
+    order = np.argsort(levels, kind="stable")
+    values, levels = values[order], levels[order]
+    kept = values[:0]
+    for candidates in np.split(values, np.flatnonzero(np.diff(levels)) + 1):
+        if kept.size:
+            covered = np.empty(candidates.size, dtype=bool)
+            step = max(1, _BLOCK_CELLS // kept.size)
+            for lo in range(0, candidates.size, step):
+                block = ~candidates[lo : lo + step, None]
+                covered[lo : lo + step] = ((kept & block) == 0).any(axis=1)
+            candidates = candidates[~covered]
+        kept = np.concatenate([kept, candidates])
+    return kept.tolist()
 
 
 def minimal_subspaces(subspaces: Iterable[Subspace]) -> list[Subspace]:

@@ -15,6 +15,14 @@ A flat ``int8`` array indexed by bitmask provides all three. Memory is
 keeps accidental huge allocations out; the 2004 system targeted the same
 "tens of dimensions" regime.
 
+The transitions work a whole level per call: a search step marks its
+outlying masks and prunes the union of their superset cones, then marks
+its non-outlying masks and prunes the union of their subset cones — a
+few numpy calls per level instead of a Python call chain per subspace.
+One mask's cone is one vectorised subset test over the ``2**d`` masks;
+a level's cone union is a ``d``-pass closure over a packed bitset of
+them.
+
 The lattice is *search-agnostic*: it never computes OD values, it only
 records decisions, so the naive baselines in
 :mod:`repro.baselines.naive_search` reuse it unchanged.
@@ -23,17 +31,13 @@ records decisions, so the naive baselines in
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.exceptions import DimensionalityError
-from repro.core.subspace import (
-    iter_proper_submasks,
-    iter_proper_supermasks,
-    masks_at_level,
-    popcount,
-)
+from repro.core.subspace import masks_at_level, popcount, popcounts
 
 __all__ = ["SubspaceState", "SubspaceLattice", "MAX_LATTICE_DIM"]
 
@@ -69,9 +73,25 @@ _EVALUATED_NON_OUTLYING = int(SubspaceState.EVALUATED_NON_OUTLYING)
 _PRUNED_OUTLYING = int(SubspaceState.PRUNED_OUTLYING)
 _PRUNED_NON_OUTLYING = int(SubspaceState.PRUNED_NON_OUTLYING)
 
-#: Per-d cached index/popcount arrays shared by every lattice instance.
+#: Per-d and per-(d, m) cached arrays shared by every lattice instance.
+#: They are built once per process and never written after that.
 _MASKS_CACHE: dict[int, np.ndarray] = {}
 _LEVELS_CACHE: dict[int, np.ndarray] = {}
+_LEVEL_MASKS_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+#: In-word closure masks: bit ``p`` of ``_LOW_BITS[i]`` is set when bit
+#: ``i`` of the position ``p`` (0..63) is clear.
+_LOW_BITS = [
+    np.uint64(word)
+    for word in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
+]
 
 
 def _masks_array(d: int) -> np.ndarray:
@@ -84,22 +104,27 @@ def _masks_array(d: int) -> np.ndarray:
 
 
 def _levels_array(d: int) -> np.ndarray:
-    """Popcount of every mask in ``range(2**d)`` (SWAR, vectorised)."""
+    """Popcount of every mask in ``range(2**d)``, cached per dimensionality."""
     arr = _LEVELS_CACHE.get(d)
     if arr is None:
-        v = _masks_array(d).copy()
-        v = v - ((v >> 1) & 0x55555555)
-        v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-        v = (v + (v >> 4)) & 0x0F0F0F0F
-        arr = ((v * 0x01010101) >> 24).astype(np.uint8)
+        arr = popcounts(_masks_array(d))
         _LEVELS_CACHE[d] = arr
     return arr
 
 
-#: Below this candidate count the python bit-trick enumeration beats a
-#: full 2**d vectorised scan (the scan touches every mask regardless of
-#: how few are candidates).
-_ENUMERATION_CUTOFF_FRACTION = 64
+def _level_masks(d: int, m: int) -> np.ndarray:
+    """The level-``m`` masks of a ``d``-wide space, in
+    :func:`~repro.core.subspace.masks_at_level` order, cached per ``(d, m)``.
+
+    The order is part of the search's behaviour: the per-evaluation
+    re-selection mode evaluates a level's masks in it.
+    """
+    arr = _LEVEL_MASKS_CACHE.get((d, m))
+    if arr is None:
+        arr = np.array(masks_at_level(d, m), dtype=np.intp)
+        arr.flags.writeable = False
+        _LEVEL_MASKS_CACHE[(d, m)] = arr
+    return arr
 
 
 class SubspaceLattice:
@@ -118,6 +143,13 @@ class SubspaceLattice:
     * ``remaining_workload[m] = remaining_count[m] * m`` — their summed
       dimensionalities, the building block of ``C_down_left`` /
       ``C_up_left``.
+
+    The transitions :meth:`mark_evaluated`, :meth:`prune_supersets` and
+    :meth:`prune_subsets` take one mask or a sequence of same-level
+    masks. Masks on one level cannot prune one another, and upward and
+    downward pruning touch disjoint levels, so a level-wide call leaves
+    exactly the state the one-mask-at-a-time sequence leaves, and a
+    pruning call returns the size of the union of the masks' cones.
     """
 
     def __init__(self, d: int) -> None:
@@ -138,7 +170,6 @@ class SubspaceLattice:
         self._remaining_count = list(self._level_sizes)
         self._remaining_count[0] = 0  # the empty subspace is not searched
         self._outlying_decided = [0] * (d + 1)
-        self._level_masks_cache: dict[int, list[int]] = {}
 
     # -- queries ---------------------------------------------------------
     def state(self, mask: int) -> SubspaceState:
@@ -155,7 +186,7 @@ class SubspaceLattice:
 
     def has_unknown(self) -> bool:
         """Whether any subspace still awaits a decision."""
-        return any(count > 0 for count in self._remaining_count[1:])
+        return any(self._remaining_count)
 
     def remaining_count(self, m: int) -> int:
         """Number of UNKNOWN subspaces at level ``m``."""
@@ -169,6 +200,19 @@ class SubspaceLattice:
         """``C_up_left(m)``: Σ dim(s) over UNKNOWN s with dim(s) > m."""
         return sum(i * self._remaining_count[i] for i in range(m + 1, self.d + 1))
 
+    def remaining_workloads(self) -> list[int]:
+        """Prefix sums of the remaining workload, for every level at once.
+
+        Entry ``m`` (``0 <= m <= d + 1``) is Σ dim(s) over UNKNOWN s with
+        dim(s) < m, so ``C_down_left(m)`` is entry ``m`` and
+        ``C_up_left(m)`` is entry ``d + 1`` minus entry ``m + 1``.
+        """
+        return list(
+            accumulate(
+                (m * count for m, count in enumerate(self._remaining_count)), initial=0
+            )
+        )
+
     def levels_with_unknown(self) -> list[int]:
         """Levels that still contain UNKNOWN subspaces, ascending."""
         return [m for m in range(1, self.d + 1) if self._remaining_count[m] > 0]
@@ -181,21 +225,15 @@ class SubspaceLattice:
 
     def decided_stats_total(self) -> tuple[int, int]:
         """``(decided, outlying)`` counts across the whole lattice."""
-        decided = sum(
-            self._level_sizes[m] - self._remaining_count[m]
-            for m in range(1, self.d + 1)
-        )
+        decided = sum(self._level_sizes[1:]) - sum(self._remaining_count)
         outlying = sum(self._outlying_decided[1:])
         return decided, outlying
 
     def unknown_masks_at_level(self, m: int) -> list[int]:
-        """Snapshot of the UNKNOWN masks at level ``m``.
-
-        A fresh list is returned because callers mutate the lattice while
-        iterating (evaluations at the same level prune siblings).
-        """
-        state = self._state
-        return [mask for mask in self._masks_at_level(m) if state[mask] == _UNKNOWN]
+        """Snapshot of the UNKNOWN masks at level ``m``, as Python ints in
+        :func:`~repro.core.subspace.masks_at_level` order."""
+        masks = _level_masks(self.d, m)
+        return masks[self._state[masks] == _UNKNOWN].tolist()
 
     def first_unknown_at_level(self, m: int, cursor: int = 0) -> tuple[int, int]:
         """First UNKNOWN mask at level ``m`` at or after position *cursor*.
@@ -206,114 +244,77 @@ class SubspaceLattice:
         cursor — the basis of the O(1)-amortised scan used by the
         per-evaluation re-selection mode.
         """
-        masks = self._masks_at_level(m)
+        masks = _level_masks(self.d, m)
         position = cursor
         while position < len(masks):
             if self._state[masks[position]] == _UNKNOWN:
-                return masks[position], position
+                return int(masks[position]), position
             position += 1
         return -1, position
 
     # -- transitions -------------------------------------------------------
-    def mark_evaluated(self, mask: int, outlying: bool) -> None:
-        """Record the result of an actual OD computation."""
-        self._check_mask(mask)
-        if self._state[mask] != _UNKNOWN:
-            raise DimensionalityError(
-                f"subspace {mask:#x} was already decided ({self.state(mask).name})"
-            )
-        self._state[mask] = _EVALUATED_OUTLYING if outlying else _EVALUATED_NON_OUTLYING
-        level = popcount(mask)
-        self._remaining_count[level] -= 1
-        if outlying:
-            self._outlying_decided[level] += 1
+    def mark_evaluated(self, masks: "int | Sequence[int]", outlying: bool) -> None:
+        """Record the result of actual OD computations.
 
-    def prune_supersets(self, mask: int) -> int:
+        *masks* is one mask, or a sequence of distinct UNKNOWN masks of
+        one level that share the verdict *outlying*.
+        """
+        masks, level = self._as_level(masks)
+        if masks is None:
+            return
+        state = self._state
+        if isinstance(masks, int):
+            decided = masks if state[masks] != _UNKNOWN else None
+            count = 1
+        else:
+            undecided = state[masks] == _UNKNOWN
+            decided = None if undecided.all() else int(masks[~undecided][0])
+            count = masks.size
+            ordered = np.sort(masks)
+            if decided is None and (ordered[1:] == ordered[:-1]).any():
+                raise DimensionalityError("a level-wide mark_evaluated repeats a subspace")
+        if decided is not None:
+            raise DimensionalityError(
+                f"subspace {decided:#x} was already decided ({self.state(decided).name})"
+            )
+        state[masks] = _EVALUATED_OUTLYING if outlying else _EVALUATED_NON_OUTLYING
+        self._remaining_count[level] -= count
+        if outlying:
+            self._outlying_decided[level] += count
+
+    def prune_supersets(self, masks: "int | Sequence[int]") -> int:
         """Upward pruning: mark every UNKNOWN proper superset outlying.
 
-        Returns the number of subspaces newly decided.
+        *masks* is one mask or a sequence of same-level masks. Returns
+        the number of subspaces newly decided.
         """
-        self._check_mask(mask)
-        level = popcount(mask)
-        # Cheap guard: when every higher level is already decided, the
-        # (up to 2**(d-m)) supermask walk cannot find anything to prune.
-        if all(self._remaining_count[i] == 0 for i in range(level + 1, self.d + 1)):
+        masks, level = self._as_level(masks)
+        # Cheap guard: when every higher level is already decided, no
+        # superset is left to prune.
+        if masks is None or not any(self._remaining_count[level + 1 :]):
             return 0
-        # Hybrid strategy: enumerating the 2**(d-m) supersets in python
-        # wins when they are a sliver of the lattice; otherwise one
-        # vectorised scan of the whole state array wins. Both mark the
-        # identical set of subspaces — only the walk order differs, and
-        # pruning is order-insensitive.
-        if (1 << (self.d - level)) * _ENUMERATION_CUTOFF_FRACTION < (1 << self.d):
-            state = self._state
-            pruned = 0
-            for sup in iter_proper_supermasks(mask, self.d):
-                if state[sup] == _UNKNOWN:
-                    state[sup] = _PRUNED_OUTLYING
-                    sup_level = popcount(sup)
-                    self._remaining_count[sup_level] -= 1
-                    self._outlying_decided[sup_level] += 1
-                    pruned += 1
-            return pruned
-        masks = _masks_array(self.d)
-        selected = ((masks & mask) == mask) & (self._state == _UNKNOWN)
-        # Proper supersets only: the mask itself matches its own test.
-        selected[mask] = False
-        indices = np.flatnonzero(selected)
-        if indices.size == 0:
-            return 0
-        self._state[indices] = _PRUNED_OUTLYING
-        per_level = np.bincount(_levels_array(self.d)[indices], minlength=self.d + 1)
-        for pruned_level in np.flatnonzero(per_level):
-            count = int(per_level[pruned_level])
-            self._remaining_count[pruned_level] -= count
-            self._outlying_decided[pruned_level] += count
-        return int(indices.size)
+        return self._settle(self._cones(masks, upward=True), _PRUNED_OUTLYING)
 
-    def prune_subsets(self, mask: int) -> int:
+    def prune_subsets(self, masks: "int | Sequence[int]") -> int:
         """Downward pruning: mark every UNKNOWN proper subset non-outlying.
 
-        Returns the number of subspaces newly decided.
+        *masks* is one mask or a sequence of same-level masks. Returns
+        the number of subspaces newly decided.
         """
-        self._check_mask(mask)
-        level = popcount(mask)
-        # Mirror guard of prune_supersets for the submask walk.
-        if all(self._remaining_count[i] == 0 for i in range(1, level)):
+        masks, level = self._as_level(masks)
+        # Mirror guard of prune_supersets.
+        if masks is None or not any(self._remaining_count[1:level]):
             return 0
-        if (1 << level) * _ENUMERATION_CUTOFF_FRACTION < (1 << self.d):
-            state = self._state
-            pruned = 0
-            for sub in iter_proper_submasks(mask):
-                if state[sub] == _UNKNOWN:
-                    state[sub] = _PRUNED_NON_OUTLYING
-                    self._remaining_count[popcount(sub)] -= 1
-                    pruned += 1
-            return pruned
-        masks = _masks_array(self.d)
-        inverse = self._full_mask ^ mask
-        selected = ((masks & inverse) == 0) & (self._state == _UNKNOWN)
-        # Proper subsets only: exclude the mask itself and the empty
-        # subspace (index 0 stays UNKNOWN forever by convention).
-        selected[0] = False
-        selected[mask] = False
-        indices = np.flatnonzero(selected)
-        if indices.size == 0:
-            return 0
-        self._state[indices] = _PRUNED_NON_OUTLYING
-        per_level = np.bincount(_levels_array(self.d)[indices], minlength=self.d + 1)
-        for pruned_level in np.flatnonzero(per_level):
-            self._remaining_count[pruned_level] -= int(per_level[pruned_level])
-        return int(indices.size)
+        return self._settle(self._cones(masks, upward=False), _PRUNED_NON_OUTLYING)
 
     # -- results -----------------------------------------------------------
     def outlying_masks(self) -> list[int]:
         """Every subspace known outlying, as raw masks (unspecified order)."""
         states = self._state
         outlying = np.flatnonzero(
-            (states == SubspaceState.EVALUATED_OUTLYING)
-            | (states == SubspaceState.PRUNED_OUTLYING)
+            (states == _EVALUATED_OUTLYING) | (states == _PRUNED_OUTLYING)
         )
-        return [int(mask) for mask in outlying]
+        return outlying.tolist()
 
     def iter_states(self) -> Iterator[tuple[int, SubspaceState]]:
         """Yield ``(mask, state)`` for every non-empty subspace."""
@@ -327,9 +328,7 @@ class SubspaceLattice:
         the level); used by the sample-based learning pass to turn one
         sample search into ``p_up(m, sp)``.
         """
-        masks = self._masks_at_level(m)
-        outlying = sum(1 for mask in masks if self.is_outlying(mask))
-        return outlying / len(masks)
+        return self._outlying_decided[m] / self._level_sizes[m]
 
     def counts_by_state(self) -> dict[SubspaceState, int]:
         """Histogram of subspace states (excluding the empty subspace)."""
@@ -340,10 +339,95 @@ class SubspaceLattice:
         return histogram
 
     # -- internals -----------------------------------------------------------
-    def _masks_at_level(self, m: int) -> list[int]:
-        if m not in self._level_masks_cache:
-            self._level_masks_cache[m] = masks_at_level(self.d, m)
-        return self._level_masks_cache[m]
+    def _as_level(
+        self, masks: "int | Sequence[int]"
+    ) -> "tuple[int | np.ndarray | None, int]":
+        """``(masks, level)`` for one mask or a sequence of same-level masks.
+
+        One mask comes back as a Python int, checked without any numpy
+        set-up; two or more as an ``intp`` array; none as ``None``.
+        """
+        if not isinstance(masks, (int, np.integer)):
+            if len(masks) > 1:
+                array = np.asarray(masks, dtype=np.intp)
+                if array.ndim != 1 or array.min() < 1 or array.max() > self._full_mask:
+                    raise DimensionalityError(
+                        f"masks in [{int(array.min()):#x}, {int(array.max()):#x}] are not "
+                        f"all non-empty subspaces of a d={self.d} space"
+                    )
+                levels = _levels_array(self.d)[array]
+                if (levels != levels[0]).any():
+                    raise DimensionalityError(
+                        "a level-wide call needs masks of one dimensionality, got "
+                        f"levels {sorted(set(levels.tolist()))}"
+                    )
+                return array, int(levels[0])
+            if len(masks) == 0:
+                return None, 0
+            masks = masks[0]
+        mask = int(masks)
+        self._check_mask(mask)
+        return mask, popcount(mask)
+
+    def _cones(self, masks: "int | np.ndarray", upward: bool) -> np.ndarray:
+        """Selector of every proper superset (*upward*) or non-empty proper
+        subset of *masks*, whatever its state.
+
+        One mask is one vectorised subset test over the ``2**d`` masks. A
+        level of masks runs the ``d``-pass closure over a bitset of the
+        ``2**d`` masks, packed 64 to a word: the first six passes shift
+        within words, the rest OR whole words, and the union of every cone
+        comes out at once.
+        """
+        d = self.d
+        if isinstance(masks, int):
+            every = _masks_array(d)
+            if upward:
+                selected = (every & masks) == masks
+            else:
+                selected = (every & (self._full_mask ^ masks)) == 0
+        else:
+            size = 1 << d
+            bits = np.zeros(max(size, 64), dtype=bool)
+            bits[masks] = True
+            words = np.packbits(bits, bitorder="little").view("<u8")
+            for bit in range(min(d, 6)):
+                shift = np.uint64(1 << bit)
+                if upward:
+                    words |= (words & _LOW_BITS[bit]) << shift
+                else:
+                    words |= (words >> shift) & _LOW_BITS[bit]
+            for bit in range(6, d):
+                # Axis 1 splits each block of words into masks without
+                # and with the bit; closing moves membership across it.
+                halves = words.reshape(-1, 2, 1 << (bit - 6))
+                if upward:
+                    halves[:, 1, :] |= halves[:, 0, :]
+                else:
+                    halves[:, 0, :] |= halves[:, 1, :]
+            selected = np.unpackbits(words.view(np.uint8), bitorder="little")[:size].view(bool)
+        # Proper cones only: drop the masks themselves and the empty
+        # subspace (index 0 stays UNKNOWN forever by convention).
+        selected[masks] = False
+        selected[0] = False
+        return selected
+
+    def _settle(self, selected: np.ndarray, value: int) -> int:
+        """Decide the UNKNOWN subspaces of *selected* as *value*; return
+        how many changed."""
+        selected &= self._state == _UNKNOWN
+        indices = np.flatnonzero(selected)
+        if indices.size == 0:
+            return 0
+        self._state[indices] = value
+        per_level = np.bincount(_levels_array(self.d)[indices], minlength=self.d + 1)
+        outlying = value == _PRUNED_OUTLYING
+        for level in np.flatnonzero(per_level).tolist():
+            count = int(per_level[level])
+            self._remaining_count[level] -= count
+            if outlying:
+                self._outlying_decided[level] += count
+        return int(indices.size)
 
     def _check_mask(self, mask: int) -> None:
         if not 1 <= mask <= self._full_mask:

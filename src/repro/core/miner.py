@@ -148,6 +148,9 @@ class HOSMiner:
                 f"{len(feature_names)} feature names for {X.shape[1]} columns"
             )
 
+        # From here on the previous fit's state is being replaced; a fit
+        # that fails part-way leaves the miner unfitted.
+        self._fitted = False
         self._X = X
         self._feature_names = list(feature_names) if feature_names else None
         self._backend = make_backend(
@@ -188,6 +191,14 @@ class HOSMiner:
                 seed=self.config.seed,
                 shared_cache=self._od_cache,
             )
+            if self._threshold == 0.0:
+                raise ConfigurationError(
+                    f"the calibrated threshold is 0: about a "
+                    f"threshold_quantile={self.config.threshold_quantile} share or more "
+                    f"of the sampled rows have k={self.config.k} exact duplicates "
+                    "(full-space OD 0), so every subspace of every point would be "
+                    "outlying; pass an explicit threshold= instead"
+                )
 
         self._learning_report = learn_priors(
             self._backend,
@@ -541,7 +552,9 @@ class HOSMiner:
         self, outcome: SearchOutcome, evaluator: ODEvaluator
     ) -> OutlyingSubspaceResult:
         """Filter a finished search into the user-facing result."""
-        minimal = [Subspace(mask, outcome.d) for mask in minimal_masks(outcome.outlying_masks)]
+        minimal = sorted(
+            Subspace(mask, outcome.d) for mask in minimal_masks(outcome.outlying_masks)
+        )
         # Minimal subspaces are always concretely evaluated (an inferred-
         # outlying subspace has an outlying subset, so it cannot be
         # minimal) — their ODs are cache hits, never new kNN work.

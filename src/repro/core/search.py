@@ -238,15 +238,19 @@ class DynamicSubspaceSearch:
         — therefore sees the same answer set, level schedule and logical
         cost counters; only *who* computes the OD values changes.
 
+        Each step is recorded with one lattice call per rule: the
+        outlying masks are marked and their supersets pruned, then the
+        non-outlying masks are marked and their subsets pruned.
+
         Under ``max_evaluations`` a step never requests more masks than
-        the budget can record: the replay raises
-        :class:`~repro.core.exceptions.SearchBudgetExceeded` at the first
-        mask past it, so values beyond would be pure wasted (and
-        unbounded) kernel work.
+        the budget can record: it records the in-budget prefix and then
+        raises :class:`~repro.core.exceptions.SearchBudgetExceeded`, so
+        values beyond would be pure wasted (and unbounded) kernel work.
         """
         start = time.perf_counter()
         lattice = SubspaceLattice(self.evaluator.backend.d)
         stats = SearchStats()
+        threshold = self.threshold
 
         cursors: dict[int, int] = {}
         while lattice.has_unknown():
@@ -256,12 +260,27 @@ class DynamicSubspaceSearch:
                 remaining = self.max_evaluations - stats.od_evaluations
                 requested = masks[: max(0, remaining)]
             values = yield requested
-            for mask in masks:
-                # The guard keeps the loop robust if same-level pruning
-                # ever becomes possible.
-                if lattice.is_unknown(mask):
-                    self._check_budget(lattice, stats)
-                    self._record(mask, values[mask], level, lattice, stats)
+            if requested:
+                outlying: list[int] = []
+                inlying: list[int] = []
+                for mask in requested:
+                    (outlying if values[mask] >= threshold else inlying).append(mask)
+                lattice.mark_evaluated(outlying, True)
+                stats.upward_pruned += lattice.prune_supersets(outlying)
+                lattice.mark_evaluated(inlying, False)
+                stats.downward_pruned += lattice.prune_subsets(inlying)
+                stats.od_evaluations += len(requested)
+                stats.evaluations_by_level[level] = (
+                    stats.evaluations_by_level.get(level, 0) + len(requested)
+                )
+            if len(requested) < len(masks):
+                undecided = sum(
+                    lattice.remaining_count(m) for m in lattice.levels_with_unknown()
+                )
+                raise SearchBudgetExceeded(
+                    f"search exceeded its budget of {self.max_evaluations} OD "
+                    f"evaluations with {undecided} subspaces still undecided"
+                )
         return self._finish(lattice, stats, start)
 
     # ------------------------------------------------------------------
@@ -295,6 +314,7 @@ class DynamicSubspaceSearch:
         subspaces the final filter wants anyway."""
         best_level = -1
         best_tsf = -1.0
+        workloads = lattice.remaining_workloads()
         for m in lattice.levels_with_unknown():
             p_up, p_down = self._effective_priors(m, lattice)
             tsf = total_saving_factor(
@@ -303,8 +323,8 @@ class DynamicSubspaceSearch:
                     d=lattice.d,
                     p_up=p_up,
                     p_down=p_down,
-                    remaining_below=lattice.remaining_workload_below(m),
-                    remaining_above=lattice.remaining_workload_above(m),
+                    remaining_below=workloads[m],
+                    remaining_above=workloads[-1] - workloads[m + 1],
                 )
             )
             if tsf > best_tsf:
@@ -342,32 +362,3 @@ class DynamicSubspaceSearch:
         if m == lattice.d:
             p_up_new = 0.0
         return p_up_new, p_down_new
-
-    def _check_budget(self, lattice: SubspaceLattice, stats: SearchStats) -> None:
-        if (
-            self.max_evaluations is not None
-            and stats.od_evaluations >= self.max_evaluations
-        ):
-            raise SearchBudgetExceeded(
-                f"search exceeded its budget of {self.max_evaluations} OD "
-                f"evaluations with {sum(lattice.remaining_count(m) for m in lattice.levels_with_unknown())} "
-                "subspaces still undecided"
-            )
-
-    def _record(
-        self,
-        mask: int,
-        od_value: float,
-        level: int,
-        lattice: SubspaceLattice,
-        stats: SearchStats,
-    ) -> None:
-        """Apply one OD observation: mark the subspace and prune."""
-        stats.od_evaluations += 1
-        stats.evaluations_by_level[level] = stats.evaluations_by_level.get(level, 0) + 1
-        if od_value >= self.threshold:
-            lattice.mark_evaluated(mask, outlying=True)
-            stats.upward_pruned += lattice.prune_supersets(mask)
-        else:
-            lattice.mark_evaluated(mask, outlying=False)
-            stats.downward_pruned += lattice.prune_subsets(mask)

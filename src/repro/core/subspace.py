@@ -26,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.exceptions import DimensionalityError
 
 __all__ = [
@@ -42,12 +44,23 @@ __all__ = [
     "mask_of_dims",
     "masks_at_level",
     "popcount",
+    "popcounts",
 ]
 
 
 def popcount(mask: int) -> int:
     """Number of set bits in *mask* (the dimensionality of the subspace)."""
     return mask.bit_count()
+
+
+def popcounts(masks: np.ndarray) -> np.ndarray:
+    """Number of set bits of every mask in an array of non-negative masks
+    below ``2**64`` (SWAR, vectorised), as ``uint8``."""
+    v = np.asarray(masks).astype(np.uint64)
+    v = v - ((v >> 1) & 0x5555555555555555)
+    v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return ((v * 0x0101010101010101) >> 56).astype(np.uint8)
 
 
 def full_mask(d: int) -> int:

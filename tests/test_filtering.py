@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import filtering
+from repro.core.exceptions import DimensionalityError
 from repro.core.filtering import (
     covers,
     expand_upward,
@@ -57,6 +60,15 @@ class TestMinimalMasks:
 
     def test_minimal_subspaces_empty(self):
         assert minimal_subspaces([]) == []
+
+    def test_63_dimensions_are_the_limit(self):
+        top = (1 << 63) - 1
+        assert minimal_masks([top, 1 << 62]) == [1 << 62]
+        for masks in ([1 << 63], [0b1, 1 << 63], [0b1, -1]):
+            with pytest.raises(DimensionalityError, match=r"2\*\*63"):
+                minimal_masks(masks)
+        with pytest.raises(DimensionalityError, match=r"2\*\*63"):
+            minimal_subspaces([Subspace(1 << 63, 64)])
 
 
 class TestProperties:
@@ -112,3 +124,39 @@ class TestHelpers:
     def test_expand_upward_members_are_supersets(self):
         for sup in expand_upward([0b0011], 4):
             assert is_subset(0b0011, sup)
+
+
+def upward_sweep(masks):
+    """The paper's upward sweep, one candidate at a time: the oracle of
+    the level-at-a-time filter."""
+    kept = []
+    for mask in sorted(set(masks), key=lambda m: (bin(m).count("1"), m)):
+        if not any(is_subset(kept_mask, mask) for kept_mask in kept):
+            kept.append(mask)
+    return kept
+
+
+#: Lists, so duplicates and any order reach the filter; rarely upward
+#: closed.
+MASK_LISTS = st.lists(st.integers(1, (1 << 9) - 1), max_size=80)
+
+
+class TestUpwardSweepOracle:
+    @settings(max_examples=200)
+    @given(MASK_LISTS)
+    def test_equals_the_per_candidate_sweep(self, masks):
+        assert minimal_masks(masks) == upward_sweep(masks)
+
+    @settings(max_examples=50)
+    @given(MASK_LISTS)
+    def test_equals_the_sweep_on_upward_closed_sets(self, masks):
+        closure = sorted(expand_upward(masks, 9))
+        assert minimal_masks(closure) == upward_sweep(closure)
+
+    @settings(max_examples=50)
+    @given(MASK_LISTS)
+    def test_blocked_broadcast_equals_the_sweep(self, masks):
+        """A tiny block size splits every level into many blocks."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(filtering, "_BLOCK_CELLS", 3)
+            assert minimal_masks(iter(masks)) == upward_sweep(masks)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import DimensionalityError
 from repro.core.lattice import MAX_LATTICE_DIM, SubspaceLattice, SubspaceState
-from repro.core.subspace import is_subset, popcount
+from repro.core.subspace import is_subset, masks_at_level, popcount
 
 
 class TestConstruction:
@@ -193,3 +195,123 @@ def test_remaining_counts_stay_consistent(d, decisions):
             recount[popcount(mask)] += 1
     for m in range(1, d + 1):
         assert lattice.remaining_count(m) == recount[m]
+
+
+def _random_lattice(d, decisions):
+    """A lattice after a replayable sequence of one-mask decisions."""
+    lattice = SubspaceLattice(d)
+    top = (1 << d) - 1
+    for raw_mask, outlying in decisions:
+        mask = raw_mask % top + 1
+        if not lattice.is_unknown(mask):
+            continue
+        lattice.mark_evaluated(mask, outlying)
+        if outlying:
+            lattice.prune_supersets(mask)
+        else:
+            lattice.prune_subsets(mask)
+    return lattice
+
+
+def _snapshot(lattice):
+    d = lattice.d
+    return (
+        list(lattice.iter_states()),
+        [lattice.remaining_count(m) for m in range(1, d + 1)],
+        [lattice.decided_stats(m) for m in range(1, d + 1)],
+    )
+
+
+LATTICES = st.integers(1, 10).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.tuples(st.integers(0, 2**10), st.booleans()), max_size=3 * d
+        ),
+        st.integers(1, d),
+        st.randoms(use_true_random=False),
+    )
+)
+
+
+class TestLevelWideTransitions:
+    """One level-wide call leaves the state the one-mask sequence leaves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(LATTICES, st.booleans())
+    def test_mark_and_prune_equal_the_per_mask_sequence(self, case, outlying):
+        d, decisions, level, rnd = case
+        lattice = _random_lattice(d, decisions)
+        unknown = lattice.unknown_masks_at_level(level)
+        masks = rnd.sample(unknown, rnd.randint(0, len(unknown)))
+        sequential = copy.deepcopy(lattice)
+
+        lattice.mark_evaluated(masks, outlying)
+        prune = lattice.prune_supersets if outlying else lattice.prune_subsets
+        pruned = prune(masks)
+
+        expected = 0
+        for mask in masks:
+            sequential.mark_evaluated(mask, outlying)
+            if outlying:
+                expected += sequential.prune_supersets(mask)
+            else:
+                expected += sequential.prune_subsets(mask)
+        assert pruned == expected
+        assert _snapshot(lattice) == _snapshot(sequential)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=LATTICES, upward=st.booleans())
+    def test_prune_marks_the_union_of_the_cones(self, case, upward):
+        """Pruning takes any same-level masks, decided or not. Two or more
+        run the bitset closure, one runs the direct subset test; the
+        closure must leave the state the one-mask sequence leaves."""
+        d, decisions, level, rnd = case
+        lattice = _random_lattice(d, decisions)
+        candidates = masks_at_level(d, level)
+        masks = rnd.sample(candidates, rnd.randint(0, len(candidates)))
+        sequential = copy.deepcopy(lattice)
+        name = "prune_supersets" if upward else "prune_subsets"
+        pruned = getattr(lattice, name)(masks)
+        assert pruned == sum(getattr(sequential, name)(mask) for mask in masks)
+        assert _snapshot(lattice) == _snapshot(sequential)
+
+    def test_empty_and_one_mask_inputs(self):
+        lattice = SubspaceLattice(4)
+        lattice.mark_evaluated([], True)
+        assert lattice.prune_supersets([]) == 0
+        assert lattice.prune_subsets(np.array([], dtype=np.intp)) == 0
+        assert lattice.counts_by_state()[SubspaceState.UNKNOWN] == 15
+        lattice.mark_evaluated([0b0011], True)
+        assert lattice.prune_supersets(np.array([0b0011])) == 3
+        assert lattice.state(0b0011) is SubspaceState.EVALUATED_OUTLYING
+
+    def test_level_wide_inputs_validated(self):
+        lattice = SubspaceLattice(4)
+        with pytest.raises(DimensionalityError, match="one dimensionality"):
+            lattice.prune_supersets([0b0001, 0b0011])
+        with pytest.raises(DimensionalityError, match="non-empty subspaces"):
+            lattice.prune_subsets([0b0001, 0b10000])
+        with pytest.raises(DimensionalityError, match="non-empty subspaces"):
+            lattice.mark_evaluated([0, 0b0001], True)
+        with pytest.raises(DimensionalityError, match="repeats"):
+            lattice.mark_evaluated([0b0001, 0b0001], True)
+        lattice.mark_evaluated(0b0010, False)
+        with pytest.raises(DimensionalityError, match="already decided"):
+            lattice.mark_evaluated([0b0001, 0b0010], True)
+        # A rejected call changes nothing.
+        assert lattice.remaining_count(1) == 3
+        assert lattice.is_unknown(0b0001)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LATTICES)
+def test_prefix_sum_workloads_match_the_per_level_sums(case):
+    """The TSF inputs _select_level reads from one prefix sum."""
+    d, decisions, _, _ = case
+    lattice = _random_lattice(d, decisions)
+    workloads = lattice.remaining_workloads()
+    assert len(workloads) == d + 2
+    for m in range(1, d + 1):
+        assert workloads[m] == lattice.remaining_workload_below(m)
+        assert workloads[-1] - workloads[m + 1] == lattice.remaining_workload_above(m)

@@ -177,3 +177,49 @@ class TestCalibration:
         backend = LinearScanIndex(X)
         with pytest.raises(ConfigurationError):
             calibrate_threshold(backend, X, 3, quantile=1.5)
+
+
+class TestZeroCalibratedThreshold:
+    """A calibrated T of 0 would make every subspace of every point
+    outlying; fit refuses it and points at an explicit threshold."""
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.zeros((20, 3)),
+            # 10 distinct rows, each repeated 6 times: k=5 exact duplicates.
+            np.repeat(np.random.default_rng(0).normal(size=(10, 3)), 6, axis=0),
+        ],
+        ids=["all-zero", "repeated-rows"],
+    )
+    def test_fit_raises_and_leaves_the_miner_unfitted(self, X):
+        miner = HOSMiner(k=5)
+        with pytest.raises(ConfigurationError, match=r"threshold_quantile=0\.995.*threshold="):
+            miner.fit(X)
+        with pytest.raises(NotFittedError):
+            miner.query_row(0)
+
+    def test_failed_refit_leaves_the_miner_unfitted(self, small_gaussian):
+        miner = HOSMiner(k=5, sample_size=0).fit(small_gaussian)
+        with pytest.raises(ConfigurationError):
+            miner.fit(np.zeros((20, 3)))
+        with pytest.raises(NotFittedError):
+            miner.detect_outliers()
+
+    def test_explicit_zero_threshold_stays_legal(self):
+        miner = HOSMiner(k=5, threshold=0.0).fit(np.zeros((20, 3)))
+        assert miner.threshold_ == 0.0
+        assert miner.query_row(0).total_outlying == 7
+
+
+def test_minimal_listed_in_subspace_order():
+    """Results list minimal subspaces by (dimensionality, dims); the filter's
+    own tie order by mask value put [2, 3, 4, 5] before [1, 2, 5, 6] here."""
+    X = np.random.default_rng(4).normal(size=(300, 6))
+    with HOSMiner(k=5, sample_size=5, threshold_quantile=0.9).fit(X) as miner:
+        for result in (miner.query_row(189), miner.query_batch([189]).results[0]):
+            assert [s.notation() for s in result.minimal[-2:]] == [
+                "[1, 2, 5, 6]",
+                "[2, 3, 4, 5]",
+            ]
+            assert result.minimal == sorted(result.minimal)

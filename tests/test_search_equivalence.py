@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive_search import exhaustive_search, fixed_order_search
+from repro.core.filtering import minimal_masks
+from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator
 from repro.core.priors import PruningPriors
 from repro.core.search import DynamicSubspaceSearch
@@ -198,3 +200,37 @@ class TestSearchValidation:
         evaluator = ODEvaluator(LinearScanIndex(X), X[0], 2, exclude=0)
         with pytest.raises(ConfigurationError):
             fixed_order_search(evaluator, 1.0, order="sideways")
+
+
+class TestDegenerateLattices:
+    """The level-wide control plane on the smallest lattices. At d=1 the
+    only level has nothing above or below it; at n=k+1 every point's
+    neighbours are all the other points."""
+
+    @pytest.mark.parametrize(
+        "n, d, k, sample_size",
+        [(60, 1, 3, 4), (60, 2, 3, 4), (4, 3, 3, 4)],
+        ids=["d=1", "d=2", "n=k+1"],
+    )
+    def test_answers_match_exhaustive_search(self, n, d, k, sample_size):
+        X = np.random.default_rng(d).normal(size=(n, d))
+        X[0] += 6.0
+        with HOSMiner(k=k, sample_size=sample_size, threshold_quantile=0.9).fit(X) as miner:
+            want = {}
+            for row in range(n):
+                evaluator = ODEvaluator(miner.backend_, X[row], k, exclude=row)
+                oracle = exhaustive_search(evaluator, miner.threshold_).outlying_masks
+                want[row] = (sorted(minimal_masks(oracle)), len(oracle))
+            assert any(total for _, total in want.values())
+
+            def answer(result):
+                return sorted(s.mask for s in result.minimal), result.total_outlying
+
+            batch = miner.query_batch(list(range(n)), workers=1).results
+            for row in range(n):
+                assert answer(miner.query_row(row)) == want[row]
+                assert answer(batch[row]) == want[row]
+            flagged = dict(miner.detect_outliers())
+            assert set(flagged) == {row for row, (_, total) in want.items() if total}
+            for row, result in flagged.items():
+                assert answer(result) == want[row]
