@@ -26,9 +26,12 @@ lock-step rounds:
 The work unit's executor is chosen once per call. In process it is
 :func:`repro.core.od.knn_prefixes`: one prefix-kernel call per group,
 stacking the group's queries into GEMMs under the kernel's memory
-ceiling, with each search's component matrix built
-on its first miss and dropped when it finishes (under
-:data:`COMPONENT_BUDGET_BYTES`). With ``workers > 1`` (default from
+ceiling, with each search's component matrix built on its first miss
+below the full space and dropped when it finishes (under
+:data:`COMPONENT_BUDGET_BYTES`). The full-space group — in the first
+round, usually every search of the batch — is settled exactly by one
+Gram-screened unit for all its queries and needs no component matrix
+(:func:`repro.core.od.evaluate`). With ``workers > 1`` (default from
 ``HOSMinerConfig.workers`` / the ``HOSMINER_WORKERS`` environment
 variable) it is the miner's persistent shard pool
 (:mod:`repro.core.shard`), spawned once and reused across every
@@ -67,7 +70,7 @@ from repro.core.od import (
 from repro.core.precision import reverify_rtol
 from repro.core.result import BatchResult, OutlyingSubspaceResult
 from repro.core.search import SearchOutcome, SearchStats
-from repro.core.subspace import dims_of_mask
+from repro.core.subspace import dims_of_mask, full_mask
 from repro.index.base import require_finite, validate_query_matrix
 
 if TYPE_CHECKING:
@@ -311,6 +314,7 @@ class BatchQueryEngine:
             execute = _scatter_executor(pool, backend)
             budget = _ComponentBudget(backend, precision, 0)
         dims_cache: dict[int, np.ndarray] = {}
+        full = [full_mask(backend.d)]
 
         def serve(members: "list[int]", masks: "list[int]") -> None:
             """One work unit for a group, settled and primed."""
@@ -320,6 +324,8 @@ class BatchQueryEngine:
                 if dims is None:
                     dims = dims_cache[mask] = np.asarray(dims_of_mask(mask), dtype=np.intp)
                 dims_list.append(dims)
+            # The full space settles exactly without component entries.
+            entries = None if masks == full else [budget.entry(states[i]) for i in members]
             values, bounds, reverified = evaluate(
                 execute,
                 queries[members],
@@ -330,7 +336,7 @@ class BatchQueryEngine:
                 precision,
                 threshold,
                 rtol,
-                entries=[budget.entry(states[i]) for i in members],
+                entries=entries,
                 stats=backend.stats,
             )
             for row, i in enumerate(members):

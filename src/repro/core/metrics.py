@@ -44,13 +44,31 @@ Built-in metrics additionally implement two optional batched views:
 
 Vectorised callers probe for these with ``getattr`` and fall back to
 per-query/per-subspace ``pairwise`` calls, so custom metrics keep
-working without them. The batched arithmetic performs the same
-elementwise operations and reduction order as the single-query path, so
-all views produce bit-identical distances. The GEMM view is the one
-exception: BLAS accumulates the per-dimension sum in its own order, so
-its distances agree with the exact views only to float tolerance —
-callers that make threshold decisions on GEMM output re-verify
-near-threshold values with the exact kernel (see
+working without them.
+
+One accumulation
+----------------
+Every sum-reducing view of the L_p metrics (``pairwise``,
+``pairwise_many``, ``reduce_components``) accumulates its per-dimension
+terms through one helper, :func:`_accumulate`: sequentially, one
+dimension at a time in the order of ``dims`` (ascending for any mask),
+as elementwise array adds. Each distance is therefore the same chain of
+IEEE operations whatever the operand's shape — an ``(n, d)`` scan, a
+``(q, n, d)`` broadcast, a single ``(1, 1, d)`` pair or a gathered
+candidate list — so all views are bit-identical by construction rather
+than by the accident of how numpy's ``einsum``/``sum`` happen to order a
+reduction for a given shape (they do not agree at every shape: a
+one-row ``einsum`` broadcast can round differently from the scan).
+Chebyshev reduces with ``max``, which is exact in any order. The
+sum-reducing ``pairwise`` views also accept an ``(n, d)`` matrix as
+``q``, pairing one query with each row of ``X`` — the form the
+full-space unit's exact refine uses
+(:meth:`repro.index.linear.LinearScanIndex.knn_full_prefix_batch`).
+
+The GEMM view is the one exception: BLAS accumulates the per-dimension
+sum in its own order, so its distances agree with the exact views only
+to float tolerance — callers that make threshold decisions on GEMM
+output re-verify near-threshold values with the exact kernel (see
 :func:`repro.core.od.evaluate`).
 
 Monotonicity
@@ -122,6 +140,43 @@ def _as_index(dims) -> np.ndarray:
     return np.asarray(dims, dtype=np.intp)
 
 
+def _square(values: np.ndarray) -> np.ndarray:
+    return np.multiply(values, values, out=values)
+
+
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    return np.abs(values, out=values)
+
+
+def _accumulate(a: np.ndarray, b: np.ndarray, dims: np.ndarray, term) -> np.ndarray:
+    """``Σ_j term(a[..., j] - b[..., j])`` over *dims*, one dim at a time.
+
+    The one accumulation of the L_p metrics (see the module docstring):
+    each step is an elementwise subtract, an elementwise *term* (which
+    may work in place on the fresh difference) and an elementwise add, so
+    every output element is the same sequential sum whatever shape ``a``
+    and ``b`` broadcast to. ``a - b`` and ``b - a`` round to exact
+    negatives, and every term here is even, so operand order is free.
+    """
+    columns = dims.tolist()
+    with np.errstate(over="ignore"):
+        # A distance past float64 range is inf, not an error.
+        total = term(a[..., columns[0]] - b[..., columns[0]])
+        for j in columns[1:]:
+            total += term(a[..., j] - b[..., j])
+    return total
+
+
+def _accumulate_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum precomputed terms over their last axis in :func:`_accumulate`'s
+    order."""
+    total = terms[..., 0].copy()
+    with np.errstate(over="ignore"):
+        for j in range(1, terms.shape[-1]):
+            total += terms[..., j]
+    return total
+
+
 def _gaps(q: np.ndarray, lower: np.ndarray, upper: np.ndarray, dims: np.ndarray) -> np.ndarray:
     """Per-dimension axis gaps between a point and a box (0 inside)."""
     ql = q[dims]
@@ -136,14 +191,10 @@ class EuclideanMetric:
     name = "euclidean"
 
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        diff = X[:, dims] - q[dims]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return np.sqrt(_accumulate(X, q, _as_index(dims), _square))
 
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        diff = Q[:, None, dims] - X[None, :, dims]
-        return np.sqrt(np.einsum("mnj,mnj->mn", diff, diff))
+        return np.sqrt(_accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), _square))
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         diff = X - q
@@ -154,9 +205,7 @@ class EuclideanMetric:
             return diff * diff
 
     def reduce_components(self, gathered: np.ndarray) -> np.ndarray:
-        # Sequential einsum reduction — the same accumulation order as
-        # pairwise's "ij,ij->i", so distances match bit-for-bit.
-        return np.sqrt(np.einsum("...t->...", gathered))
+        return np.sqrt(_accumulate_terms(gathered))
 
     def finalize_component_sums(self, sums: np.ndarray) -> np.ndarray:
         return np.sqrt(sums)
@@ -177,19 +226,16 @@ class ManhattanMetric:
     name = "manhattan"
 
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        return np.abs(X[:, dims] - q[dims]).sum(axis=1)
+        return _accumulate(X, q, _as_index(dims), _magnitude)
 
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        return np.abs(X[None, :, dims] - Q[:, None, dims]).sum(axis=2)
+        return _accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), _magnitude)
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.abs(X - q)
 
     def reduce_components(self, gathered: np.ndarray) -> np.ndarray:
-        # Same contiguous last-axis np.sum as pairwise's sum(axis=1).
-        return gathered.sum(axis=-1)
+        return _accumulate_terms(gathered)
 
     def finalize_component_sums(self, sums: np.ndarray) -> np.ndarray:
         return sums
@@ -244,21 +290,21 @@ class MinkowskiMetric:
         self.p = float(p)
         self.name = f"minkowski(p={self.p:g})"
 
+    def _term(self, values: np.ndarray) -> np.ndarray:
+        return np.power(np.abs(values, out=values), self.p, out=values)
+
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        diff = np.abs(X[:, dims] - q[dims])
-        return np.power(np.power(diff, self.p).sum(axis=1), 1.0 / self.p)
+        return np.power(_accumulate(X, q, _as_index(dims), self._term), 1.0 / self.p)
 
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        diff = np.abs(X[None, :, dims] - Q[:, None, dims])
-        return np.power(np.power(diff, self.p).sum(axis=2), 1.0 / self.p)
+        total = _accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), self._term)
+        return np.power(total, 1.0 / self.p)
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.power(np.abs(X - q), self.p)
 
     def reduce_components(self, gathered: np.ndarray) -> np.ndarray:
-        return np.power(gathered.sum(axis=-1), 1.0 / self.p)
+        return np.power(_accumulate_terms(gathered), 1.0 / self.p)
 
     def finalize_component_sums(self, sums: np.ndarray) -> np.ndarray:
         return np.power(sums, 1.0 / self.p)

@@ -32,7 +32,7 @@ from repro.core.exceptions import (
 from repro.core.filtering import minimal_masks
 from repro.core.learning import LearningReport, learn_priors
 from repro.core.metrics import resolve_kernel
-from repro.core.od import ODEvaluator, SharedODCache, outlying_degree
+from repro.core.od import ODEvaluator, SharedODCache, full_space_ods
 from repro.core.precision import resolve_precision
 from repro.core.priors import PruningPriors
 from repro.core.result import BatchResult, OutlyingSubspaceResult
@@ -65,9 +65,13 @@ def calibrate_threshold(
     as outliers-somewhere — a practical way to anchor the paper's
     otherwise user-supplied threshold.
 
-    When *shared_cache* is given, every computed full-space OD is
-    published under its ``(row, full mask)`` key, so later batched
-    queries of the same rows replay the value instead of redoing kNN.
+    The sampled ODs come from one settle step on the full space
+    (:func:`~repro.core.od.full_space_ods`), so every value is exact
+    and ``T`` is the quantile of exact values. When *shared_cache* is
+    given, every computed full-space OD is published under its ``(row,
+    full mask)`` key with its exact kth distance as the delta bound, so
+    later batched queries of the same rows replay the value instead of
+    redoing kNN.
     """
     if not 0.0 < quantile < 1.0:
         raise ConfigurationError(f"quantile must be in (0, 1), got {quantile}")
@@ -78,23 +82,12 @@ def calibrate_threshold(
         if sample >= n
         else np.sort(rng.choice(n, size=sample, replace=False))
     )
-    dims = tuple(range(backend.d))
-    mask = full_mask(backend.d)
-    full_space_ods = []
-    for row in rows:
-        _, distances = backend.knn(X[row], k, dims, exclude=int(row))
-        value = float(distances.sum())
-        if shared_cache is not None:
-            # The exact kth distance doubles as the entry's safe bound
-            # for delta invalidation on the streaming path.
-            shared_cache.put(
-                SharedODCache.point_key(X[row], int(row)),
-                mask,
-                value,
-                kth=float(distances[-1]),
-            )
-        full_space_ods.append(value)
-    return float(np.quantile(full_space_ods, quantile))
+    values, bounds = full_space_ods(backend, X[rows], k, rows.tolist())
+    if shared_cache is not None:
+        mask = full_mask(backend.d)
+        for row, value, bound in zip(rows.tolist(), values.tolist(), bounds.tolist()):
+            shared_cache.put(SharedODCache.point_key(X[row], row), mask, value, kth=bound)
+    return float(np.quantile(values, quantile))
 
 
 class HOSMiner:
@@ -182,23 +175,7 @@ class HOSMiner:
         if self.config.threshold is not None:
             self._threshold = float(self.config.threshold)
         else:
-            self._threshold = calibrate_threshold(
-                self._backend,
-                X,
-                self.config.k,
-                quantile=self.config.threshold_quantile,
-                sample=self.config.threshold_sample,
-                seed=self.config.seed,
-                shared_cache=self._od_cache,
-            )
-            if self._threshold == 0.0:
-                raise ConfigurationError(
-                    f"the calibrated threshold is 0: about a "
-                    f"threshold_quantile={self.config.threshold_quantile} share or more "
-                    f"of the sampled rows have k={self.config.k} exact duplicates "
-                    "(full-space OD 0), so every subspace of every point would be "
-                    "outlying; pass an explicit threshold= instead"
-                )
+            self._threshold = self._calibrate()
 
         self._learning_report = learn_priors(
             self._backend,
@@ -285,6 +262,13 @@ class HOSMiner:
         * ``"threshold"`` — recalibrate ``T`` (only when it was
           auto-calibrated; an explicit ``threshold`` is never touched).
         * ``"full"`` — recalibrate ``T`` and rerun the learning pass.
+
+        A recalibrated ``T`` of 0 raises
+        :class:`~repro.core.exceptions.ConfigurationError`, as in
+        :meth:`fit`, before ``T`` is replaced. The miner then stays
+        fitted as after ``refresh="none"``: the rows are inserted, the
+        OD cache holds only the calibration's values for the grown
+        data, and ``T`` and the priors are the previous ones.
         """
         self._require_fitted()
         if refresh not in ("none", "threshold", "full"):
@@ -307,15 +291,7 @@ class HOSMiner:
         self.close()
 
         if refresh in ("threshold", "full") and self.config.threshold is None:
-            self._threshold = calibrate_threshold(
-                self._backend,
-                self._X,
-                self.config.k,
-                quantile=self.config.threshold_quantile,
-                sample=self.config.threshold_sample,
-                seed=self.config.seed,
-                shared_cache=self._od_cache,
-            )
+            self._threshold = self._calibrate()
         if refresh == "full":
             self._learning_report = learn_priors(
                 self._backend,
@@ -474,29 +450,26 @@ class HOSMiner:
         """Mine the whole dataset: rows with any outlying subspace.
 
         Under OD monotonicity, a row has an outlying subspace iff its
-        *full-space* OD reaches ``T``, so the screening pass is one cheap
-        kNN per row; only the survivors pay a subspace search. Returns
-        ``(row, result)`` pairs sorted by descending full-space OD
-        (strongest outliers first), truncated to ``max_results``.
+        *full-space* OD reaches ``T``, so the screening pass is one
+        settle step on the full space for every row
+        (:func:`~repro.core.od.full_space_ods`: exact values, many rows
+        per Gram product on the linear scan); only the survivors pay a
+        subspace search, one :meth:`query_row` each. Returns ``(row,
+        result)`` pairs sorted by descending full-space OD (strongest
+        outliers first, ties by row), truncated to ``max_results``.
         """
         self._require_fitted()
         if max_results is not None and max_results < 1:
             raise ConfigurationError(
                 f"max_results must be >= 1, got {max_results}"
             )
-        X = self._X
-        dims = tuple(range(self.d_))
-        flagged: list[tuple[float, int]] = []
-        for row in range(X.shape[0]):  # type: ignore[union-attr]
-            od_full = outlying_degree(
-                self._backend, X[row], self.config.k, dims, exclude=row
-            )
-            if od_full >= self._threshold:  # type: ignore[operator]
-                flagged.append((od_full, row))
-        flagged.sort(key=lambda pair: (-pair[0], pair[1]))
+        n = self._X.shape[0]  # type: ignore[union-attr]
+        values, _ = full_space_ods(self._backend, self._X, self.config.k, list(range(n)))
+        rows = np.flatnonzero(values >= self._threshold)
+        flagged = rows[np.lexsort((rows, -values[rows]))].tolist()
         if max_results is not None:
             flagged = flagged[:max_results]
-        return [(row, self.query_row(row)) for _, row in flagged]
+        return [(row, self.query_row(row)) for row in flagged]
 
     def search_outcome(
         self, target: "int | np.ndarray"
@@ -517,6 +490,29 @@ class HOSMiner:
         return self._make_search(evaluator).run(), evaluator
 
     # ------------------------------------------------------------------
+    def _calibrate(self) -> float:
+        """:func:`calibrate_threshold` over the current data with this
+        miner's settings, rejecting a calibrated ``T`` of 0 — the one
+        zero check of :meth:`fit` and :meth:`extend`."""
+        threshold = calibrate_threshold(
+            self._backend,
+            self._X,
+            self.config.k,
+            quantile=self.config.threshold_quantile,
+            sample=self.config.threshold_sample,
+            seed=self.config.seed,
+            shared_cache=self._od_cache,
+        )
+        if threshold == 0.0:
+            raise ConfigurationError(
+                f"the calibrated threshold is 0: about a "
+                f"threshold_quantile={self.config.threshold_quantile} share or more "
+                f"of the sampled rows have k={self.config.k} exact duplicates "
+                "(full-space OD 0), so every subspace of every point would be "
+                "outlying; pass an explicit threshold= instead"
+            )
+        return threshold
+
     def _resolve_target(
         self, target: "int | np.ndarray", is_row: bool
     ) -> "tuple[np.ndarray, int | None]":

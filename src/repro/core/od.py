@@ -26,6 +26,16 @@ Every OD value the searches decide on comes out of one evaluation path:
     cache      values and bounds land in :class:`ODEvaluator` and the
                per-fit :class:`SharedODCache`
 
+The full space is the one subspace settled on the exact kernel under
+every kernel setting. Monotonicity makes its OD the value computed most
+(threshold calibration, the ``detect_outliers`` screen and the first
+step of nearly every search), and it is always requested alone — the
+only mask at level ``d``. The linear scan serves it with one exact
+Gram-screened unit for many queries at once
+(:meth:`~repro.index.linear.LinearScanIndex.knn_full_prefix_batch`), so
+full-space cells need no component matrix, no re-verification and no
+band on their kth bounds (:func:`full_space_ods`).
+
 :class:`ODEvaluator` wraps a kNN backend with a per-``(query, subspace)``
 cache, because the dynamic search and the learning pass revisit
 subspaces for the same point (e.g. when ablation baselines replay a
@@ -51,7 +61,7 @@ import numpy as np
 from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.metrics import resolve_kernel
 from repro.core.precision import resolve_precision, reverify_rtol
-from repro.core.subspace import Subspace, dims_of_mask
+from repro.core.subspace import Subspace, dims_of_mask, full_mask
 from repro.index.base import KnnBackend, components32_from
 
 __all__ = [
@@ -60,6 +70,8 @@ __all__ = [
     "SharedODCache",
     "component_entry",
     "evaluate",
+    "full_space_ods",
+    "is_full_space",
     "knn_prefixes",
     "kth_bound",
     "near_threshold",
@@ -119,6 +131,12 @@ def outlying_degree(
     return float(distances.sum())
 
 
+def is_full_space(dims_list: "Sequence[np.ndarray]", d: int) -> bool:
+    """Whether a request is the full space alone — the only mask at
+    level ``d`` (dims are distinct, so ``d`` of them are all of them)."""
+    return len(dims_list) == 1 and len(dims_list[0]) == d
+
+
 def component_entry(backend, query: np.ndarray, precision: str) -> "tuple | None":
     """One query's component entry ``(components, components32, finite)``.
 
@@ -164,6 +182,10 @@ def knn_prefixes(
       at any group size.
     * Backends without it (the trees) answer one exact ``knn`` per
       ``(query, mask)``.
+    * An exact full-space request goes, for all its queries at once, to
+      the backend's full-space unit when it has one
+      (``knn_full_prefix_batch``, the linear scan); no component entry
+      is built or used for it.
     * Under the GEMM kernel a query whose component matrix has a
       non-finite entry runs the exact kernel instead: a masked-out
       ``inf`` component would turn into ``0 * inf = NaN`` inside the
@@ -179,6 +201,12 @@ def knn_prefixes(
     if q_count == 0 or m == 0:
         return out
     k_local = [min(k, backend.size - (ex is not None)) for ex in excludes]
+    full_unit = getattr(backend, "knn_full_prefix_batch", None)
+    if kernel == "exact" and full_unit is not None and is_full_space(dims_list, backend.d):
+        for k_row in sorted(set(k_local) - {0}):
+            rows = [i for i in range(q_count) if k_local[i] == k_row]
+            out[rows, 0, :k_row] = full_unit(queries[rows], k_row, [excludes[i] for i in rows])
+        return out
     if not hasattr(backend, "knn_distance_prefix_batch"):
         for i, (query, exclude) in enumerate(zip(queries, excludes)):
             if k_local[i] < 1:
@@ -248,9 +276,16 @@ def evaluate(
        *rtol* wherever a GEMM value stands (re-verified and exact cells
        need no slack).
 
+    A full-space request (the full space alone, see the module
+    docstring) runs on the exact kernel whatever *kernel* says, without
+    *entries*: its values are exact, so it needs neither step 2 nor a
+    band in step 3.
+
     *stats* (the coordinator backend's counters) records
     ``reverified_masks``.
     """
+    if is_full_space(dims_list, queries.shape[1]):
+        kernel, precision, entries = "exact", "float64", None
     prefixes = execute(queries, dims_list, k, excludes, kernel, precision, entries)
     values = prefixes.sum(axis=-1)
     kths = prefixes[..., -1].copy()
@@ -278,6 +313,32 @@ def evaluate(
         if stats is not None and reverified.any():
             stats.bump("reverified_masks", int(reverified.sum()))
     return values, kth_bound(kths, band), reverified
+
+
+def full_space_ods(
+    backend, queries: np.ndarray, k: int, excludes: "Sequence[int | None]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Full-space ODs of many queries and their exact kth bounds.
+
+    The settle step on a full-space request, in process — shared by
+    threshold calibration and the ``detect_outliers`` screen. Every
+    backend and metric reaches its exact kernel through
+    :func:`knn_prefixes` (the linear scan's Gram-screened unit, a tree's
+    ``knn``), so each value equals ``knn(query, k, range(d),
+    exclude)[1].sum()`` bit for bit.
+    """
+    values, bounds, _ = evaluate(
+        partial(knn_prefixes, backend),
+        queries,
+        [np.arange(backend.d)],
+        k,
+        excludes,
+        "exact",
+        "float64",
+        None,
+        0.0,
+    )
+    return values[:, 0], bounds[:, 0]
 
 
 class SharedODCache:
@@ -630,8 +691,13 @@ class ODEvaluator:
                 new_masks.append(mask)
         if not new_masks:
             return values
-        if not self._entry_built and (len(new_masks) > 1 or self.kernel == "gemm"):
-            # A lone exact mask is cheaper as one projection pass.
+        if (
+            not self._entry_built
+            and (len(new_masks) > 1 or self.kernel == "gemm")
+            and new_masks != [full_mask(self.backend.d)]
+        ):
+            # A lone exact mask is cheaper as one projection pass, and
+            # the full space is always settled exactly without one.
             self._entry_built = True
             self._entry = component_entry(self.backend, self.query, self.precision)
         sums, bounds, reverified = evaluate(

@@ -81,6 +81,7 @@ and keeps serving.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import time
@@ -92,7 +93,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.od import component_entry, knn_prefixes
+from repro.core.od import component_entry, is_full_space, knn_prefixes
 from repro.index import make_backend
 from repro.index.topk import topk_prefix
 from repro.testing.faults import FaultPlan, parse_faults
@@ -185,8 +186,13 @@ def _shard_prefixes(
     Queries go one by one because the workers already share the cores:
     a stacked multi-query product is big enough to start BLAS threads
     on top of them, which made 4-shard batches about 1.7x slower on a
-    2-core host.
+    2-core host. A full-space request is the exception: it is settled
+    exactly, needs no component entry, and goes to the shard's
+    full-space unit for all queries at once (one Gram product per block
+    — workers pin BLAS to one thread, see :func:`_pin_blas_threads`).
     """
+    if kernel == "exact" and is_full_space(dims_list, backend.d):
+        return knn_prefixes(backend, queries, dims_list, k, excludes, kernel, precision)
     out = np.empty((queries.shape[0], len(dims_list), k))
     for i, query in enumerate(queries):
         key = query.tobytes()
@@ -199,6 +205,33 @@ def _shard_prefixes(
             kernel, precision, [cache[key]],
         )[0]
     return out
+
+
+def _pin_blas_threads() -> None:
+    """Limit this process's OpenBLAS to one thread; a no-op without one.
+
+    Shard workers already occupy the cores, so BLAS threads on top of
+    them only oversubscribe. numpy's bundled OpenBLAS exports
+    ``scipy_openblas_set_num_threads64_``; the loaded library is found
+    through ``/proc/self/maps`` (Linux) and called through ``ctypes``.
+    Elsewhere, or when no loaded library exports the symbol, nothing
+    changes. Thread count never changes a value here: every full-space
+    value is recomputed exactly, and other cells are settled against
+    their rounding band as usual.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if set_threads is not None:
+            set_threads(ctypes.c_int(1))
+            return
 
 
 def _shard_worker(
@@ -235,6 +268,7 @@ def _shard_worker(
     at the attach/recv/send/sync points — inert unless a spec names this
     shard and incarnation.
     """
+    _pin_blas_threads()
     plan = FaultPlan.from_spec(spec.get("faults"), shard=shard_id, gen=gen)
     plan.fire("attach")
     segment, rows = _attach_segment(segment_name, capacity, d)

@@ -269,11 +269,35 @@ class TestQueryBatch:
 # ----------------------------------------------------------------------
 class TestSettleStep:
     def test_threshold_on_an_od_value_reverifies_alike_everywhere(self, dataset):
-        """T placed exactly on the target's full-space OD: the GEMM value
-        lands inside the band, the search must evaluate the full space
-        (no proper subspace reaches T), and the exact kernel decides —
-        in the sequential search, the in-process batch and the shard
-        pool alike."""
+        """T placed exactly on the target's OD in the 5-dim subspace
+        {1, 2, 3, 5, 6}: the GEMM value lands inside the band and the
+        exact kernel decides (the subspace is outlying at OD == T, and
+        minimal) — in the sequential search, the in-process batch and
+        the shard pool alike."""
+        row, mask = 0, 0b110111
+        exact = ODEvaluator(LinearScanIndex(dataset.X), dataset.X[row], 4, exclude=row)
+        threshold = exact.od(mask)
+
+        def make():
+            return HOSMiner(k=4, sample_size=0, kernel="gemm", threshold=threshold).fit(
+                dataset.X
+            )
+
+        with make() as a, make() as b, make() as c:
+            sequential = a.query_row(row)
+            inprocess = b.query_batch([row], workers=1).results[0]
+            sharded = c.query_batch([row], workers=2).results[0]
+        assert sequential.stats.reverified >= 1
+        assert mask in [s.mask for s in sequential.minimal]
+        for result in (inprocess, sharded):
+            assert_results_identical([sequential], [result])
+            assert result.stats.reverified == sequential.stats.reverified
+
+    def test_full_space_settles_exactly_without_reverification(self, dataset):
+        """T placed exactly on the full-space OD: the full space is
+        settled on the exact kernel, so its cell needs no re-verification
+        and the sequential search, the in-process batch and the shard
+        pool all report the exact value."""
         from repro.core.subspace import full_mask
 
         row, d = 0, dataset.X.shape[1]
@@ -289,11 +313,11 @@ class TestSettleStep:
             sequential = a.query_row(row)
             inprocess = b.query_batch([row], workers=1).results[0]
             sharded = c.query_batch([row], workers=2).results[0]
-        assert sequential.stats.reverified >= 1
-        assert full_mask(d) in [s.mask for s in sequential.minimal]
-        for result in (inprocess, sharded):
+        assert [s.mask for s in sequential.minimal] == [full_mask(d)]
+        assert list(sequential.od_values.values()) == [threshold]
+        for result in (sequential, inprocess, sharded):
+            assert result.stats.reverified == 0
             assert_results_identical([sequential], [result])
-            assert result.stats.reverified == sequential.stats.reverified
 
 
 # ----------------------------------------------------------------------

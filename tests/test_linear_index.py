@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.index.linear import BLOCK_ROWS, LinearScanIndex
@@ -121,3 +123,86 @@ class TestConstruction:
     def test_repr(self, index):
         backend, _ = index
         assert "LinearScanIndex" in repr(backend)
+
+
+class TestFullSpaceUnit:
+    """knn_full_prefix_batch: every prefix is the exact scan's, bit for bit."""
+
+    @staticmethod
+    def assert_matches_knn(backend, queries, k, excludes):
+        got = backend.knn_full_prefix_batch(queries, k, excludes)
+        for i, (query, exclude) in enumerate(zip(queries, excludes)):
+            _, expected = backend.knn(query, k, range(backend.d), exclude=exclude)
+            np.testing.assert_array_equal(got[i], expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_prefixes_equal_knn(self, data):
+        k = data.draw(st.integers(1, 12), label="k")
+        n = data.draw(st.integers(k + 1, k + 40), label="n")
+        d = data.draw(st.integers(1, 20), label="d")
+        kind = data.draw(
+            st.sampled_from(["plain", "ties", "duplicates", "offset", "tiny"]), label="kind"
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.normal(size=(n, d))
+        if kind == "ties":
+            X = np.round(X)  # many exactly equal distances
+        elif kind == "duplicates":
+            X[n // 2 :] = X[: n - n // 2]
+        elif kind == "offset":
+            X += 1e6
+        elif kind == "tiny":
+            X *= 1e-150
+        rows = rng.choice(n, size=min(n, 6), replace=False)
+        points = X[rng.integers(n, size=4)] + rng.normal(scale=0.3, size=(4, d)) * X.std()
+        queries = np.vstack([X[rows], points, X[rows[:1]]])  # the last: a row as a point
+        excludes = [int(row) for row in rows] + [None] * 5
+        backend = LinearScanIndex(X)
+        self.assert_matches_knn(backend, queries, k, excludes)
+        # The screen settles every finite query itself.
+        settled = backend._gram_screen(
+            queries, k, excludes, np.arange(d), np.empty((queries.shape[0], k))
+        )
+        assert settled.all()
+
+    def test_batch_traffic_rows_at_k1(self):
+        """At k=1 nearly every selection has one candidate; a refine
+        through a one-row ``einsum`` instead of ``pairwise`` disagrees
+        with the scan on 20 of these 96 rows."""
+        from repro.data.synthetic import make_planted_outliers
+
+        X = make_planted_outliers(n=8000, d=12, n_outliers=16, subspace_dims=(2, 3), seed=1).X
+        rng = np.random.default_rng(7)
+        rows = rng.choice(X.shape[0], size=64, replace=False)
+        points = X[rng.integers(X.shape[0], size=32)] + rng.normal(scale=0.05, size=(32, 12))
+        queries = np.vstack([X[rows], points])
+        self.assert_matches_knn(
+            LinearScanIndex(X), queries, 1, [int(row) for row in rows] + [None] * 32
+        )
+
+    def test_huge_magnitudes_take_the_scan(self, rng):
+        X = rng.normal(size=(30, 5)) * 1e160  # squares overflow float64
+        backend = LinearScanIndex(X)
+        queries, excludes = X[:4], [0, 1, 2, 3]
+        out = np.empty((4, 3))
+        assert not backend._gram_screen(queries, 3, excludes, np.arange(5), out).any()
+        self.assert_matches_knn(backend, queries, 3, excludes)
+
+    @pytest.mark.parametrize("metric", ["manhattan", "chebyshev", "minkowski:3"])
+    def test_other_metrics_scan_exactly(self, metric, rng):
+        X = rng.normal(size=(40, 4))
+        self.assert_matches_knn(LinearScanIndex(X, metric=metric), X[:5], 4, [0, 1, 2, 3, 4])
+
+    def test_validation_and_accounting(self, rng):
+        X = rng.normal(size=(30, 3))
+        backend = LinearScanIndex(X)
+        with pytest.raises(DataShapeError):
+            backend.knn_full_prefix_batch(rng.normal(size=(2, 4)), 2)
+        with pytest.raises(ConfigurationError):
+            backend.knn_full_prefix_batch(X[:2], 30, [0, 1])
+        backend.stats.reset()
+        backend.knn_full_prefix_batch(X[:3], 2, [0, 1, 2])
+        assert backend.stats.knn_queries == 3
+        assert backend.stats.distance_computations == 3 * 30
+        assert backend.knn_full_prefix_batch(np.empty((0, 3)), 2).shape == (0, 2)

@@ -163,3 +163,45 @@ class TestRegistry:
     def test_non_metric_rejected(self):
         with pytest.raises(ConfigurationError):
             get_metric(42)  # type: ignore[arg-type]
+
+
+class TestOneAccumulation:
+    """Every sum-reducing view of an L_p metric accumulates the same
+    sequence, so a distance does not depend on the operand's shape."""
+
+    SUM_METRICS = [EuclideanMetric(), ManhattanMetric(), MinkowskiMetric(3.0)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_views_agree_bit_for_bit_at_every_shape(self, data):
+        metric = data.draw(st.sampled_from(self.SUM_METRICS))
+        d = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 4))
+        X = data.draw(arrays(np.float64, (n, d), elements=FINITE))
+        Q = data.draw(arrays(np.float64, (m, d), elements=FINITE))
+        dims = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1)))
+        scans = np.stack([metric.pairwise(X, q, dims) for q in Q])
+        assert np.array_equal(metric.pairwise_many(X, Q, dims), scans)
+        for i in range(m):
+            components = metric.pairwise_components(X, Q[i])[:, dims]
+            assert np.array_equal(metric.reduce_components(components), scans[i])
+            # q as a matrix pairs one query with each row.
+            paired = metric.pairwise(X, np.repeat(Q[i : i + 1], n, axis=0), dims)
+            assert np.array_equal(paired, scans[i])
+            for r in range(n):
+                single = metric.pairwise_many(X[r : r + 1], Q[i : i + 1], dims)
+                assert single.shape == (1, 1)
+                assert single[0, 0] == scans[i, r]
+
+    def test_one_row_broadcast_matches_the_scan(self):
+        """The pair from the streaming repro: a (1, 1, d) broadcast once
+        summed in a different order than the (n, d) scan and read one
+        ulp high."""
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(40, 6))
+        q = 0.3 * rng.normal(size=6)
+        metric = EuclideanMetric()
+        scan = metric.pairwise(X, q, range(6))
+        for row in range(40):
+            assert metric.pairwise_many(X[row : row + 1], q[None, :], range(6))[0, 0] == scan[row]

@@ -206,6 +206,26 @@ class TestZeroCalibratedThreshold:
         with pytest.raises(NotFittedError):
             miner.detect_outliers()
 
+    @pytest.mark.parametrize("refresh", ["threshold", "full"])
+    def test_extend_refresh_raises_before_replacing_t(self, refresh):
+        """20 normal rows plus 4000 copies of row 0 calibrate to T = 0:
+        a refreshing extend refuses it as fit does, and the miner keeps
+        its previous T and priors over the grown data."""
+        X = np.random.default_rng(0).normal(size=(20, 4))
+        copies = np.repeat(X[:1], 4000, axis=0)
+        miner = HOSMiner(k=5, sample_size=3).fit(X)
+        threshold, priors = miner.threshold_, miner.priors_
+        with pytest.raises(ConfigurationError, match=r"threshold_quantile=0\.995.*threshold="):
+            miner.extend(copies, refresh=refresh)
+        assert miner.threshold_ == threshold
+        assert miner.priors_ is priors
+        assert miner.backend_.size == 4020
+        grown = np.vstack([X, copies])
+        oracle = HOSMiner(k=5, sample_size=0, threshold=threshold).fit(grown)
+        assert miner.query_row(5).minimal == oracle.query_row(5).minimal
+        with pytest.raises(ConfigurationError, match="threshold="):
+            HOSMiner(k=5).fit(grown)
+
     def test_explicit_zero_threshold_stays_legal(self):
         miner = HOSMiner(k=5, threshold=0.0).fit(np.zeros((20, 3)))
         assert miner.threshold_ == 0.0

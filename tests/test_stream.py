@@ -325,6 +325,38 @@ class TestDeltaCache:
         assert caches[0]._values == caches[1]._values
 
 
+    @pytest.mark.parametrize("seed", [24, 26, 48, 51])
+    def test_expired_kth_neighbour_evicts_a_one_entry_group(self, seed):
+        """The expired row is the query's exact full-space 3rd neighbour
+        and T sits between the stale OD and the fresh one. The delta
+        scan measures that one row against the one cached point; when it
+        rounded differently from the kernel's scan (a one-row broadcast),
+        the distance read one ulp above the exact kth bound, the entry
+        survived, and the streamed miner kept the stale OD."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 6))
+        q = 0.3 * rng.normal(size=6)
+        distances = EuclideanMetric().pairwise(X, q, np.arange(6))
+        third = int(np.argsort(distances, kind="stable")[2])
+        X[[0, third]] = X[[third, 0]]
+        full = (1 << 6) - 1
+
+        def od(rows):
+            return float(LinearScanIndex(rows).knn(q, 3, range(6))[1].sum())
+
+        stale, fresh = od(X), od(X[1:])
+        assert stale < fresh
+        threshold = (stale + fresh) / 2
+        config = dict(k=3, kernel="exact", threshold=threshold, sample_size=0)
+        miner = HOSMiner(**config).fit(X)
+        assert miner.query_batch([q]).results[0].minimal == []
+        miner.expire(1)
+        streamed = miner.query_batch([q]).results[0]
+        oracle = HOSMiner(**config).fit(X[1:]).query_point(q)
+        assert [s.mask for s in streamed.minimal] == [full]
+        assert_answers_identical([streamed], [oracle], f"seed={seed}")
+
+
 # ----------------------------------------------------------------------
 # extend() keeps invalidate-everything; insert() is the delta path
 # ----------------------------------------------------------------------
