@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core.config import require_threshold
 from repro.core.exceptions import ConfigurationError
 from repro.core.lattice import SubspaceLattice
 from repro.core.od import ODEvaluator
@@ -35,8 +36,7 @@ def exhaustive_search(evaluator: ODEvaluator, threshold: float) -> SearchOutcome
     The returned outcome's ``outlying_masks`` is the exact answer set —
     the oracle that every other strategy is verified against.
     """
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be non-negative, got {threshold}")
+    require_threshold(threshold)
     start = time.perf_counter()
     d = evaluator.backend.d
     lattice = SubspaceLattice(d)
@@ -68,8 +68,7 @@ def fixed_order_search(
     (a non-outlying full space wipes out everything). Which one wins
     depends on the data — exactly the gap TSF scheduling closes.
     """
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be non-negative, got {threshold}")
+    require_threshold(threshold)
     if order not in ("bottom_up", "top_down"):
         raise ConfigurationError(f"order must be 'bottom_up' or 'top_down', got {order!r}")
     start = time.perf_counter()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.exceptions import ConfigurationError
 from repro.core.metrics import KERNELS
 from repro.core.precision import PRECISIONS
@@ -20,6 +22,24 @@ __all__ = ["HOSMinerConfig"]
 _INDEX_BACKENDS = ("linear", "rstar", "xtree", "vafile")
 _RESELECT_MODES = ("level", "evaluation")
 _SHARD_MODES = ("rows",)
+
+
+def require_threshold(threshold) -> None:
+    """The one check of a distance threshold ``T``: a number ``>= 0``.
+
+    NaN fails too — every ``OD >= T`` test would read false, so a NaN
+    ``T`` would silently find nothing.
+    """
+    if not threshold >= 0:
+        raise ConfigurationError(f"threshold must be a non-negative number, got {threshold}")
+
+
+def require_integer(name: str, value) -> int:
+    """*value* as an ``int``; bools and non-integral values fail with a
+    :class:`ConfigurationError` naming *name* (numpy integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _default_precision() -> str:
@@ -181,12 +201,14 @@ class HOSMinerConfig:
     stream_window: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("k", "threshold_sample", "sample_size", "workers"):
+            require_integer(name, getattr(self, name))
+        if self.stream_window is not None:
+            require_integer("stream_window", self.stream_window)
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if self.threshold is not None and self.threshold < 0:
-            raise ConfigurationError(
-                f"threshold must be non-negative, got {self.threshold}"
-            )
+        if self.threshold is not None:
+            require_threshold(self.threshold)
         if not 0.0 < self.threshold_quantile < 1.0:
             raise ConfigurationError(
                 f"threshold_quantile must be in (0, 1), got {self.threshold_quantile}"

@@ -10,20 +10,23 @@ so the per-level outlying fraction
 
 is exact, not an estimate, for that sample point. Averaging over the
 ``S`` samples yields the priors used by all later query searches, with
-the paper's structural zeros ``p_down(1) = p_up(d) = 0``.
+the paper's structural zeros ``p_down(1) = p_up(d) = 0``. The ``S``
+sample searches run as one batch through the query driver
+(:func:`repro.core.search.run_searches`), so they share its work units.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.od import ODEvaluator, SharedODCache
+from repro.core.od import ODEvaluator, SharedODCache, knn_prefixes
 from repro.core.priors import PruningPriors
-from repro.core.search import DynamicSubspaceSearch, SearchStats
+from repro.core.search import DynamicSubspaceSearch, SearchStats, run_searches
 from repro.index.base import KnnBackend
 
 __all__ = ["LearningReport", "learn_priors"]
@@ -133,21 +136,27 @@ def learn_priors(
         int(row) for row in rng.choice(X.shape[0], size=sample_size, replace=False)
     )
 
+    searches = [
+        DynamicSubspaceSearch(
+            ODEvaluator(
+                backend,
+                X[row],
+                k,
+                exclude=row,
+                shared_cache=shared_cache,
+                kernel=kernel,
+                precision=precision,
+            ),
+            threshold,
+            uniform,
+            reselect,
+            adaptive=adaptive,
+        )
+        for row in sample_rows
+    ]
     p_up_sum = np.zeros(d + 1)
     report = LearningReport(priors=uniform, sample_rows=sample_rows)
-    for row in sample_rows:
-        evaluator = ODEvaluator(
-            backend,
-            X[row],
-            k,
-            exclude=row,
-            shared_cache=shared_cache,
-            kernel=kernel,
-            precision=precision,
-        )
-        outcome = DynamicSubspaceSearch(
-            evaluator, threshold, uniform, reselect, adaptive=adaptive
-        ).run()
+    for outcome in run_searches(searches, partial(knn_prefixes, backend)):
         fractions = np.zeros(d + 1)
         for m in range(1, d + 1):
             fractions[m] = outcome.lattice.level_outlying_fraction(m)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.batch import BatchQueryEngine
-from repro.core.config import HOSMinerConfig
+from repro.core.config import HOSMinerConfig, require_integer
 from repro.core.exceptions import (
     ConfigurationError,
     DataShapeError,
@@ -356,7 +356,7 @@ class HOSMiner:
         surviving row-keyed entries are re-keyed to the new coordinates.
         """
         self._require_fitted()
-        n_oldest = int(n_oldest)
+        n_oldest = require_integer("n_oldest", n_oldest)
         if n_oldest < 1:
             raise ConfigurationError(f"n_oldest must be >= 1, got {n_oldest}")
         if not hasattr(self._backend, "expire"):
@@ -402,7 +402,7 @@ class HOSMiner:
     def query(self, target: "int | np.ndarray") -> OutlyingSubspaceResult:
         """Dispatch: an integer is a dataset row, a vector an external point."""
         if isinstance(target, (int, np.integer)):
-            return self.query_row(int(target))
+            return self.query_row(target)
         return self.query_point(np.asarray(target))
 
     def query_row(self, row: int) -> OutlyingSubspaceResult:
@@ -522,10 +522,11 @@ class HOSMiner:
         a finite length-``d`` vector."""
         self._require_fitted()
         if is_row:
+            row = require_integer("row", target)
             n = self._X.shape[0]  # type: ignore[union-attr]
-            if not 0 <= target < n:
-                raise ConfigurationError(f"row {target} out of range for n={n}")
-            return self._X[target], int(target)  # type: ignore[index]
+            if not 0 <= row < n:
+                raise ConfigurationError(f"row {row} out of range for n={n}")
+            return self._X[row], row  # type: ignore[index]
         point = ODEvaluator._validate_query(target, self.d_)
         require_finite(point, "query point")
         return point, None

@@ -23,7 +23,8 @@ Every OD value the searches decide on comes out of one evaluation path:
     settle     :func:`evaluate` sums each prefix into an OD, re-verifies
                near-threshold GEMM cells with the exact kernel through
                the same executor, and inflates the kth-distance bounds
-    cache      values and bounds land in :class:`ODEvaluator` and the
+    prime      :func:`settle` runs that step for a group of evaluators
+               and records each row in its :class:`ODEvaluator` and the
                per-fit :class:`SharedODCache`
 
 The full space is the one subspace settled on the exact kernel under
@@ -61,7 +62,7 @@ import numpy as np
 from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.metrics import resolve_kernel
 from repro.core.precision import resolve_precision, reverify_rtol
-from repro.core.subspace import Subspace, dims_of_mask, full_mask
+from repro.core.subspace import Subspace, dims_of_mask
 from repro.index.base import KnnBackend, components32_from
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "kth_bound",
     "near_threshold",
     "outlying_degree",
+    "settle",
 ]
 
 #: Relative half-width of the band around the threshold inside which a
@@ -144,9 +146,9 @@ def component_entry(backend, query: np.ndarray, precision: str) -> "tuple | None
     (``None`` outside the float32 tier or on float32 overflow), and
     whether every component is finite — i.e. whether the GEMM may use
     it. ``None`` when the backend (or its metric) has no component
-    decomposition. Callers own the entry's lifetime: an evaluator keeps
-    it for its search, the batch engine per search under a memory
-    budget, a shard worker in a small FIFO. A float32 copy that survived
+    decomposition. Callers own the entry's lifetime: the search driver
+    keeps one per search under a memory budget, a shard worker a few in
+    a small FIFO. A float32 copy that survived
     the cast proves the float64 matrix finite, so the full finiteness
     scan only runs outside the float32 tier.
     """
@@ -193,8 +195,8 @@ def knn_prefixes(
 
     *entries* are the callers' cached :func:`component_entry` values per
     query (``None`` entries are built here when the GEMM needs them and
-    dropped afterwards). Shard workers, the degraded-shard fallback, the
-    batch engine and :meth:`ODEvaluator.od_many` all run this function.
+    dropped afterwards). Shard workers, the degraded-shard fallback and
+    the search driver's in-process executor all run this function.
     """
     q_count, m = queries.shape[0], len(dims_list)
     out = np.full((q_count, m, k), np.inf)
@@ -339,6 +341,45 @@ def full_space_ods(
         0.0,
     )
     return values[:, 0], bounds[:, 0]
+
+
+def settle(
+    execute: "Callable[..., np.ndarray]",
+    evaluators: "Sequence[ODEvaluator]",
+    masks: "Sequence[int]",
+    threshold: "float | None",
+    entries: "Sequence[tuple | None] | None" = None,
+) -> "list[list[float]]":
+    """Settle one work unit for a group of evaluators and prime each.
+
+    The evaluators' queries × *masks* run through *execute* and
+    :func:`evaluate` under the evaluators' shared ``k``, kernel,
+    precision and band; each evaluator then records its row with
+    :meth:`ODEvaluator.prime` and counts its re-verified cells. Returns
+    every evaluator's values in *masks* order. *entries* are the
+    evaluators' component entries, as for :func:`knn_prefixes`.
+    """
+    lead = evaluators[0]
+    values, bounds, reverified = evaluate(
+        execute,
+        np.array([evaluator.query for evaluator in evaluators]),
+        [np.asarray(dims_of_mask(mask), dtype=np.intp) for mask in masks],
+        lead.k,
+        [evaluator.exclude for evaluator in evaluators],
+        lead.kernel,
+        lead.precision,
+        threshold,
+        lead.reverify_rtol,
+        entries=entries,
+        stats=getattr(lead.backend, "stats", None),
+    )
+    rows = values.tolist()
+    for evaluator, row, kths, count in zip(
+        evaluators, rows, bounds.tolist(), reverified.tolist()
+    ):
+        evaluator.reverifications += count
+        evaluator.prime(masks, row, kths)
+    return rows
 
 
 class SharedODCache:
@@ -566,7 +607,7 @@ class ODEvaluator:
         are looked up there after the local cache misses and every
         computed value is published for other evaluators to reuse.
     kernel:
-        OD-kernel selector for :meth:`od_many` — ``"exact"`` (default),
+        OD-kernel selector for :func:`settle` — ``"exact"`` (default),
         ``"gemm"`` or ``"auto"``; resolved once against the backend's
         metric (an explicit ``"gemm"`` with an incapable metric fails
         here, loudly). A backend without the level kernel (the trees)
@@ -623,15 +664,11 @@ class ODEvaluator:
         self.shared_hits = 0
         self.reverifications = 0
         self._cache: dict[int, float] = {}
-        self._shared = shared_cache
-        self._point_key = (
+        self.shared_cache = shared_cache
+        #: Shared-cache key of the point; ``None`` without a shared cache.
+        self.point_key = (
             SharedODCache.point_key(query, exclude) if shared_cache is not None else None
         )
-        #: This query's component entry (:func:`component_entry`), built
-        #: on the first multi-mask or GEMM :meth:`od_many` miss and kept
-        #: for the evaluator's lifetime.
-        self._entry: "tuple | None" = None
-        self._entry_built = False
 
     @staticmethod
     def _validate_query(query: np.ndarray, d: int) -> np.ndarray:
@@ -669,87 +706,68 @@ class ODEvaluator:
     def od_many(self, masks: Sequence[int], threshold: float | None = None) -> dict[int, float]:
         """OD of the query point in every subspace of *masks* at once.
 
-        The level-wide evaluation point of the sequential search, in
-        three steps: cache replays are split off mask by mask, every
-        remaining subspace goes into **one** work unit
-        (:func:`knn_prefixes` with a single query — the single-GEMM
-        level kernel for ``kernel="gemm"``, with the query's component
-        matrix reused across every level of the search), and
-        :func:`evaluate` settles it. When *threshold* is given, GEMM
+        A one-request view of :func:`settle` in process: cache replays
+        are split off (:meth:`split_cached`) and the remaining subspaces
+        are settled as one work unit. When *threshold* is given, GEMM
         values inside the :func:`near_threshold` band are re-computed
         with the exact kernel, so the caller's ``OD >= threshold``
         decisions match what the exact kernel would have decided — the
         pruning contract of the kernel knob.
         """
-        values: dict[int, float] = {}
-        new_masks: list[int] = []
-        for mask in masks:
-            cached = self.cached_od(mask)
-            if cached is not None:
-                values[mask] = cached
-            else:
-                new_masks.append(mask)
-        if not new_masks:
-            return values
-        if (
-            not self._entry_built
-            and (len(new_masks) > 1 or self.kernel == "gemm")
-            and new_masks != [full_mask(self.backend.d)]
-        ):
-            # A lone exact mask is cheaper as one projection pass, and
-            # the full space is always settled exactly without one.
-            self._entry_built = True
-            self._entry = component_entry(self.backend, self.query, self.precision)
-        sums, bounds, reverified = evaluate(
-            partial(knn_prefixes, self.backend),
-            self.query[None, :],
-            [np.asarray(dims_of_mask(mask), dtype=np.intp) for mask in new_masks],
-            self.k,
-            [self.exclude],
-            self.kernel,
-            self.precision,
-            threshold,
-            self.reverify_rtol,
-            entries=[self._entry],
-            stats=getattr(self.backend, "stats", None),
-        )
-        self.reverifications += int(reverified[0])
-        for mask, value, bound in zip(new_masks, sums[0].tolist(), bounds[0].tolist()):
-            self._store(mask, value, kth=bound)
-            self.evaluations += 1
-            values[mask] = value
+        values, misses = self.split_cached(masks)
+        if misses:
+            (row,) = settle(partial(knn_prefixes, self.backend), [self], misses, threshold)
+            values.update(zip(misses, row))
         return values
+
+    def split_cached(self, masks: Sequence[int]) -> "tuple[dict[int, float], list[int]]":
+        """Split *masks* into cache replays ``{mask: od}`` and misses.
+
+        The replays go through :meth:`cached_od`, so each counts as a
+        hit; no kNN work is done.
+        """
+        cached_od = self.cached_od
+        values: dict[int, float] = {}
+        misses: list[int] = []
+        for mask in masks:
+            value = cached_od(mask)
+            if value is None:
+                misses.append(mask)
+            else:
+                values[mask] = value
+        return values, misses
 
     def cached_od(self, mask: int) -> float | None:
         """Cached OD for *mask* (local, then shared), or ``None``.
 
         Counts the hit on the matching counter; performs no kNN work.
-        The batched engine uses this to split a search's requested masks
-        into cache replays and genuinely new evaluations.
         """
         cached = self._cache.get(mask)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        if self._shared is not None:
-            shared = self._shared.get(self._point_key, mask)
+        if self.shared_cache is not None:
+            shared = self.shared_cache.get(self.point_key, mask)
             if shared is not None:
                 self.shared_hits += 1
                 self._cache[mask] = shared
                 return shared
         return None
 
-    def prime(self, mask: int, value: float, kth: float) -> None:
-        """Record an OD value computed externally on this point's behalf
-        (the batched engine); counts as one real evaluation. *kth* must
-        already be a safe bound (:func:`kth_bound`)."""
-        self._store(mask, value, kth=kth)
-        self.evaluations += 1
+    def prime(
+        self, masks: Sequence[int], values: Sequence[float], kths: Sequence[float]
+    ) -> None:
+        """Record OD values computed on this point's behalf (by
+        :func:`settle`); each counts as one real evaluation. *kths* must
+        already be safe bounds (:func:`kth_bound`)."""
+        for mask, value, kth in zip(masks, values, kths):
+            self._store(mask, value, kth)
+        self.evaluations += len(masks)
 
     def _store(self, mask: int, value: float, kth: float) -> None:
         self._cache[mask] = value
-        if self._shared is not None:
-            self._shared.put(self._point_key, mask, value, kth=kth)
+        if self.shared_cache is not None:
+            self.shared_cache.put(self.point_key, mask, value, kth=kth)
 
     def od_subspace(self, subspace: Subspace) -> float:
         """OD in a :class:`~repro.core.subspace.Subspace` (wrapper API)."""

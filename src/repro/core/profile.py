@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import require_threshold
 from repro.core.exceptions import ConfigurationError
 from repro.core.od import ODEvaluator
 from repro.core.subspace import masks_at_level
@@ -99,8 +100,7 @@ def compute_od_profile(
         the actionable part; the top levels cost the most).
     """
     d = evaluator.backend.d
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be non-negative, got {threshold}")
+    require_threshold(threshold)
     top = d if max_level is None else max_level
     if not 1 <= top <= d:
         raise ConfigurationError(f"max_level must be in [1, {d}], got {max_level}")

@@ -21,6 +21,10 @@ behaviour) finishes the chosen level before recomputing TSF;
 ``"evaluation"`` re-selects after every single OD computation, a finer
 variant used by the ablation experiment E10.
 
+A search is a coroutine (:meth:`DynamicSubspaceSearch.run_stepped`)
+that asks for OD values; :func:`run_searches` is its one driver, for a
+single query, the learning pass's samples and a query batch alike.
+
 Adaptive priors (extension beyond the paper)
 --------------------------------------------
 The paper applies the *dataset-average* priors ``p_up(m)``/``p_down(m)``
@@ -42,16 +46,34 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Generator
+from functools import partial
+from typing import Callable, Generator, Sequence
 
+import numpy as np
+
+from repro.core.config import require_threshold
 from repro.core.exceptions import ConfigurationError, SearchBudgetExceeded
 from repro.core.lattice import SubspaceLattice
-from repro.core.od import ODEvaluator
+from repro.core.od import ODEvaluator, component_entry, knn_prefixes, settle
 from repro.core.priors import PruningPriors
 from repro.core.savings import TSFInputs, total_saving_factor
-from repro.core.subspace import Subspace
+from repro.core.subspace import Subspace, full_mask
 
-__all__ = ["SearchStats", "SearchOutcome", "DynamicSubspaceSearch"]
+__all__ = [
+    "COMPONENT_BUDGET_BYTES",
+    "DynamicSubspaceSearch",
+    "SearchOutcome",
+    "SearchStats",
+    "run_searches",
+]
+
+#: Ceiling on the memory held in per-search component matrices at any
+#: moment inside :func:`run_searches`. Components are only profitable
+#: for searches that evaluate many subspaces, and those are exactly the
+#: searches that survive the first rounds — typically a small fraction
+#: of a batch — so this budget is rarely binding; when it is, the work
+#: unit builds a transient matrix per request instead.
+COMPONENT_BUDGET_BYTES = 256 * 2**20
 
 
 @dataclass(slots=True)
@@ -177,8 +199,7 @@ class DynamicSubspaceSearch:
         adaptive_prior_weight: float = 8.0,
         max_evaluations: int | None = None,
     ) -> None:
-        if threshold < 0:
-            raise ConfigurationError(f"threshold must be non-negative, got {threshold}")
+        require_threshold(threshold)
         if priors.d != evaluator.backend.d:
             raise ConfigurationError(
                 f"priors are for d={priors.d} but the data has d={evaluator.backend.d}"
@@ -204,22 +225,9 @@ class DynamicSubspaceSearch:
         self.max_evaluations = max_evaluations
 
     def run(self) -> SearchOutcome:
-        """Execute the search to completion and return the outcome.
-
-        A thin driver over :meth:`run_stepped`: each requested batch of
-        masks is answered by :meth:`ODEvaluator.od_many` — one work unit
-        under the evaluator's kernel (a single GEMM for
-        ``kernel="gemm"``) — with the threshold passed along so
-        near-threshold GEMM values are re-verified with the exact
-        kernel, keeping the answer set identical across kernels.
-        """
-        steps = self.run_stepped()
-        try:
-            masks = next(steps)
-            while True:
-                masks = steps.send(self.evaluator.od_many(masks, threshold=self.threshold))
-        except StopIteration as stop:
-            return stop.value
+        """Execute the search to completion and return the outcome: a
+        batch of one through :func:`run_searches`, in process."""
+        return run_searches([self], partial(knn_prefixes, self.evaluator.backend))[0]
 
     def run_stepped(
         self,
@@ -232,11 +240,11 @@ class DynamicSubspaceSearch:
         ``"level"`` mode one whole level is requested per step —
         same-level subspaces cannot prune one another, so deciding them
         from a pre-fetched batch replays the per-mask decisions exactly;
-        ``"evaluation"`` mode requests a single mask at a time. Every
-        driver — :meth:`run` and the batched engine, which groups
-        requests across many concurrent searches into shared work units
-        — therefore sees the same answer set, level schedule and logical
-        cost counters; only *who* computes the OD values changes.
+        ``"evaluation"`` mode requests a single mask at a time.
+        :func:`run_searches` drives it, grouping the requests of many
+        concurrent searches into shared work units; each search sees
+        the same answer set, level schedule and logical cost counters
+        whatever it is grouped with.
 
         Each step is recorded with one lattice call per rule: the
         outlying masks are marked and their supersets pruned, then the
@@ -308,6 +316,7 @@ class DynamicSubspaceSearch:
             stats=stats,
             lattice=lattice,
         )
+
     def _select_level(self, lattice: SubspaceLattice) -> int:
         """Level with the highest TSF; ties favour the lower level, which
         keeps the schedule deterministic and biases toward the small
@@ -362,3 +371,142 @@ class DynamicSubspaceSearch:
         if m == lattice.d:
             p_up_new = 0.0
         return p_up_new, p_down_new
+
+
+@dataclass(slots=True)
+class _Flight:
+    """One in-flight search inside :func:`run_searches`."""
+
+    gen: Generator[list[int], "dict[int, float]", SearchOutcome]
+    evaluator: ODEvaluator
+    #: Bytes of this search's component entry while it is held.
+    cost: int
+    pending: list[int] = field(default_factory=list)
+    values: dict[int, float] = field(default_factory=dict)
+    outcome: SearchOutcome | None = None
+    #: Component entry (:func:`repro.core.od.component_entry`), built on
+    #: the search's first miss below the full space and dropped when it
+    #: finishes.
+    entry: "tuple | None" = None
+    entry_built: bool = False
+
+
+def run_searches(
+    searches: Sequence[DynamicSubspaceSearch],
+    execute: Callable[..., np.ndarray],
+    component_budget: int = COMPONENT_BUDGET_BYTES,
+) -> list[SearchOutcome]:
+    """Drive many searches to completion in lock-step rounds.
+
+    The one driver of :meth:`DynamicSubspaceSearch.run_stepped`:
+    :meth:`~DynamicSubspaceSearch.run` is a batch of one, the learning
+    pass one batch of its samples, and ``query_batch`` one batch of its
+    targets. Each round
+
+    1. splits every active search's requested masks into cache replays
+       and misses (:meth:`~repro.core.od.ODEvaluator.split_cached`);
+    2. coalesces searches with the same shared-cache point key — the
+       first computes, the rest replay its values from the shared cache
+       after the round (an evaluator without a shared cache coalesces
+       with nothing);
+    3. groups the remaining misses by mask signature and settles each
+       group as one work unit through *execute* (a
+       :func:`~repro.core.od.knn_prefixes` bound to the backend, or a
+       shard pool's scatter) with :func:`~repro.core.od.settle`.
+
+    Each search's component matrix is built on its first miss below the
+    full space while the matrices held fit in *component_budget* bytes
+    (0 builds none), and dropped when the search finishes. Every search
+    must share one backend, ``k``, kernel, precision, shared cache and
+    threshold, because a group is settled as one unit. Returns the
+    outcomes in *searches* order.
+    """
+    units = {
+        (
+            id(search.evaluator.backend),
+            search.evaluator.k,
+            search.evaluator.kernel,
+            search.evaluator.precision,
+            id(search.evaluator.shared_cache),
+            search.threshold,
+        )
+        for search in searches
+    }
+    if len(units) > 1:
+        raise ConfigurationError(
+            "run_searches needs searches that share one backend, k, kernel, "
+            "precision, shared cache and threshold"
+        )
+    flights = []
+    for search in searches:
+        backend = search.evaluator.backend
+        # Float64 components cost 8 bytes/element; the float32 tier
+        # keeps a transposed float32 copy alongside (4 more).
+        per_cell = 12 if search.evaluator.precision == "float32" else 8
+        flights.append(
+            _Flight(search.run_stepped(), search.evaluator, backend.size * backend.d * per_cell)
+        )
+    held = 0
+
+    def entry(flight: _Flight) -> "tuple | None":
+        nonlocal held
+        if not flight.entry_built and held + flight.cost <= component_budget:
+            flight.entry_built = True
+            evaluator = flight.evaluator
+            flight.entry = component_entry(evaluator.backend, evaluator.query, evaluator.precision)
+            if flight.entry is not None:
+                held += flight.cost
+        return flight.entry
+
+    for flight in flights:
+        # d >= 1 guarantees the first step always requests something.
+        flight.pending = next(flight.gen)
+    active = flights
+    while active:
+        groups: dict[tuple[int, ...], list[_Flight]] = {}
+        duplicates: list[tuple[_Flight, list[int]]] = []
+        seen: set[tuple[str, object]] = set()
+        for flight in active:
+            flight.values, misses = flight.evaluator.split_cached(flight.pending)
+            if not misses:
+                continue
+            key = flight.evaluator.point_key
+            if key is not None:
+                if key in seen:
+                    duplicates.append((flight, misses))
+                    continue
+                seen.add(key)
+            groups.setdefault(tuple(misses), []).append(flight)
+        for signature, group in groups.items():
+            lead = group[0].evaluator
+            masks = list(signature)
+            rows = settle(
+                execute,
+                [flight.evaluator for flight in group],
+                masks,
+                searches[0].threshold,
+                # The full space settles exactly without component entries.
+                entries=None
+                if signature == (full_mask(lead.backend.d),)
+                else [entry(flight) for flight in group],
+            )
+            for flight, row in zip(group, rows):
+                flight.values.update(zip(masks, row))
+        for flight, misses in duplicates:
+            # The leader settled these masks into the shared cache.
+            cached_od = flight.evaluator.cached_od
+            for mask in misses:
+                flight.values[mask] = cached_od(mask)
+
+        still_active = []
+        for flight in active:
+            try:
+                flight.pending = flight.gen.send(flight.values)
+                still_active.append(flight)
+            except StopIteration as stop:
+                flight.outcome = stop.value
+                if flight.entry is not None:
+                    held -= flight.cost
+                    flight.entry = None
+        active = still_active
+    return [flight.outcome for flight in flights]

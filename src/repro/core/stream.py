@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.config import require_integer
 from repro.core.exceptions import ConfigurationError
 from repro.core.miner import HOSMiner
 from repro.core.result import BatchResult, OutlyingSubspaceResult
@@ -68,7 +69,7 @@ class StreamEngine:
         if window is None:
             window = miner.config.stream_window
         if window is not None:
-            window = int(window)
+            window = require_integer("window", window)
             if window < miner.config.k + 1:
                 raise ConfigurationError(
                     f"window must be >= k+1={miner.config.k + 1} (a full "

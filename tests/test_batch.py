@@ -3,18 +3,25 @@
 The batched path must be *indistinguishable* from the sequential one in
 its answers — element-wise identical results, including exact OD values
 and tie order — while provably doing less work (shared-cache replays,
-duplicate coalescing). These tests pin both halves of that contract,
-plus the index-layer prefix kernel and the up-front validation.
+duplicate coalescing). Both run the same search driver, so the answers
+are also checked against independent oracles: a fresh exact-kernel
+float64 miner and exhaustive search. These tests pin that contract, plus
+the index-layer prefix kernel and the up-front validation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.naive_search import exhaustive_search
 from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.filtering import minimal_masks
 from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator, SharedODCache
+from repro.core.precision import reverify_rtol
 from repro.core.result import BatchResult
 from repro.data.synthetic import make_planted_outliers
 from repro.index import LinearScanIndex
@@ -42,6 +49,46 @@ def assert_results_identical(sequential, batched):
         assert a.od_values == b.od_values  # exact float equality
         assert a.stats.od_evaluations == b.stats.od_evaluations
         assert a.stats.level_schedule == b.stats.level_schedule
+
+
+def assert_matches_oracles(miner, targets, results):
+    """Independent references for *miner*'s answers to *targets*.
+
+    A fresh ``kernel="exact", precision="float64"`` miner with the same
+    ``T`` must report the same minimal subspaces and outlying count, with
+    OD values equal (exact tier) or within the served tier's
+    re-verification band; exhaustive search must agree on the most
+    outlying target.
+    """
+    X = np.asarray(miner.backend_.data)
+    k, threshold = miner.config.k, miner.threshold_
+    rtol = reverify_rtol(miner.precision_, miner.d_) if miner.kernel_ == "gemm" else 0.0
+    exact = HOSMiner(
+        k=k, threshold=threshold, kernel="exact", precision="float64", sample_size=0
+    ).fit(X)
+    targets = list(targets)
+    assert len(targets) == len(results)
+    for target, result in zip(targets, results):
+        want = exact.query(target)
+        assert result.minimal == want.minimal
+        assert result.total_outlying == want.total_outlying
+        for subspace, value in want.od_values.items():
+            got = result.od_values[subspace]
+            assert abs(got - value) <= rtol * (abs(got) + abs(value) + 1.0)
+    if not targets:
+        return
+    target, result = max(zip(targets, results), key=lambda pair: pair[1].total_outlying)
+    if isinstance(target, (int, np.integer)):
+        query, exclude = X[int(target)], int(target)
+    else:
+        query, exclude = np.asarray(target, dtype=np.float64), None
+    oracle = exhaustive_search(
+        ODEvaluator(LinearScanIndex(X), query, k, exclude=exclude), threshold
+    )
+    assert sorted(minimal_masks(oracle.outlying_masks)) == sorted(
+        subspace.mask for subspace in result.minimal
+    )
+    assert len(oracle.outlying_masks) == result.total_outlying
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +185,23 @@ class TestRunStepped:
             assert outcome.stats.downward_pruned == reference.stats.downward_pruned
 
 
+class TestRunSearches:
+    def test_rejects_searches_of_different_models(self, miner, dataset):
+        from functools import partial
+
+        from repro.core.od import knn_prefixes
+        from repro.core.search import DynamicSubspaceSearch, run_searches
+
+        def search(threshold):
+            evaluator = ODEvaluator(miner.backend_, dataset.X[0], 4, exclude=0)
+            return DynamicSubspaceSearch(evaluator, threshold, miner.priors_)
+
+        execute = partial(knn_prefixes, miner.backend_)
+        assert run_searches([], execute) == []
+        with pytest.raises(ConfigurationError, match="share one backend"):
+            run_searches([search(1.0), search(2.0)], execute)
+
+
 # ----------------------------------------------------------------------
 # Miner layer: query_batch losslessness (the headline contract)
 # ----------------------------------------------------------------------
@@ -147,6 +211,7 @@ class TestQueryBatch:
         sequential = [miner.query_row(row) for row in rows]
         batched = miner.query_batch(rows)
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(miner, rows, batched.results)
 
     def test_external_points_identical_to_sequential(self, miner, dataset, rng):
         points = dataset.X[rng.choice(dataset.X.shape[0], size=20)] + rng.normal(
@@ -155,6 +220,7 @@ class TestQueryBatch:
         sequential = [miner.query_point(point) for point in points]
         batched = miner.query_batch(points)
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(miner, points, batched.results)
 
     def test_mixed_targets_with_duplicates(self, miner, dataset):
         external = dataset.X[5] + 0.25
@@ -162,6 +228,7 @@ class TestQueryBatch:
         sequential = [miner.query(t) for t in targets]
         batched = miner.query_batch(targets)
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(miner, targets, batched.results)
 
     def test_strictly_fewer_knn_evaluations(self, dataset):
         """Acceptance: ≥64 targets, identical answers, strictly fewer
@@ -180,6 +247,7 @@ class TestQueryBatch:
         batched_knn = fresh.backend_.stats.knn_queries - before
 
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(fresh, targets, batched.results)
         assert batched.shared_cache_hits > 0
         assert batched_knn < sequential_knn
         assert batched.knn_evaluations == batched_knn
@@ -192,6 +260,7 @@ class TestQueryBatch:
         second = fresh.query_batch(targets)
         assert fresh.backend_.stats.knn_queries == before  # pure replay
         assert_results_identical(first.results, second.results)
+        assert_matches_oracles(fresh, targets, second.results)
 
     def test_workers_mode_identical(self, miner, dataset, rng):
         points = dataset.X[rng.choice(dataset.X.shape[0], size=12)] + rng.normal(
@@ -201,6 +270,7 @@ class TestQueryBatch:
         batched = miner.query_batch(points, workers=2)
         assert batched.workers == 2
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(miner, points, batched.results)
 
     def test_empty_and_single_batches(self, miner, dataset):
         empty = miner.query_batch([])
@@ -208,13 +278,16 @@ class TestQueryBatch:
         assert empty.n_outliers == 0
         single = miner.query_batch([3])
         assert_results_identical([miner.query_row(3)], single.results)
+        assert_matches_oracles(miner, [3], single.results)
         vector = miner.query_batch(np.asarray(dataset.X[3]))
         assert len(vector) == 1
+        assert_matches_oracles(miner, [dataset.X[3]], vector.results)
 
     def test_row_array_targets(self, miner):
         batched = miner.query_batch(np.array([0, 4, 9]))
         sequential = [miner.query_row(row) for row in (0, 4, 9)]
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(miner, np.array([0, 4, 9]), batched.results)
 
     @pytest.mark.parametrize("index", ["vafile", "rstar"])
     def test_other_backends(self, dataset, index):
@@ -225,6 +298,7 @@ class TestQueryBatch:
         sequential = [fresh.query_row(row) for row in rows]
         batched = fresh.query_batch(rows)
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(fresh, rows, batched.results)
 
     @pytest.mark.parametrize("reselect,adaptive", [("evaluation", False), ("level", True)])
     def test_search_variants(self, dataset, reselect, adaptive):
@@ -239,6 +313,7 @@ class TestQueryBatch:
         sequential = [fresh.query_row(row) for row in rows]
         batched = fresh.query_batch(rows)
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(fresh, rows, batched.results)
 
     def test_validation_up_front(self, miner):
         with pytest.raises(DataShapeError, match=r"\(m, 6\)"):
@@ -262,6 +337,64 @@ class TestQueryBatch:
         assert batched.stats.od_evaluations == sum(
             result.stats.od_evaluations for result in batched.results
         )
+        assert_matches_oracles(miner, range(8), batched.results)
+
+
+# ----------------------------------------------------------------------
+# Batch composition: how targets are batched never changes an answer
+# ----------------------------------------------------------------------
+def _answer(result) -> tuple:
+    """Everything a search reports except ``reverified`` (a duplicate
+    replays its leader's values and re-verifies nothing)."""
+    stats = result.stats
+    return (
+        result.minimal,
+        result.total_outlying,
+        result.od_values,
+        stats.od_evaluations,
+        stats.upward_pruned,
+        stats.downward_pruned,
+        stats.level_schedule,
+        stats.evaluations_by_level,
+    )
+
+
+@st.composite
+def _composition(draw):
+    """Planted data, mixed row/point targets with duplicates, a shuffle
+    and a split into sub-batches."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    X = make_planted_outliers(
+        n=60, d=d, n_outliers=2, subspace_dims=2, displacement=9.0, seed=seed
+    ).X
+    points = X[:4] + np.random.default_rng(seed).normal(scale=0.3, size=(4, d))
+    pool = [0, 1, 7, 30] + list(points)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=9))
+    order = draw(st.permutations(range(len(picks))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(picks) - 1), max_size=3)))
+    return X, [pool[i] for i in picks], order, cuts
+
+
+class TestBatchComposition:
+    @settings(max_examples=15, deadline=None)
+    @given(_composition())
+    def test_answers_independent_of_batching(self, case):
+        X, targets, order, cuts = case
+
+        def fresh():
+            return HOSMiner(k=3, sample_size=4, threshold_quantile=0.9).fit(X)
+
+        want = [_answer(result) for result in fresh().query_batch(targets).results]
+        shuffled = fresh().query_batch([targets[i] for i in order]).results
+        assert [_answer(shuffled[order.index(i)]) for i in range(len(targets))] == want
+        miner = fresh()
+        split = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(targets)]):
+            split += miner.query_batch(targets[lo:hi]).results
+        assert [_answer(result) for result in split] == want
+        miner = fresh()
+        assert [_answer(miner.query(target)) for target in targets] == want
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +420,9 @@ class TestSettleStep:
             sequential = a.query_row(row)
             inprocess = b.query_batch([row], workers=1).results[0]
             sharded = c.query_batch([row], workers=2).results[0]
+            assert_matches_oracles(a, [row], [sequential])
+            assert_matches_oracles(b, [row], [inprocess])
+            assert_matches_oracles(c, [row], [sharded])
         assert sequential.stats.reverified >= 1
         assert mask in [s.mask for s in sequential.minimal]
         for result in (inprocess, sharded):
@@ -313,6 +449,9 @@ class TestSettleStep:
             sequential = a.query_row(row)
             inprocess = b.query_batch([row], workers=1).results[0]
             sharded = c.query_batch([row], workers=2).results[0]
+            assert_matches_oracles(a, [row], [sequential])
+            assert_matches_oracles(b, [row], [inprocess])
+            assert_matches_oracles(c, [row], [sharded])
         assert [s.mask for s in sequential.minimal] == [full_mask(d)]
         assert list(sequential.od_values.values()) == [threshold]
         for result in (sequential, inprocess, sharded):
@@ -337,6 +476,7 @@ class TestSharedODCache:
         sequential = [fresh.query_row(row) for row in range(6)]
         batched = fresh.query_batch(list(range(6)))
         assert_results_identical(sequential, batched.results)
+        assert_matches_oracles(fresh, range(6), batched.results)
 
     def test_point_key_distinguishes_row_and_external(self):
         query = np.array([1.0, 2.0])

@@ -73,6 +73,14 @@ class TestCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_query_rejects_nan_threshold(self, tmp_path, capsys):
+        dataset = load_athletes(n=30)
+        path = tmp_path / "athletes.csv"
+        path.write_text(dataset_to_csv(dataset))
+        code = main(["query", str(path), "--row", "0", "--threshold", "nan"])
+        assert code == 2
+        assert "threshold must be a non-negative number, got nan" in capsys.readouterr().err
+
     def test_query_with_profile(self, tmp_path, capsys):
         dataset = load_athletes(n=60)
         path = tmp_path / "athletes.csv"

@@ -8,7 +8,9 @@ import pytest
 from repro.baselines.naive_search import exhaustive_search
 from repro.core.exceptions import ConfigurationError
 from repro.core.learning import learn_priors
-from repro.core.od import ODEvaluator
+from repro.core.od import ODEvaluator, SharedODCache
+from repro.core.priors import PruningPriors
+from repro.core.search import DynamicSubspaceSearch
 from repro.index.linear import LinearScanIndex
 
 
@@ -95,3 +97,50 @@ class TestLearnPriors:
             s.od_evaluations for s in report.per_sample_stats
         )
         assert report.wall_time_s > 0
+
+
+class TestBatchedLearningPass:
+    """The learning pass runs its sample searches as one batch; each
+    sample must decide exactly what a search driven by hand through
+    ``run_stepped`` with per-mask exact ``od`` decides."""
+
+    @pytest.mark.parametrize("reselect", ["level", "evaluation"])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_matches_hand_driven_searches(self, problem, reselect, adaptive):
+        X, backend = problem
+        threshold = 3.0  # four of the eight samples have outlying subspaces
+        report = learn_priors(
+            backend, X, 3, threshold, sample_size=8, seed=5, reselect=reselect,
+            adaptive=adaptive, shared_cache=SharedODCache(), kernel="auto",
+        )
+        assert len(report.sample_rows) == 8
+        for row, fractions, stats in zip(
+            report.sample_rows, report.per_sample_fractions, report.per_sample_stats
+        ):
+            evaluator = ODEvaluator(backend, X[row], 3, exclude=row)
+            search = DynamicSubspaceSearch(
+                evaluator, threshold, PruningPriors.uniform(4), reselect, adaptive=adaptive
+            )
+            steps = search.run_stepped()
+            pending = next(steps)
+            while True:
+                try:
+                    pending = steps.send({mask: evaluator.od(mask) for mask in pending})
+                except StopIteration as stop:
+                    outcome = stop.value
+                    break
+            want = [outcome.lattice.level_outlying_fraction(m) for m in range(1, 5)]
+            assert fractions[1:].tolist() == want
+            assert (
+                stats.od_evaluations,
+                stats.upward_pruned,
+                stats.downward_pruned,
+                stats.level_schedule,
+                stats.evaluations_by_level,
+            ) == (
+                outcome.stats.od_evaluations,
+                outcome.stats.upward_pruned,
+                outcome.stats.downward_pruned,
+                outcome.stats.level_schedule,
+                outcome.stats.evaluations_by_level,
+            )

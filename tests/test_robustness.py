@@ -168,6 +168,88 @@ class TestSearchOutcomeBoundary:
             miner.search_outcome(500)
 
 
+class TestDegenerateConfigValues:
+    """Degenerate knob values fail with a ConfigurationError at the API
+    boundary instead of answering silently wrong or raising a raw numpy
+    error later."""
+
+    @pytest.fixture(scope="class")
+    def miner(self):
+        X = np.random.default_rng(5).normal(size=(60, 3))
+        return HOSMiner(k=3, sample_size=2, threshold=2.0).fit(X)
+
+    @pytest.mark.parametrize(
+        "entry", ["config", "search", "exhaustive", "fixed_order", "profile"]
+    )
+    def test_nan_threshold(self, miner, entry):
+        from repro.baselines.naive_search import fixed_order_search
+        from repro.core.profile import compute_od_profile
+
+        evaluator = ODEvaluator(miner.backend_, miner.backend_.data[0], 3, exclude=0)
+        calls = {
+            "config": lambda: HOSMiner(threshold=float("nan")),
+            "search": lambda: DynamicSubspaceSearch(
+                evaluator, float("nan"), PruningPriors.uniform(3)
+            ),
+            "exhaustive": lambda: exhaustive_search(evaluator, float("nan")),
+            "fixed_order": lambda: fixed_order_search(evaluator, float("nan")),
+            "profile": lambda: compute_od_profile(evaluator, float("nan")),
+        }
+        with pytest.raises(ConfigurationError, match="threshold must be a non-negative"):
+            calls[entry]()
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("k", True),
+            ("k", 2.5),
+            ("sample_size", 2.5),
+            ("sample_size", True),
+            ("threshold_sample", 2.5),
+            ("workers", 1.5),
+            ("workers", True),
+        ],
+    )
+    def test_non_integral_knob(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            HOSMiner(**{name: value})
+
+    @pytest.mark.parametrize("value", [100.5, float("nan")])
+    @pytest.mark.parametrize("entry", ["config", "engine"])
+    def test_non_integral_stream_window(self, miner, entry, value):
+        from repro.core.stream import StreamEngine
+
+        with pytest.raises(ConfigurationError, match="window must be an integer"):
+            if entry == "config":
+                HOSMiner(stream_window=value)
+            else:
+                StreamEngine(miner, window=value)
+
+    @pytest.mark.parametrize("call", ["query", "query_row", "query_batch", "search_outcome"])
+    def test_bool_row_id(self, miner, call):
+        with pytest.raises(ConfigurationError, match="row must be an integer, got True"):
+            if call == "query_batch":
+                miner.query_batch([True])
+            else:
+                getattr(miner, call)(True)
+
+    @pytest.mark.parametrize("count", [1.5, True])
+    def test_non_integral_expire(self, count):
+        X = np.random.default_rng(6).normal(size=(30, 3))
+        miner = HOSMiner(k=3, sample_size=0, threshold=2.0).fit(X)
+        with pytest.raises(ConfigurationError, match="n_oldest must be an integer"):
+            miner.expire(count)
+        assert miner.backend_.size == 30
+
+    def test_numpy_integers_stay_accepted(self, miner):
+        config = dict(k=np.int64(3), sample_size=np.int32(2), threshold_sample=np.int64(50))
+        fitted = HOSMiner(workers=np.int64(1), threshold=2.0, **config).fit(
+            miner.backend_.data
+        )
+        assert fitted.query(np.int64(4)).minimal == miner.query_row(4).minimal
+        assert fitted.query_batch(np.array([4])).results[0].minimal == miner.query_row(4).minimal
+
+
 class TestMetricVariations:
     @pytest.mark.parametrize("metric", ["manhattan", "chebyshev", "minkowski:3"])
     def test_pipeline_matches_oracle_under_any_metric(self, metric):
