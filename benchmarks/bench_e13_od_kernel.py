@@ -7,9 +7,8 @@ head, each summed into OD values. The exact kernel is the first batched
 engine's hot loop — one gather-and-reduce over the cached component
 matrix per mask; the GEMM kernel answers every mask with a single
 ``M @ C.T`` BLAS product plus one axis-wise top-k selection. A third
-column times the mask-major *fused* kernel
-(``knn_distance_prefix_batch``) that stacks several queries' component
-matrices into one GEMM, normalised per query.
+column (``fused``) times one ``knn_distance_prefix_batch`` call over
+four queries — one float64 product per query — normalised per query.
 
 The measurement lives in :data:`repro.bench.perf.E13_SPEC`; this script
 is its classic entry point. ``python benchmarks/bench_e13_od_kernel.py``

@@ -10,7 +10,7 @@ same cell, asserts the sums are bit-identical, and records both
 high-water marks from the backend's ``peak_intermediate_bytes`` counter.
 A 4-query ``knn_distance_prefix_batch`` call runs under the same
 ceiling (``peak_blocked_batch_mb``), asserted bit-identical to its
-unblocked stacked twin.
+unblocked twin.
 
 The measurement lives in :data:`repro.bench.perf.E14_SPEC`; this script
 is its classic entry point. ``python benchmarks/bench_e14_memory_ceiling.py``

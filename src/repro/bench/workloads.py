@@ -187,17 +187,18 @@ def small_batch_setup(**overrides):
 # ----------------------------------------------------------------------
 # E13 — level-wide kernel inputs
 # ----------------------------------------------------------------------
-def make_level_masks(rng: np.random.Generator, d: int, width: int) -> list[np.ndarray]:
-    """A level-ish batch of *width* random subspace masks over ``d`` dims.
+def make_level_masks(rng: np.random.Generator, d: int, width: int) -> np.ndarray:
+    """A level-ish batch of *width* random subspace masks over ``d`` dims,
+    as the int64 mask array the prefix kernels take.
 
     Real rounds mix levels (different searches expand different levels),
     so widths beyond one level's worth draw masks of every size — the
     kernel's cost depends on ``(n, d, width)``, not on which masks.
     """
-    masks = []
-    for _ in range(width):
+    masks = np.empty(width, dtype=np.int64)
+    for j in range(width):
         size = int(rng.integers(1, d + 1))
-        masks.append(np.sort(rng.choice(d, size=size, replace=False)).astype(np.intp))
+        masks[j] = np.bitwise_or.reduce(1 << rng.choice(d, size=size, replace=False))
     return masks
 
 

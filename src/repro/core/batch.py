@@ -66,9 +66,9 @@ def _scatter_executor(pool: "ShardPool", backend):
     stats = backend.stats
     flops_per_cell = 2 * backend.size * backend.d
 
-    def execute(queries, dims_list, k, excludes, kernel, precision, entries=None):
-        prefixes = pool.scatter_prefixes(queries, dims_list, k, excludes, kernel, precision)
-        cells = queries.shape[0] * len(dims_list)
+    def execute(queries, masks, k, excludes, kernel, precision, entries=None):
+        prefixes = pool.scatter_prefixes(queries, masks, k, excludes, kernel, precision)
+        cells = queries.shape[0] * len(masks)
         stats.knn_queries += cells
         if kernel == "gemm":
             stats.bump("gemm_flops", flops_per_cell * cells)

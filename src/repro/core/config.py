@@ -42,6 +42,14 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_bool(name: str, value) -> bool:
+    """*value* as a ``bool``; anything else (a truthy string such as
+    ``"no"`` included) fails with a :class:`ConfigurationError`."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def _default_precision() -> str:
     """Default of the ``precision`` knob; overridable via the
     ``HOSMINER_PRECISION`` environment variable (the CI float32 job sets
@@ -201,10 +209,14 @@ class HOSMinerConfig:
     stream_window: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("k", "threshold_sample", "sample_size", "workers"):
+        for name in ("k", "threshold_sample", "sample_size", "workers", "max_retries"):
             require_integer(name, getattr(self, name))
-        if self.stream_window is not None:
-            require_integer("stream_window", self.stream_window)
+        for name in ("stream_window", "seed"):
+            if getattr(self, name) is not None:
+                require_integer(name, getattr(self, name))
+        require_bool("adaptive", self.adaptive)
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if self.threshold is not None:
@@ -243,7 +255,7 @@ class HOSMinerConfig:
             raise ConfigurationError(
                 f"shard must be one of {_SHARD_MODES}, got {self.shard!r}"
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ConfigurationError(
                 f"timeout_s must be positive (or None to disable "
                 f"deadlines), got {self.timeout_s}"
@@ -252,7 +264,7 @@ class HOSMinerConfig:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_s < 0:
+        if not self.backoff_s >= 0:
             raise ConfigurationError(
                 f"backoff_s must be >= 0, got {self.backoff_s}"
             )

@@ -27,9 +27,11 @@ from repro.core.config import HOSMinerConfig, require_integer
 from repro.core.exceptions import (
     ConfigurationError,
     DataShapeError,
+    DimensionalityError,
     NotFittedError,
 )
 from repro.core.filtering import minimal_masks
+from repro.core.lattice import MAX_LATTICE_DIM
 from repro.core.learning import LearningReport, learn_priors
 from repro.core.metrics import resolve_kernel
 from repro.core.od import ODEvaluator, SharedODCache, full_space_ods
@@ -131,6 +133,12 @@ class HOSMiner:
                 f"expected an (n >= 2, d >= 1) matrix, got shape {X.shape}"
             )
         require_finite(X, "data row")
+        if X.shape[1] > MAX_LATTICE_DIM:
+            # Checked before anything is built: no search could run.
+            raise DimensionalityError(
+                f"d={X.shape[1]} exceeds the materialised-lattice cap of "
+                f"{MAX_LATTICE_DIM}; reduce the dimensionality (e.g. by feature selection)"
+            )
         if self.config.k > X.shape[0] - 1:
             raise ConfigurationError(
                 f"k={self.config.k} needs at least k+1={self.config.k + 1} rows, "
@@ -459,7 +467,7 @@ class HOSMiner:
         outliers first, ties by row), truncated to ``max_results``.
         """
         self._require_fitted()
-        if max_results is not None and max_results < 1:
+        if max_results is not None and require_integer("max_results", max_results) < 1:
             raise ConfigurationError(
                 f"max_results must be >= 1, got {max_results}"
             )

@@ -62,8 +62,8 @@ import numpy as np
 from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.metrics import resolve_kernel
 from repro.core.precision import resolve_precision, reverify_rtol
-from repro.core.subspace import Subspace, dims_of_mask
-from repro.index.base import KnnBackend, components32_from
+from repro.core.subspace import Subspace, dims_of_mask, full_mask
+from repro.index.base import KnnBackend, components32_from, mask_matrix, validate_masks
 
 __all__ = [
     "GEMM_REVERIFY_RTOL",
@@ -133,10 +133,10 @@ def outlying_degree(
     return float(distances.sum())
 
 
-def is_full_space(dims_list: "Sequence[np.ndarray]", d: int) -> bool:
-    """Whether a request is the full space alone — the only mask at
-    level ``d`` (dims are distinct, so ``d`` of them are all of them)."""
-    return len(dims_list) == 1 and len(dims_list[0]) == d
+def is_full_space(masks: np.ndarray, d: int) -> bool:
+    """Whether a mask request is the full space alone — the only mask
+    at level ``d``."""
+    return masks.shape == (1,) and masks[0] == (1 << d) - 1
 
 
 def component_entry(backend, query: np.ndarray, precision: str) -> "tuple | None":
@@ -164,7 +164,7 @@ def component_entry(backend, query: np.ndarray, precision: str) -> "tuple | None
 def knn_prefixes(
     backend,
     queries: np.ndarray,
-    dims_list: "Sequence[np.ndarray]",
+    masks: np.ndarray,
     k: int,
     excludes: "Sequence[int | None]",
     kernel: str,
@@ -174,7 +174,9 @@ def knn_prefixes(
     """The work unit in process: sorted k-nearest distance prefixes.
 
     Returns ``(q, m, k)`` — row ``[i, j]`` is query ``i``'s ``k``
-    smallest distances in subspace ``dims_list[j]``, ascending. Rows are
+    smallest distances in the subspace of bitmask ``masks[j]`` (a 1-D
+    integer array, checked by :func:`~repro.index.base.validate_masks`),
+    ascending. Rows are
     inf-padded when the backend holds fewer than ``k`` candidates (a
     small shard; the coordinator's merge drowns the padding).
 
@@ -183,7 +185,7 @@ def knn_prefixes(
       share a row kernel and a ``k``, under the kernel's memory ceiling
       at any group size.
     * Backends without it (the trees) answer one exact ``knn`` per
-      ``(query, mask)``.
+      ``(query, mask)`` over the mask's dims.
     * An exact full-space request goes, for all its queries at once, to
       the backend's full-space unit when it has one
       (``knn_full_prefix_batch``, the linear scan); no component entry
@@ -198,22 +200,24 @@ def knn_prefixes(
     dropped afterwards). Shard workers, the degraded-shard fallback and
     the search driver's in-process executor all run this function.
     """
-    q_count, m = queries.shape[0], len(dims_list)
+    masks = validate_masks(masks, backend.d)
+    q_count, m = queries.shape[0], masks.size
     out = np.full((q_count, m, k), np.inf)
     if q_count == 0 or m == 0:
         return out
     k_local = [min(k, backend.size - (ex is not None)) for ex in excludes]
     full_unit = getattr(backend, "knn_full_prefix_batch", None)
-    if kernel == "exact" and full_unit is not None and is_full_space(dims_list, backend.d):
+    if kernel == "exact" and full_unit is not None and is_full_space(masks, backend.d):
         for k_row in sorted(set(k_local) - {0}):
             rows = [i for i in range(q_count) if k_local[i] == k_row]
             out[rows, 0, :k_row] = full_unit(queries[rows], k_row, [excludes[i] for i in rows])
         return out
     if not hasattr(backend, "knn_distance_prefix_batch"):
+        dims_per_mask = [np.flatnonzero(row) for row in mask_matrix(masks, backend.d, bool)]
         for i, (query, exclude) in enumerate(zip(queries, excludes)):
             if k_local[i] < 1:
                 continue
-            for j, dims in enumerate(dims_list):
+            for j, dims in enumerate(dims_per_mask):
                 _, distances = backend.knn(query, k_local[i], dims, exclude=exclude)
                 out[i, j, : distances.size] = distances
         return out
@@ -234,7 +238,7 @@ def knn_prefixes(
         out[rows, :, :k_row] = backend.knn_distance_prefix_batch(
             queries[rows],
             k_row,
-            dims_list,
+            masks,
             excludes=[excludes[i] for i in rows],
             components_list=[part[0] for part in parts],
             kernel=row_kernel,
@@ -247,7 +251,7 @@ def knn_prefixes(
 def evaluate(
     execute: "Callable[..., np.ndarray]",
     queries: np.ndarray,
-    dims_list: "Sequence[np.ndarray]",
+    masks: np.ndarray,
     k: int,
     excludes: "Sequence[int | None]",
     kernel: str,
@@ -259,8 +263,8 @@ def evaluate(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Run one work unit through *execute* and settle it.
 
-    *execute* takes ``(queries, dims_list, k, excludes, kernel,
-    precision, entries)`` and returns the ``(q, m, k)`` prefixes — it is
+    *execute* takes ``(queries, masks, k, excludes, kernel, precision,
+    entries)`` and returns the ``(q, m, k)`` prefixes — it is
     :func:`knn_prefixes` bound to a backend, or a shard pool's scatter.
     Returns ``(values, bounds, reverified)``: the ``(q, m)`` OD values,
     their safe kth-distance bounds (:func:`kth_bound`) for the delta
@@ -286,9 +290,9 @@ def evaluate(
     *stats* (the coordinator backend's counters) records
     ``reverified_masks``.
     """
-    if is_full_space(dims_list, queries.shape[1]):
+    if is_full_space(masks, queries.shape[1]):
         kernel, precision, entries = "exact", "float64", None
-    prefixes = execute(queries, dims_list, k, excludes, kernel, precision, entries)
+    prefixes = execute(queries, masks, k, excludes, kernel, precision, entries)
     values = prefixes.sum(axis=-1)
     kths = prefixes[..., -1].copy()
     reverified = np.zeros(queries.shape[0], dtype=np.intp)
@@ -301,7 +305,7 @@ def evaluate(
             cols = np.flatnonzero(near[row])
             exact = execute(
                 queries[row : row + 1],
-                [dims_list[col] for col in cols],
+                masks[cols],
                 k,
                 excludes[row : row + 1],
                 "exact",
@@ -332,7 +336,7 @@ def full_space_ods(
     values, bounds, _ = evaluate(
         partial(knn_prefixes, backend),
         queries,
-        [np.arange(backend.d)],
+        validate_masks([full_mask(backend.d)], backend.d),
         k,
         excludes,
         "exact",
@@ -363,7 +367,7 @@ def settle(
     values, bounds, reverified = evaluate(
         execute,
         np.array([evaluator.query for evaluator in evaluators]),
-        [np.asarray(dims_of_mask(mask), dtype=np.intp) for mask in masks],
+        np.array(masks, dtype=np.int64),
         lead.k,
         [evaluator.exclude for evaluator in evaluators],
         lead.kernel,

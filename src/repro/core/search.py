@@ -51,7 +51,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from repro.core.config import require_threshold
+from repro.core.config import require_bool, require_integer, require_threshold
 from repro.core.exceptions import ConfigurationError, SearchBudgetExceeded
 from repro.core.lattice import SubspaceLattice
 from repro.core.od import ODEvaluator, component_entry, knn_prefixes, settle
@@ -208,11 +208,12 @@ class DynamicSubspaceSearch:
             raise ConfigurationError(
                 f"reselect must be 'level' or 'evaluation', got {reselect!r}"
             )
-        if adaptive_prior_weight <= 0:
+        require_bool("adaptive", adaptive)
+        if not adaptive_prior_weight > 0:
             raise ConfigurationError(
                 f"adaptive_prior_weight must be positive, got {adaptive_prior_weight}"
             )
-        if max_evaluations is not None and max_evaluations < 1:
+        if max_evaluations is not None and require_integer("max_evaluations", max_evaluations) < 1:
             raise ConfigurationError(
                 f"max_evaluations must be >= 1, got {max_evaluations}"
             )

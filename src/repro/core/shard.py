@@ -92,6 +92,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.config import require_integer
 from repro.core.exceptions import ConfigurationError
 from repro.core.od import component_entry, is_full_space, knn_prefixes
 from repro.index import make_backend
@@ -167,7 +168,7 @@ def _attach_segment(name: str, n: int, d: int):
 def _shard_prefixes(
     backend,
     queries: np.ndarray,
-    dims_list: "list[np.ndarray]",
+    masks: np.ndarray,
     k: int,
     excludes: "list[int | None]",
     kernel: str,
@@ -177,34 +178,26 @@ def _shard_prefixes(
     """One shard's sorted k-nearest distance prefixes, ``(q, m, k)``.
 
     The work unit of :func:`repro.core.od.knn_prefixes` over the shard's
-    rows, one query at a time, with each query's component entry kept
-    in a small FIFO keyed by the query's bytes (hot traffic repeats
-    points). Runs identically in a shard worker and, for a degraded
-    shard, in the coordinator's in-process fallback — one code path is
-    what keeps degraded answers element-wise identical to healthy ones.
-
-    Queries go one by one because the workers already share the cores:
-    a stacked multi-query product is big enough to start BLAS threads
-    on top of them, which made 4-shard batches about 1.7x slower on a
-    2-core host. A full-space request is the exception: it is settled
-    exactly, needs no component entry, and goes to the shard's
-    full-space unit for all queries at once (one Gram product per block
-    — workers pin BLAS to one thread, see :func:`_pin_blas_threads`).
+    rows, with each query's component entry kept in a small FIFO keyed
+    by the query's bytes (hot traffic repeats points). Runs identically
+    in a shard worker and, for a degraded shard, in the coordinator's
+    in-process fallback — one code path is what keeps degraded answers
+    element-wise identical to healthy ones. A full-space request is
+    settled exactly and needs no component entry; it goes to the
+    shard's full-space unit (one Gram product per block of queries —
+    workers pin BLAS to one thread, see :func:`_pin_blas_threads`).
     """
-    if kernel == "exact" and is_full_space(dims_list, backend.d):
-        return knn_prefixes(backend, queries, dims_list, k, excludes, kernel, precision)
-    out = np.empty((queries.shape[0], len(dims_list), k))
-    for i, query in enumerate(queries):
-        key = query.tobytes()
-        if key not in cache:
-            if len(cache) >= COMPONENT_CACHE_ENTRIES:
-                cache.pop(next(iter(cache)))
-            cache[key] = component_entry(backend, query, precision)
-        out[i] = knn_prefixes(
-            backend, queries[i : i + 1], dims_list, k, excludes[i : i + 1],
-            kernel, precision, [cache[key]],
-        )[0]
-    return out
+    entries = None
+    if not (kernel == "exact" and is_full_space(masks, backend.d)):
+        entries = []
+        for query in queries:
+            key = query.tobytes()
+            if key not in cache:
+                if len(cache) >= COMPONENT_CACHE_ENTRIES:
+                    cache.pop(next(iter(cache)))
+                cache[key] = component_entry(backend, query, precision)
+            entries.append(cache[key])
+    return knn_prefixes(backend, queries, masks, k, excludes, kernel, precision, entries)
 
 
 def _pin_blas_threads() -> None:
@@ -332,12 +325,11 @@ def _shard_worker(
             rounds += 1
             plan.fire("recv", rounds)
             try:
-                queries, dims_list, k, excludes, kernel, precision = message
+                queries, masks, k, excludes, kernel, precision = message
                 reply = (
                     "ok",
                     _shard_prefixes(
-                        backend, queries, dims_list, k, excludes, kernel,
-                        precision, cache,
+                        backend, queries, masks, k, excludes, kernel, precision, cache
                     ),
                 )
             except Exception as exc:  # ship it back; the pool survives
@@ -481,15 +473,15 @@ class ShardPool:
         backoff_s: float = 0.05,
         faults: "str | None" = None,
     ) -> None:
-        if workers < 1:
+        if require_integer("workers", workers) < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if timeout_s is not None and timeout_s <= 0:
+        if timeout_s is not None and not timeout_s > 0:
             raise ConfigurationError(
                 f"timeout_s must be positive (or None to disable), got {timeout_s}"
             )
-        if max_retries < 0:
+        if require_integer("max_retries", max_retries) < 0:
             raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_s < 0:
+        if not backoff_s >= 0:
             raise ConfigurationError(f"backoff_s must be >= 0, got {backoff_s}")
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
@@ -763,9 +755,9 @@ class ShardPool:
             entry = (backend, {})
             self._fallback[s] = entry
         backend, cache = entry
-        queries, dims_list, k, excludes, kernel, precision = request
+        queries, masks, k, excludes, kernel, precision = request
         return _shard_prefixes(
-            backend, queries, dims_list, k, excludes, kernel, precision, cache
+            backend, queries, masks, k, excludes, kernel, precision, cache
         )
 
     def ping(self, timeout: "float | None" = None) -> list[bool]:
@@ -980,7 +972,7 @@ class ShardPool:
     def scatter_prefixes(
         self,
         queries: np.ndarray,
-        dims_list: "Sequence[np.ndarray]",
+        masks: np.ndarray,
         k: int,
         excludes: "Sequence[int | None]",
         kernel: str,
@@ -988,7 +980,9 @@ class ShardPool:
     ) -> np.ndarray:
         """One scatter-gather round: merged ``(q, m, k)`` global prefixes.
 
-        Ships ``(queries, masks)`` to every live shard, gathers per-shard
+        *masks* is a 1-D integer array of subspace bitmasks (each worker
+        checks it with :func:`~repro.index.base.validate_masks`). Ships
+        ``(queries, masks)`` to every live shard, gathers per-shard
         sorted k-nearest partials and merges them exactly. Shipped bytes
         (request broadcast + replies, including replays) accumulate on
         :attr:`bytes_shipped`; each call counts one :attr:`round_trips`.
@@ -1004,9 +998,9 @@ class ShardPool:
         """
         self._require_open()
         queries = np.ascontiguousarray(queries, dtype=np.float64)
-        dims_list = [np.asarray(dims, dtype=np.intp) for dims in dims_list]
+        masks = np.asarray(masks)
         excludes = list(excludes)
-        request_bytes = queries.nbytes + sum(dims.nbytes for dims in dims_list)
+        request_bytes = queries.nbytes + masks.nbytes
         shipped = 0
         shards = len(self._bounds)
 
@@ -1016,7 +1010,7 @@ class ShardPool:
                 ex - lo if ex is not None and lo <= ex < hi else None
                 for ex in excludes
             ]
-            requests.append((queries, dims_list, k, local, kernel, precision))
+            requests.append((queries, masks, k, local, kernel, precision))
 
         parts: "list[np.ndarray | None]" = [None] * shards
         errors: list[Exception] = []

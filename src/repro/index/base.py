@@ -24,14 +24,21 @@ import numpy as np
 from repro.index.stats import IndexStats
 
 __all__ = [
+    "MAX_MASK_DIM",
     "KnnBackend",
     "components32_from",
     "mask_matrix",
     "normalize_excludes",
     "require_finite",
+    "require_k",
+    "validate_masks",
     "validate_query_matrix",
     "validate_prefix_request",
 ]
+
+#: Widest space a subspace mask can name: masks are int64, and
+#: ``2**63 - 1`` is the full space of 63 dimensions.
+MAX_MASK_DIM = 63
 
 
 @runtime_checkable
@@ -83,23 +90,22 @@ class KnnBackend(Protocol):
 
 
 def mask_matrix(
-    dims_list: "Sequence[np.ndarray]", d: int, dtype: "np.dtype | type" = np.float64
+    masks: np.ndarray, d: int, dtype: "np.dtype | type" = np.float64
 ) -> np.ndarray:
-    """Pack subspace dimension lists into a 0/1 selection matrix.
+    """Unpack subspace bitmasks into a 0/1 selection matrix.
 
     Returns the ``(m, d)`` matrix ``M`` with ``M[j, dim] = 1`` for
-    every dimension of subspace ``j`` — the left-hand operand of the
-    level-wide OD kernel's ``M @ C.T`` GEMM. Putting masks on the left
-    makes the (freshly allocated, C-order) product mask-major: row
+    every dimension of mask ``j`` (bit ``dim`` set) — the left-hand
+    operand of the level-wide OD kernel's ``M @ C.T`` GEMM; the exact
+    paths take ``np.flatnonzero`` of a boolean row. Putting masks on the
+    left makes the (freshly allocated, C-order) product mask-major: row
     ``j`` holds subspace ``j``'s per-point component sums contiguously,
     which is the layout the axis-wise top-k reduction wants. *dtype*
     selects the GEMM precision; 0 and 1 are exact in every float dtype,
-    so the mask itself never loses information.
+    so the mask itself never loses information. *masks* must already
+    be validated (:func:`validate_masks`).
     """
-    M = np.zeros((len(dims_list), d), dtype=dtype)
-    for j, dims in enumerate(dims_list):
-        M[j, dims] = 1.0
-    return M
+    return ((masks[:, None] >> np.arange(d)) & 1).astype(dtype)
 
 
 def components32_from(components: "np.ndarray | None") -> "np.ndarray | None":
@@ -126,29 +132,56 @@ def components32_from(components: "np.ndarray | None") -> "np.ndarray | None":
     return transposed
 
 
+def validate_masks(masks, d: int) -> np.ndarray:
+    """*masks* as a 1-D int64 array of subspace bitmasks over ``d`` dims.
+
+    Every entry must be an integer in ``[1, 2**d)``: a non-empty subset
+    of the ``d`` dimensions. Masks are int64, so ``d`` may not exceed
+    :data:`MAX_MASK_DIM`. Anything else raises a
+    :class:`~repro.core.exceptions.ConfigurationError` (a
+    :class:`~repro.core.exceptions.DimensionalityError` for ``d``) —
+    never a raw ``OverflowError`` or a silently truncated float.
+    """
+    from repro.core.exceptions import ConfigurationError, DimensionalityError
+
+    if d > MAX_MASK_DIM:
+        raise DimensionalityError(
+            f"d={d} exceeds the {MAX_MASK_DIM} dimensions an int64 subspace mask can name"
+        )
+    masks = np.asarray(masks)
+    if masks.ndim != 1 or masks.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"masks must be a 1-D integer array, got dtype {masks.dtype} "
+            f"and shape {masks.shape}"
+        )
+    if masks.size and (masks.min() < 1 or masks.max() >= 1 << d):
+        raise ConfigurationError(
+            f"masks must lie in [1, 2**{d}) for d={d}, got "
+            f"{int(masks.min())}..{int(masks.max())}"
+        )
+    return masks.astype(np.int64, copy=False)
+
+
 def validate_prefix_request(
-    dims_list,
-    validate_dims,
+    masks,
+    d: int,
     k: int,
     size: int,
     excludes: "Sequence[int | None]",
-) -> "list[np.ndarray]":
-    """Shared argument validation of the OD prefix kernels.
+) -> np.ndarray:
+    """Shared argument validation of the OD prefix kernels: *masks*
+    through :func:`validate_masks` and ``k`` through :func:`require_k`.
+    Returns the int64 mask array. One helper so every backend's prefix
+    kernel validates — and errors — identically."""
+    masks = validate_masks(masks, d)
+    require_k(k, size, excludes)
+    return masks
 
-    Coerces every entry of *dims_list* through the backend's
-    *validate_dims* (ready-made intp arrays are trusted — the batch
-    engine validates and caches them once per mask) and checks ``k``
-    against the candidate rows available to each exclusion. One helper
-    so every backend's prefix kernel validates — and errors — identically.
-    """
+
+def require_k(k: int, size: int, excludes: "Sequence[int | None]") -> None:
+    """Check ``k`` against the candidate rows available to each exclusion."""
     from repro.core.exceptions import ConfigurationError
 
-    dims_arrays = [
-        dims
-        if isinstance(dims, np.ndarray) and dims.dtype == np.intp
-        else validate_dims(dims)
-        for dims in dims_list
-    ]
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     for exclude in excludes:
@@ -157,7 +190,6 @@ def validate_prefix_request(
             raise ConfigurationError(
                 f"k={k} neighbours requested but only {available} candidate rows exist"
             )
-    return dims_arrays
 
 
 def normalize_excludes(

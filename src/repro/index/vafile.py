@@ -224,7 +224,7 @@ class VAFile:
         self,
         query: np.ndarray,
         k: int,
-        dims_list: "Sequence[Sequence[int]]",
+        masks: np.ndarray,
         exclude: int | None = None,
         components: "np.ndarray | None" = None,
         kernel: str = "exact",
@@ -237,7 +237,7 @@ class VAFile:
         return self.knn_distance_prefix_batch(
             query[None, :],
             k,
-            dims_list,
+            masks,
             excludes=[exclude],
             components_list=[components],
             kernel=kernel,
@@ -249,7 +249,7 @@ class VAFile:
         self,
         queries: np.ndarray,
         k: int,
-        dims_list: "Sequence[Sequence[int]]",
+        masks: np.ndarray,
         excludes: "Sequence[int | None] | None" = None,
         components_list: "Sequence[np.ndarray | None] | None" = None,
         kernel: str = "auto",
@@ -259,7 +259,9 @@ class VAFile:
         """Sorted k-nearest *distances* per ``(query row, subspace)``
         pair, shape ``(q, m, k)`` — the VA-file's one prefix kernel.
 
-        Per query, subspace bounds come from the approximation file
+        *masks* is a 1-D integer array of subspace bitmasks, checked by
+        :func:`~repro.index.base.validate_prefix_request`. Per query,
+        subspace bounds come from the approximation file
         (:meth:`_mask_candidates`), the survivors are refined exactly
         (:meth:`_refine_prefix`), and the ``k`` smallest exact distances
         come back ascending — so every row is bit-identical to
@@ -295,18 +297,18 @@ class VAFile:
         del components_list, components32_list  # interface parity
         queries = validate_query_matrix(queries, self.d)
         excludes = normalize_excludes(excludes, queries.shape[0], self.size)
-        dims_arrays = validate_prefix_request(
-            dims_list, self._validate_dims, k, self.size, excludes
-        )
+        masks = validate_prefix_request(masks, self.d, k, self.size, excludes)
         kernel = resolve_kernel(kernel, self.metric)
-        out = np.empty((queries.shape[0], len(dims_arrays), k))
-        if not dims_arrays:
+        out = np.empty((queries.shape[0], masks.size, k))
+        if not masks.size:
             return out
+        selection = mask_matrix(masks, self.d, bool)
+        dims_per_mask = [np.flatnonzero(row) for row in selection]
         for i, (query, exclude) in enumerate(zip(queries, excludes)):
             candidates = self._mask_candidates(
-                query, k, dims_arrays, exclude, kernel, precision
+                query, k, selection, exclude, kernel, precision
             )
-            for j, dims in enumerate(dims_arrays):
+            for j, dims in enumerate(dims_per_mask):
                 out[i, j] = self._refine_prefix(query, k, dims, candidates[j])
         self.stats.knn_queries += out.shape[0] * out.shape[1]
         return out
@@ -315,7 +317,7 @@ class VAFile:
         self,
         query: np.ndarray,
         k: int,
-        dims_arrays: "list[np.ndarray]",
+        selection: np.ndarray,
         exclude: int | None,
         kernel: str,
         precision: str,
@@ -324,9 +326,10 @@ class VAFile:
 
         The front half of :meth:`knn_distance_prefix_batch` — see its
         docstring for the bound derivation and the float32 slack
-        argument.
+        argument. *selection* is the masks' boolean
+        :func:`~repro.index.base.mask_matrix`.
         """
-        count = len(dims_arrays)
+        count = selection.shape[0]
         candidates_list: list[np.ndarray] = []
         if kernel == "gemm":
             lower_gaps, upper_gaps = self._gap_components(query)
@@ -344,7 +347,7 @@ class VAFile:
                     L32 = np.ascontiguousarray(lower_gaps.T, dtype=np.float32)
                     U32 = np.ascontiguousarray(upper_gaps.T, dtype=np.float32)
                     if np.isfinite(L32).all() and np.isfinite(U32).all():
-                        M32 = mask_matrix(dims_arrays, self.d, dtype=np.float32)
+                        M32 = selection.astype(np.float32)
                         SL = M32 @ L32
                         SU = M32 @ U32
                         if np.isfinite(SL).all() and np.isfinite(SU).all():
@@ -352,7 +355,7 @@ class VAFile:
                         else:
                             SL = SU = None  # accumulation overflow: use float64
                 if SL is None:
-                    M = mask_matrix(dims_arrays, self.d)
+                    M = selection.astype(np.float64)
                     SL = M @ lower_gaps.T
                     SU = M @ upper_gaps.T
             self.stats.record_peak(
@@ -379,8 +382,8 @@ class VAFile:
                     np.flatnonzero(~(SL[j] > taus[j] + slack))
                 )
         else:
-            for dims in dims_arrays:
-                lower, upper = self._bounds(query, dims)
+            for row in selection:
+                lower, upper = self._bounds(query, np.flatnonzero(row))
                 if exclude is not None:
                     lower[exclude] = np.inf
                     upper[exclude] = np.inf
@@ -566,15 +569,12 @@ class VAFile:
             raise DataShapeError(
                 f"query must be a length-{self.d} vector, got shape {query.shape}"
             )
-        return query, self._validate_dims(dims)
-
-    def _validate_dims(self, dims: Sequence[int]) -> np.ndarray:
         dims = np.asarray(dims, dtype=np.intp)
         if dims.size == 0:
             raise ConfigurationError("a query subspace needs at least one dimension")
         if dims.min() < 0 or dims.max() >= self.d:
             raise ConfigurationError(f"dims {dims.tolist()} out of range for d={self.d}")
-        return dims
+        return query, dims
 
     def candidate_fraction(self) -> float:
         """Average fraction of points refined exactly per query so far —

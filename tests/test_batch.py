@@ -23,6 +23,7 @@ from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator, SharedODCache
 from repro.core.precision import reverify_rtol
 from repro.core.result import BatchResult
+from repro.core.subspace import dims_of_mask
 from repro.data.synthetic import make_planted_outliers
 from repro.index import LinearScanIndex
 
@@ -102,12 +103,12 @@ class TestKnnDistancePrefix:
         backend = LinearScanIndex(X, metric=metric)
         query = rng.normal(size=5)
         components = backend.distance_components(query) if use_components else None
-        dims_list = [(0, 1), (1, 4), (2, 3)]
+        masks = np.array([0b00011, 0b10010, 0b01100])
         sums = backend.knn_distance_prefix(
-            query, 4, dims_list, exclude=17, components=components
+            query, 4, masks, exclude=17, components=components
         ).sum(axis=1)
-        for dims, value in zip(dims_list, sums):
-            _, distances = backend.knn(query, 4, dims, exclude=17)
+        for mask, value in zip(masks.tolist(), sums):
+            _, distances = backend.knn(query, 4, dims_of_mask(mask), exclude=17)
             assert value == float(distances.sum())  # bit-identical
 
     def test_distance_components_none_for_custom_metric(self, rng):
@@ -128,22 +129,46 @@ class TestKnnDistancePrefix:
         backend = LinearScanIndex(rng.normal(size=(30, 3)), metric=WeirdMetric())
         assert backend.distance_components(np.zeros(3)) is None
         # The prefix kernel still answers correctly via pairwise fallback.
-        sums = backend.knn_distance_prefix(np.zeros(3), 2, [(0, 1)]).sum(axis=1)
+        sums = backend.knn_distance_prefix(np.zeros(3), 2, np.array([0b011])).sum(axis=1)
         _, distances = backend.knn(np.zeros(3), 2, (0, 1))
         assert sums[0] == float(distances.sum())
 
     def test_batch_validates_shapes_and_excludes(self, rng):
         backend = LinearScanIndex(rng.normal(size=(30, 3)))
+        masks = np.array([0b011])
         with pytest.raises(DataShapeError, match=r"\(m, 3\)"):
-            backend.knn_distance_prefix_batch(rng.normal(size=(4, 2)), 2, [(0, 1)])
+            backend.knn_distance_prefix_batch(rng.normal(size=(4, 2)), 2, masks)
         with pytest.raises(ConfigurationError, match="exclusions"):
             backend.knn_distance_prefix_batch(
-                rng.normal(size=(4, 3)), 2, [(0, 1)], excludes=[None]
+                rng.normal(size=(4, 3)), 2, masks, excludes=[None]
             )
         with pytest.raises(ConfigurationError, match="out of range"):
             backend.knn_distance_prefix_batch(
-                rng.normal(size=(1, 3)), 2, [(0, 1)], excludes=[99]
+                rng.normal(size=(1, 3)), 2, masks, excludes=[99]
             )
+
+
+    @pytest.mark.parametrize(
+        "masks",
+        [[0], [-1], [1 << 4], [1.5], [[1, 2]]],
+        ids=["zero", "negative", "too-wide", "float", "2-d"],
+    )
+    @pytest.mark.parametrize("executor", ["linear", "vafile", "shard"])
+    def test_malformed_masks_rejected(self, executor, masks):
+        """A mask request is a 1-D integer array in ``[1, 2**d)``; anything
+        else fails typed in both prefix kernels and in a shard worker."""
+        from repro.core.shard import ShardPool
+        from repro.index.vafile import VAFile
+
+        X = np.random.default_rng(3).normal(size=(40, 4))
+        masks = np.array(masks)
+        with pytest.raises(ConfigurationError, match="masks must"):
+            if executor == "shard":
+                with ShardPool(X, 2, faults="") as pool:
+                    pool.scatter_prefixes(X[:2], masks, 3, [None, None], "exact", "float64")
+            else:
+                backend = LinearScanIndex(X) if executor == "linear" else VAFile(X)
+                backend.knn_distance_prefix_batch(X[:2], 3, masks)
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +420,23 @@ class TestBatchComposition:
         assert [_answer(result) for result in split] == want
         miner = fresh()
         assert [_answer(miner.query(target)) for target in targets] == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_float32_overflowing_batch_mate(self, workers):
+        """A query whose components overflow float32 runs its own float64
+        product; its batch-mate keeps the float32 values it gets alone."""
+        X = np.random.default_rng(0).normal(size=(400, 4))
+        a, b = [5.0, 5.0, 0.0, 0.0], [1e20] * 4
+
+        def fresh():
+            return HOSMiner(
+                k=4, sample_size=0, threshold=3.0, kernel="gemm", precision="float32"
+            ).fit(X)
+
+        with fresh() as solo, fresh() as batched:
+            want = solo.query_point(a)
+            got = batched.query_batch([a, b], workers=workers).results[0]
+        assert_results_identical([want], [got])
 
 
 # ----------------------------------------------------------------------

@@ -51,19 +51,15 @@ def dataset():
 @pytest.fixture()
 def scatter_args(dataset, rng):
     queries = np.ascontiguousarray(dataset.X[:4])
-    dims_list = [
-        np.array([0, 1], dtype=np.intp),
-        np.array([2, 3, 4], dtype=np.intp),
-        np.array([0, 2, 4], dtype=np.intp),
-    ]
-    return queries, dims_list, 4, [0, 1, 2, 3]
+    masks = np.array([0b00011, 0b11100, 0b10101])
+    return queries, masks, 4, [0, 1, 2, 3]
 
 
 def reference_prefixes(dataset, scatter_args, kernel="exact", precision="float64"):
-    queries, dims_list, k, excludes = scatter_args
+    queries, masks, k, excludes = scatter_args
     with ShardPool(dataset.X, 1, faults="") as pool:
         return pool.scatter_prefixes(
-            queries, dims_list, k, excludes, kernel, precision
+            queries, masks, k, excludes, kernel, precision
         )
 
 
@@ -204,13 +200,13 @@ class TestIdentityUnderFaults:
 
     def test_slow_worker_is_not_a_failure(self, dataset, scatter_args):
         """A straggler under the deadline just makes the round slower."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         ref = reference_prefixes(dataset, scatter_args)
         with ShardPool(
             dataset.X, 3, timeout_s=10.0, faults="slow:shard=1:ms=50"
         ) as pool:
             got = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.respawns == 0 and pool.timeouts == 0
         np.testing.assert_array_equal(got, ref)
@@ -258,7 +254,7 @@ class TestDegradation:
         """``gen=any`` makes every respawn crash too: the retry budget
         drains, the shard degrades, and the coordinator serves its slice
         through the same kernels — element-wise identical, permanently."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         ref = reference_prefixes(dataset, scatter_args)
         with ShardPool(
             dataset.X,
@@ -269,7 +265,7 @@ class TestDegradation:
             faults="crash:shard=2:gen=any",
         ) as pool:
             first = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.degraded_shards == [2]
             assert pool.degraded_rounds == 1
@@ -277,7 +273,7 @@ class TestDegradation:
             # The pool stays open and keeps serving; later rounds hit
             # the in-process fallback directly (no more retries).
             second = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "gemm", "float64"
+                queries, masks, k, excludes, "gemm", "float64"
             )
             assert pool.degraded_rounds == 2
             assert pool.retries == 1
@@ -309,7 +305,7 @@ class TestDegradation:
         assert_results_identical(sequential.results, batched.results)
 
     def test_max_retries_zero_degrades_immediately(self, dataset, scatter_args):
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         with ShardPool(
             dataset.X,
             3,
@@ -318,7 +314,7 @@ class TestDegradation:
             faults="crash:shard=1:round=1",
         ) as pool:
             got = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.retries == 0 and pool.respawns == 0
             assert pool.degraded_shards == [1]
@@ -334,7 +330,7 @@ class TestCrashTiming:
         the request — from the coordinator's side, exactly a death
         between its ``send()`` and ``recv()``: the send succeeded, the
         reply never comes, ``poll()`` wakes on EOF."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         ref = reference_prefixes(dataset, scatter_args)
         with ShardPool(
             dataset.X,
@@ -344,7 +340,7 @@ class TestCrashTiming:
             faults="crash:shard=1:round=1:at=recv",
         ) as pool:
             got = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.respawns == 1
             assert pool.timeouts == 0  # EOF wake-up, not a deadline expiry
@@ -354,7 +350,7 @@ class TestCrashTiming:
         """``at=send`` kills the worker after computing, before the
         reply hits the pipe — the replayed round recomputes and the
         caller still can't tell."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         ref = reference_prefixes(dataset, scatter_args)
         with ShardPool(
             dataset.X,
@@ -364,7 +360,7 @@ class TestCrashTiming:
             faults="crash:shard=0:round=1:at=send",
         ) as pool:
             got = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.respawns == 1
         np.testing.assert_array_equal(got, ref)
@@ -373,7 +369,7 @@ class TestCrashTiming:
         """A worker that dies attaching its segment at spawn (fit time)
         is caught by the first round's EOF and respawned — the respawn
         (gen=1) attaches cleanly and the round replays."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         ref = reference_prefixes(dataset, scatter_args)
         with ShardPool(
             dataset.X,
@@ -383,7 +379,7 @@ class TestCrashTiming:
             faults="crash:shard=0:at=attach",
         ) as pool:
             got = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.respawns == 1
         np.testing.assert_array_equal(got, ref)
@@ -394,21 +390,20 @@ class TestCrashTiming:
         the tail segment. The old segment must outlive the sync, or a
         worker that has not attached yet dies on it."""
         X = np.random.default_rng(0).normal(size=(6400, 8))
-        dims_list = [np.arange(8, dtype=np.intp), np.array([1, 5], dtype=np.intp)]
+        masks = np.array([0b11111111, 0b00100010])
         for trial in range(5):
             rows = np.random.default_rng(trial).normal(size=(32, 8))
             window = np.vstack([X[32:], rows])
             queries = window[[0, 3000, 6399]]
             excludes = [0, 3000, 6399]
             ref = knn_prefixes(
-                LinearScanIndex(window), queries, dims_list, 5, excludes,
-                "exact", "float64",
+                LinearScanIndex(window), queries, masks, 5, excludes, "exact", "float64"
             )
             with ShardPool(X, 2, timeout_s=5.0, faults="") as pool:
                 assert pool.apply_update(rows, 32)
                 assert pool.tail_regrows == 1
                 got = pool.scatter_prefixes(
-                    queries, dims_list, 5, excludes, "exact", "float64"
+                    queries, masks, 5, excludes, "exact", "float64"
                 )
                 assert pool.respawns == 0, f"trial {trial}"
             np.testing.assert_array_equal(got, ref)
@@ -416,7 +411,7 @@ class TestCrashTiming:
     def test_injected_crash_exitcode_is_visible(self, dataset, scatter_args):
         """The supervisor sees the distinctive injected exitcode — the
         crash really is a process death, not a caught exception."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         with ShardPool(
             dataset.X,
             3,
@@ -426,7 +421,7 @@ class TestCrashTiming:
         ) as pool:
             doomed = pool._procs[1]
             pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert doomed.exitcode == CRASH_EXIT_CODE
             assert pool._procs[1] is not doomed
@@ -436,7 +431,7 @@ class TestCrashTiming:
         completes or fails loudly, close() stays bounded, and no
         shared-memory segment leaks. Never a hang, never a respawn onto
         an unlinked segment."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         pool = ShardPool(
             dataset.X,
             3,
@@ -450,7 +445,7 @@ class TestCrashTiming:
         def scatter():
             try:
                 outcome["result"] = pool.scatter_prefixes(
-                    queries, dims_list, k, excludes, "exact", "float64"
+                    queries, masks, k, excludes, "exact", "float64"
                 )
             except Exception as exc:  # racing close() may surface here
                 outcome["error"] = exc
@@ -478,7 +473,7 @@ class TestCrashTiming:
         """A worker wedged in a 600 s hang cannot stall teardown: the
         sentinel grace expires, ``terminate()``/``kill()`` escalate, and
         ``close()`` returns in bounded time with segments unlinked."""
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         pool = ShardPool(
             dataset.X,
             3,
@@ -488,7 +483,7 @@ class TestCrashTiming:
         names = pool.segment_names
         # Park shard 1 in the hang without blocking ourselves on it.
         pool._conns[1].send(
-            (queries, dims_list, k, [None] * len(excludes), "exact", "float64")
+            (queries, masks, k, [None] * len(excludes), "exact", "float64")
         )
         time.sleep(0.2)  # let the worker enter the sleep
         start = time.perf_counter()
@@ -507,7 +502,7 @@ class TestCrashTiming:
 # ----------------------------------------------------------------------
 class TestSupervisionSurface:
     def test_ping_reports_health_and_marks_dead(self, dataset, scatter_args):
-        queries, dims_list, k, excludes = scatter_args
+        queries, masks, k, excludes = scatter_args
         with ShardPool(dataset.X, 3, timeout_s=5.0, backoff_s=0.01, faults="") as pool:
             assert pool.ping() == [True, True, True]
             # Kill one worker out-of-band: ping detects it and marks the
@@ -516,7 +511,7 @@ class TestSupervisionSurface:
             pool._procs[2].join(timeout=5.0)
             assert pool.ping() == [True, True, False]
             got = pool.scatter_prefixes(
-                queries, dims_list, k, excludes, "exact", "float64"
+                queries, masks, k, excludes, "exact", "float64"
             )
             assert pool.respawns == 1
             assert pool.ping() == [True, True, True]
@@ -526,10 +521,10 @@ class TestSupervisionSurface:
         """Every failing shard's exception survives: the first is
         raised, the siblings ride along as PEP 678 ``__notes__``."""
         with ShardPool(dataset.X, 3, faults="") as pool:
-            bad_dims = [np.array([dataset.X.shape[1] + 5], dtype=np.intp)]
+            bad_masks = np.array([1 << (dataset.X.shape[1] + 5)])
             with pytest.raises(Exception) as excinfo:
                 pool.scatter_prefixes(
-                    dataset.X[:1], bad_dims, 3, [None], "exact", "float64"
+                    dataset.X[:1], bad_masks, 3, [None], "exact", "float64"
                 )
             notes = getattr(excinfo.value, "__notes__", [])
             sibling_notes = [n for n in notes if "sibling shard" in n]

@@ -24,6 +24,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.metrics import get_metric, resolve_kernel, supports_gemm_kernel
 from repro.core.miner import HOSMiner
 from repro.core.od import GEMM_REVERIFY_RTOL, ODEvaluator, near_threshold
+from repro.core.subspace import dims_of_mask, mask_of_dims
 from repro.data.synthetic import make_planted_outliers
 from repro.index.linear import LinearScanIndex
 from repro.index.vafile import VAFile
@@ -36,13 +37,15 @@ def _random_problem(seed: int, n: int, d: int, dtype):
     X = generator.normal(size=(n, d)).astype(dtype)
     query = generator.normal(size=d).astype(dtype)
     n_masks = int(generator.integers(1, 20))
-    masks_dims = [
-        np.sort(
-            generator.choice(d, size=int(generator.integers(1, d + 1)), replace=False)
-        ).astype(np.intp)
-        for _ in range(n_masks)
-    ]
-    return X, query, masks_dims
+    masks = np.array(
+        [
+            mask_of_dims(
+                generator.choice(d, size=int(generator.integers(1, d + 1)), replace=False)
+            )
+            for _ in range(n_masks)
+        ]
+    )
+    return X, query, masks
 
 
 # ----------------------------------------------------------------------
@@ -59,19 +62,19 @@ class TestKernelValues:
         use_exclude=st.booleans(),
     )
     def test_linear_gemm_matches_exact(self, seed, d, k, metric, dtype, use_exclude):
-        X, query, masks_dims = _random_problem(seed, 60, d, dtype)
+        X, query, masks = _random_problem(seed, 60, d, dtype)
         backend = LinearScanIndex(X, metric=metric)
         exclude = 7 if use_exclude else None
         exact = backend.knn_distance_prefix(
-            query, k, masks_dims, exclude=exclude, kernel="exact"
+            query, k, masks, exclude=exclude, kernel="exact"
         ).sum(axis=1)
         gemm = backend.knn_distance_prefix(
-            query, k, masks_dims, exclude=exclude, kernel="gemm"
+            query, k, masks, exclude=exclude, kernel="gemm"
         ).sum(axis=1)
         np.testing.assert_allclose(gemm, exact, rtol=RTOL)
         # The exact kernel itself is bit-identical to summed kNN.
-        for dims, value in zip(masks_dims, exact):
-            _, distances = backend.knn(query, k, dims, exclude=exclude)
+        for mask, value in zip(masks.tolist(), exact):
+            _, distances = backend.knn(query, k, dims_of_mask(mask), exclude=exclude)
             assert value == float(distances.sum())
 
     @settings(max_examples=15, deadline=None)
@@ -82,17 +85,17 @@ class TestKernelValues:
         metric=st.sampled_from(["euclidean", "manhattan"]),
     )
     def test_batch_kernel_matches_single_query(self, seed, d, k, metric):
-        X, _, masks_dims = _random_problem(seed, 50, d, np.float64)
+        X, _, masks = _random_problem(seed, 50, d, np.float64)
         backend = LinearScanIndex(X, metric=metric)
         generator = np.random.default_rng(seed + 1)
         queries = generator.normal(size=(4, d))
         excludes = [None, 3, 49, None]
         grid = backend.knn_distance_prefix_batch(
-            queries, k, masks_dims, excludes=excludes, kernel="gemm"
+            queries, k, masks, excludes=excludes, kernel="gemm"
         ).sum(axis=2)
         for i in range(queries.shape[0]):
             single = backend.knn_distance_prefix(
-                queries[i], k, masks_dims, exclude=excludes[i], kernel="gemm"
+                queries[i], k, masks, exclude=excludes[i], kernel="gemm"
             ).sum(axis=1)
             np.testing.assert_array_equal(grid[i], single)
 
@@ -100,12 +103,12 @@ class TestKernelValues:
         X = rng.normal(size=(80, 6))
         backend = LinearScanIndex(X)
         query = rng.normal(size=6)
-        dims_list = [(0, 1), (2, 4, 5), (0, 1, 2, 3, 4, 5)]
+        masks = np.array([0b000011, 0b110100, 0b111111])
         components = backend.distance_components(query)
         with_c = backend.knn_distance_prefix(
-            query, 4, dims_list, components=components, kernel="gemm"
+            query, 4, masks, components=components, kernel="gemm"
         ).sum(axis=1)
-        without_c = backend.knn_distance_prefix(query, 4, dims_list, kernel="gemm").sum(axis=1)
+        without_c = backend.knn_distance_prefix(query, 4, masks, kernel="gemm").sum(axis=1)
         np.testing.assert_array_equal(with_c, without_c)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "minkowski:3"])
@@ -116,18 +119,20 @@ class TestKernelValues:
         va = VAFile(X, metric=metric, bits=5)
         lin = LinearScanIndex(X, metric=metric)
         query = rng.normal(size=6)
-        dims_list = [(0,), (1, 3), (0, 2, 4, 5)]
-        exact = va.knn_distance_prefix(query, 5, dims_list, exclude=9, kernel="exact").sum(axis=1)
-        gemm = va.knn_distance_prefix(query, 5, dims_list, exclude=9, kernel="gemm").sum(axis=1)
+        masks = np.array([0b000001, 0b001010, 0b110101])
+        exact = va.knn_distance_prefix(query, 5, masks, exclude=9, kernel="exact").sum(axis=1)
+        gemm = va.knn_distance_prefix(query, 5, masks, exclude=9, kernel="gemm").sum(axis=1)
         np.testing.assert_array_equal(gemm, exact)
         reference = [
-            float(lin.knn(query, 5, dims, exclude=9)[1].sum()) for dims in dims_list
+            float(lin.knn(query, 5, dims_of_mask(mask), exclude=9)[1].sum())
+            for mask in masks.tolist()
         ]
         np.testing.assert_array_equal(exact, reference)
 
     def test_empty_mask_list(self, rng):
         backend = LinearScanIndex(rng.normal(size=(30, 3)))
-        assert backend.knn_distance_prefix(np.zeros(3), 2, [], kernel="gemm").sum(axis=1).size == 0
+        empty = np.array([], dtype=np.int64)
+        assert backend.knn_distance_prefix(np.zeros(3), 2, empty, kernel="gemm").size == 0
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +246,7 @@ class TestKernelConfiguration:
     def test_index_rejects_gemm_for_incapable_metric(self, rng):
         backend = LinearScanIndex(rng.normal(size=(30, 3)), metric=WeirdMetric())
         with pytest.raises(ConfigurationError, match="component decomposition"):
-            backend.knn_distance_prefix(np.zeros(3), 2, [(0, 1)], kernel="gemm").sum(axis=1)
+            backend.knn_distance_prefix(np.zeros(3), 2, np.array([0b011]), kernel="gemm")
 
     def test_evaluator_tree_backend_falls_back(self, rng):
         from repro.index.rstar import RStarTree
@@ -323,8 +328,9 @@ class TestInsertBuffer:
         for row in rng.normal(size=(50, 5)):
             backend.insert(row)
         query = rng.normal(size=5)
-        exact = backend.knn_distance_prefix(query, 4, [(0, 1), (2, 3, 4)]).sum(axis=1)
-        gemm = backend.knn_distance_prefix(query, 4, [(0, 1), (2, 3, 4)], kernel="gemm").sum(axis=1)
+        masks = np.array([0b00011, 0b11100])
+        exact = backend.knn_distance_prefix(query, 4, masks).sum(axis=1)
+        gemm = backend.knn_distance_prefix(query, 4, masks, kernel="gemm").sum(axis=1)
         np.testing.assert_allclose(gemm, exact, rtol=RTOL)
 
 
@@ -341,8 +347,8 @@ class TestAccounting:
         assert backend.stats.distance_computations == 100
         before = backend.stats.distance_computations
         backend.knn_distance_prefix(
-            query, 3, [(0, 1), (2, 4)], components=components, kernel="exact"
-        ).sum(axis=1)
+            query, 3, np.array([0b00011, 0b10100]), components=components, kernel="exact"
+        )
         assert backend.stats.distance_computations == before  # no new scans
         assert backend.stats.extra["component_gathers"] == 100 * 4  # 2+2 dims
         assert backend.stats.knn_queries == 2
@@ -350,7 +356,7 @@ class TestAccounting:
     def test_fresh_exact_scans_still_charged(self, rng):
         X = rng.normal(size=(100, 5))
         backend = LinearScanIndex(X)
-        backend.knn_distance_prefix(rng.normal(size=5), 3, [(0, 1), (2, 4)]).sum(axis=1)
+        backend.knn_distance_prefix(rng.normal(size=5), 3, np.array([0b00011, 0b10100]))
         assert backend.stats.distance_computations == 200
         assert "component_gathers" not in backend.stats.extra
 
@@ -361,8 +367,8 @@ class TestAccounting:
         components = backend.distance_components(query)
         before = backend.stats.distance_computations
         backend.knn_distance_prefix(
-            query, 3, [(0, 1), (2, 4), (0, 3)], components=components, kernel="gemm"
-        ).sum(axis=1)
+            query, 3, np.array([0b00011, 0b10100, 0b01001]), components=components, kernel="gemm"
+        )
         assert backend.stats.extra["gemm_flops"] == 2 * 100 * 5 * 3
         assert backend.stats.distance_computations == before
 

@@ -32,6 +32,7 @@ from repro.core.precision import (
     resolve_precision,
     reverify_rtol,
 )
+from repro.core.subspace import mask_of_dims
 from repro.data.synthetic import make_planted_outliers
 from repro.index.base import components32_from
 from repro.index.linear import LinearScanIndex
@@ -45,12 +46,14 @@ def rng():
 
 
 def _random_masks(generator, d, n_masks):
-    return [
-        np.sort(
-            generator.choice(d, size=int(generator.integers(1, d + 1)), replace=False)
-        ).astype(np.intp)
-        for _ in range(n_masks)
-    ]
+    return np.array(
+        [
+            mask_of_dims(
+                generator.choice(d, size=int(generator.integers(1, d + 1)), replace=False)
+            )
+            for _ in range(n_masks)
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +205,7 @@ class TestBlockedGemm:
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_blocked_bit_identical_and_bounded(self, rng, precision, monkeypatch):
         """The ceiling holds at any query count: a 1-query and a 3-query
-        batch call stay under it, bit-identical to the unblocked call
-        (which stacks the three queries into one product)."""
+        batch call stay under it, bit-identical to the unblocked call."""
         X = rng.normal(size=(3000, 7))
         queries = rng.normal(size=(3, 7))
         masks = _random_masks(rng, 7, 24)
@@ -285,15 +287,10 @@ class TestAnswerSetIdentity:
         """A threshold placed exactly on an OD value maximises the
         chance that the float32 value lands on the wrong side; the band
         re-verifies it exactly, so the decision matches float64."""
-        from repro.core.subspace import mask_of_dims
-
         X = rng.normal(size=(140, 6))
         backend = LinearScanIndex(X)
         exact_eval = ODEvaluator(backend, X[0], 3, exclude=0, kernel="exact")
-        bitmasks = [
-            mask_of_dims(tuple(int(i) for i in dims), 6)
-            for dims in _random_masks(rng, 6, 10)
-        ]
+        bitmasks = _random_masks(rng, 6, 10).tolist()
         for planted in bitmasks:
             threshold = exact_eval.od_many([planted])[planted]
             f32_eval = ODEvaluator(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive_search import exhaustive_search
-from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.exceptions import ConfigurationError, DataShapeError, DimensionalityError
 from repro.core.filtering import minimal_masks
 from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator
@@ -208,11 +208,82 @@ class TestDegenerateConfigValues:
             ("threshold_sample", 2.5),
             ("workers", 1.5),
             ("workers", True),
+            ("max_retries", 1.5),
+            ("max_retries", True),
+            ("seed", 1.5),
         ],
     )
     def test_non_integral_knob(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
             HOSMiner(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, 2.5, float("nan"), "3"])
+    def test_non_integral_max_results(self, miner, value):
+        with pytest.raises(ConfigurationError, match="max_results must be an integer"):
+            miner.detect_outliers(max_results=value)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integral_max_evaluations(self, miner, value):
+        evaluator = ODEvaluator(miner.backend_, miner.backend_.data[0], 3, exclude=0)
+        with pytest.raises(ConfigurationError, match="max_evaluations must be an integer"):
+            DynamicSubspaceSearch(
+                evaluator, 2.0, PruningPriors.uniform(3), max_evaluations=value
+            )
+
+    @pytest.mark.parametrize(
+        "name", ["adaptive_prior_weight", "timeout_s", "backoff_s", "pool_timeout_s",
+                 "pool_backoff_s"]
+    )
+    def test_nan_fails_positivity_checks(self, miner, name):
+        """A NaN compares false both ways, so every positivity check is
+        written to fail on it; NaN ``backoff_s`` would silently disable
+        backoff."""
+        from repro.core.shard import ShardPool
+
+        evaluator = ODEvaluator(miner.backend_, miner.backend_.data[0], 3, exclude=0)
+        nan = float("nan")
+        calls = {
+            "adaptive_prior_weight": lambda: DynamicSubspaceSearch(
+                evaluator, 2.0, PruningPriors.uniform(3), adaptive_prior_weight=nan
+            ),
+            "timeout_s": lambda: HOSMiner(timeout_s=nan),
+            "backoff_s": lambda: HOSMiner(backoff_s=nan),
+            "pool_timeout_s": lambda: ShardPool(miner.backend_.data, 2, timeout_s=nan),
+            "pool_backoff_s": lambda: ShardPool(miner.backend_.data, 2, backoff_s=nan),
+        }
+        with pytest.raises(ConfigurationError, match=name.removeprefix("pool_")):
+            calls[name]()
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            HOSMiner(seed=-1)
+
+    @pytest.mark.parametrize("entry", ["config", "search"])
+    def test_adaptive_must_be_a_bool(self, miner, entry):
+        evaluator = ODEvaluator(miner.backend_, miner.backend_.data[0], 3, exclude=0)
+        with pytest.raises(ConfigurationError, match="adaptive must be a bool"):
+            if entry == "config":
+                HOSMiner(adaptive="no")
+            else:
+                DynamicSubspaceSearch(evaluator, 2.0, PruningPriors.uniform(3), adaptive="no")
+
+    @pytest.mark.parametrize("entry", ["fit", "calibrate"])
+    def test_dimensionality_beyond_the_mask_caps(self, entry):
+        """Masks are int64 and the lattice is materialised, so a fit
+        above the lattice cap fails before building anything, and a
+        full-space request beyond int64 masks fails typed (never with a
+        raw OverflowError)."""
+        from repro.core.lattice import MAX_LATTICE_DIM
+        from repro.core.miner import calibrate_threshold
+
+        rng = np.random.default_rng(8)
+        with pytest.raises(DimensionalityError):
+            if entry == "fit":
+                X = rng.normal(size=(30, MAX_LATTICE_DIM + 1))
+                HOSMiner(k=3, sample_size=0).fit(X)
+            else:
+                X = rng.normal(size=(30, 70))
+                calibrate_threshold(LinearScanIndex(X), X, 3)
 
     @pytest.mark.parametrize("value", [100.5, float("nan")])
     @pytest.mark.parametrize("entry", ["config", "engine"])

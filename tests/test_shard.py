@@ -186,7 +186,7 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError, match="closed"):
             pool.scatter_prefixes(
                 dataset.X[:1],
-                [np.array([0, 1], dtype=np.intp)],
+                np.array([0b11]),
                 3,
                 [None],
                 "exact",
@@ -198,7 +198,7 @@ class TestLifecycle:
             with pytest.raises(Exception):
                 pool.scatter_prefixes(
                     dataset.X[:1],
-                    [np.array([dataset.X.shape[1] + 5], dtype=np.intp)],
+                    np.array([1 << (dataset.X.shape[1] + 5)]),
                     3,
                     [None],
                     "exact",
@@ -207,7 +207,7 @@ class TestLifecycle:
             # Same pool, same workers: still serving.
             out = pool.scatter_prefixes(
                 dataset.X[:2],
-                [np.array([0, 1], dtype=np.intp)],
+                np.array([0b11]),
                 3,
                 [None, None],
                 "exact",
@@ -274,15 +274,15 @@ class TestWire:
         small = rng.normal(size=(120, 4))
         big = np.vstack([small, rng.normal(size=(1080, 4))])
         queries = rng.normal(size=(3, 4))
-        dims_list = [np.array([0, 1], dtype=np.intp), np.array([2], dtype=np.intp)]
+        masks = np.array([0b011, 0b100])
         shipped = []
         for X in (small, big):
             with ShardPool(X, 3) as pool:
                 pool.scatter_prefixes(
-                    queries, dims_list, 4, [None] * 3, "exact", "float64"
+                    queries, masks, 4, [None] * 3, "exact", "float64"
                 ).sum(axis=-1)
                 pool.scatter_prefixes(
-                    queries, dims_list, 4, [None] * 3, "gemm", "float64"
+                    queries, masks, 4, [None] * 3, "gemm", "float64"
                 ).sum(axis=-1)
                 shipped.append(pool.bytes_shipped)
                 assert pool.round_trips == 2
@@ -309,7 +309,7 @@ class TestWire:
         a single-shard (full scan) pool's output for every kernel."""
         X = rng.normal(size=(90, 4))
         queries = rng.normal(size=(2, 4))
-        dims_list = [np.array([0, 2], dtype=np.intp), np.array([1, 3], dtype=np.intp)]
+        masks = np.array([0b0101, 0b1010])
         excludes = [5, None]
         with ShardPool(X, 1) as reference, ShardPool(X, 4) as sharded:
             for kernel, precision in [
@@ -318,9 +318,9 @@ class TestWire:
                 ("gemm", "float32"),
             ]:
                 ref = reference.scatter_prefixes(
-                    queries, dims_list, 5, excludes, kernel, precision
+                    queries, masks, 5, excludes, kernel, precision
                 )
                 got = sharded.scatter_prefixes(
-                    queries, dims_list, 5, excludes, kernel, precision
+                    queries, masks, 5, excludes, kernel, precision
                 )
                 np.testing.assert_array_equal(got, ref)

@@ -34,6 +34,7 @@ from repro.core.metrics import EuclideanMetric
 from repro.core.miner import HOSMiner
 from repro.core.od import SharedODCache, kth_bound
 from repro.core.stream import StreamEngine
+from repro.core.subspace import full_mask
 from repro.data.synthetic import make_drift_stream
 from repro.index.linear import LinearScanIndex
 from repro.index.vafile import VAFile
@@ -156,7 +157,7 @@ class TestBackendParity:
         warm, batches = drift_windows(cycles=5, drift=0.4)
         live = cls(warm)
         frame = warm
-        dims_list = [np.array([0, 1], dtype=np.intp), np.arange(D, dtype=np.intp)]
+        masks = np.array([0b11, full_mask(D)])
         for rows in batches:
             for row in rows:
                 live.insert(row)
@@ -165,8 +166,8 @@ class TestBackendParity:
             np.testing.assert_array_equal(live.data, frame)
             fresh = cls(frame)
             for query in (frame[0], frame[-1], rows[0] + 3.0):
-                got = live.knn_distance_prefix(query, K, dims_list, kernel=kernel)
-                ref = fresh.knn_distance_prefix(query, K, dims_list, kernel=kernel)
+                got = live.knn_distance_prefix(query, K, masks, kernel=kernel)
+                ref = fresh.knn_distance_prefix(query, K, masks, kernel=kernel)
                 np.testing.assert_array_equal(got, ref)
 
     def test_vafile_out_of_grid_insert_regression(self):
@@ -180,7 +181,7 @@ class TestBackendParity:
         warm, batches = drift_windows(cycles=8, drift=1.5, seed=23)
         live = VAFile(warm)
         frame = warm
-        dims_list = [np.array([0, 2], dtype=np.intp), np.arange(D, dtype=np.intp)]
+        masks = np.array([0b101, full_mask(D)])
         for rows in batches:
             for row in rows:
                 live.insert(row)
@@ -188,29 +189,29 @@ class TestBackendParity:
             frame = np.vstack([frame, rows])[-WINDOW:]
         assert np.any(frame.max(axis=0) > warm.max(axis=0))  # really off-grid
         for query in (frame[-1], frame[0], frame[-1] + 2.0):
-            got = live.knn_distance_prefix(query, K, dims_list)
+            got = live.knn_distance_prefix(query, K, masks)
             np.testing.assert_array_equal(
-                got, VAFile(frame).knn_distance_prefix(query, K, dims_list)
+                got, VAFile(frame).knn_distance_prefix(query, K, masks)
             )
             np.testing.assert_array_equal(
-                got, LinearScanIndex(frame).knn_distance_prefix(query, K, dims_list)
+                got, LinearScanIndex(frame).knn_distance_prefix(query, K, masks)
             )
 
     def test_prefix_batch_agrees_with_single_prefix(self):
         """Row i of the (q, m, k) prefix batch is query i's own prefix."""
         warm, _ = drift_windows()
-        dims_list = [np.array([0, 1], dtype=np.intp), np.arange(D, dtype=np.intp)]
+        masks = np.array([0b11, full_mask(D)])
         excludes = [0, 1, None]
         for cls in (LinearScanIndex, VAFile):
             index = cls(warm)
             queries = warm[:3]
             prefix = index.knn_distance_prefix_batch(
-                queries, K, dims_list, excludes=excludes, kernel="gemm"
+                queries, K, masks, excludes=excludes, kernel="gemm"
             )
-            assert prefix.shape == (3, len(dims_list), K)
+            assert prefix.shape == (3, len(masks), K)
             for i, exclude in enumerate(excludes):
                 single = index.knn_distance_prefix(
-                    queries[i], K, dims_list, exclude=exclude, kernel="gemm"
+                    queries[i], K, masks, exclude=exclude, kernel="gemm"
                 )
                 np.testing.assert_array_equal(prefix[i], single)
 
