@@ -9,35 +9,24 @@ from __future__ import annotations
 
 from repro.bench.experiments import E0_SPEC
 from repro.bench.script import run_script
+from repro.core.lattice import SubspaceLattice
 from repro.core.savings import (
-    TSFInputs,
     downward_saving_factor,
-    total_saving_factor,
+    total_saving_factors,
     upward_saving_factor,
-    workload_above,
-    workload_below,
 )
 
 
 def test_benchmark_tsf_evaluation(benchmark):
-    """Time one full TSF sweep over every level of a d=16 space — the
-    exact computation `_select_level` performs per search step."""
+    """Time one full TSF pass over every level of a d=16 space — the
+    computation `_select_level` performs per search step."""
     d = 16
+    levels = list(range(1, d + 1))
+    p_up, p_down = [0.4] * (d + 1), [0.6] * (d + 1)
+    workloads = SubspaceLattice(d).remaining_workloads()
 
     def sweep() -> float:
-        total = 0.0
-        for m in range(1, d + 1):
-            total += total_saving_factor(
-                TSFInputs(
-                    m=m,
-                    d=d,
-                    p_up=0.4,
-                    p_down=0.6,
-                    remaining_below=workload_below(m, d),
-                    remaining_above=workload_above(m, d),
-                )
-            )
-        return total
+        return sum(total_saving_factors(d, levels, p_up, p_down, workloads))
 
     result = benchmark(sweep)
     assert result > 0

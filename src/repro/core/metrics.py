@@ -31,6 +31,13 @@ Built-in metrics additionally implement two optional batched views:
     L_p distance over a subspace is a reduction of fixed per-dimension
     terms, so one component matrix serves *every* subspace evaluation
     of that query.
+``pairwise_masked(X, Q, select)``
+    Distances from every row of ``Q`` to every row of ``X``, each row of
+    ``Q`` over its own subspace — row ``i`` of the boolean ``(m, d)``
+    *select* names its dimensions — shape ``(m, n)``. The streaming
+    delta pass measures every cached ``(point, mask)`` entry against the
+    inserted or expired rows with it in one call, whatever mix of masks
+    the entries hold (:meth:`repro.core.od.SharedODCache.delta_insert`).
 ``finalize_component_sums(sums)``
     The GEMM hook: turns *already-summed* component totals into
     distances (``sqrt`` for L2, identity for L1, ``s**(1/p)`` for
@@ -49,17 +56,23 @@ working without them.
 One accumulation
 ----------------
 Every sum-reducing view of the L_p metrics (``pairwise``,
-``pairwise_many``, ``reduce_components``) accumulates its per-dimension
-terms through one helper, :func:`_accumulate`: sequentially, one
-dimension at a time in the order of ``dims`` (ascending for any mask),
-as elementwise array adds. Each distance is therefore the same chain of
-IEEE operations whatever the operand's shape — an ``(n, d)`` scan, a
-``(q, n, d)`` broadcast, a single ``(1, 1, d)`` pair or a gathered
-candidate list — so all views are bit-identical by construction rather
-than by the accident of how numpy's ``einsum``/``sum`` happen to order a
-reduction for a given shape (they do not agree at every shape: a
-one-row ``einsum`` broadcast can round differently from the scan).
-Chebyshev reduces with ``max``, which is exact in any order. The
+``pairwise_many``, ``pairwise_masked``, ``reduce_components``)
+accumulates its per-dimension terms through one helper,
+:func:`_accumulate`: sequentially, one dimension at a time in the order
+of ``dims`` (ascending for any mask), as elementwise array adds. Each
+distance is therefore the same chain of IEEE operations whatever the
+operand's shape — an ``(n, d)`` scan, a ``(q, n, d)`` broadcast, a
+single ``(1, 1, d)`` pair or a gathered candidate list — so all views
+are bit-identical by construction rather than by the accident of how
+numpy's ``einsum``/``sum`` happen to order a reduction for a given shape
+(they do not agree at every shape: a one-row ``einsum`` broadcast can
+round differently from the scan). The masked view runs the same chain
+over every dimension and skips the add wherever a row's selection
+leaves a dimension out; its running total starts at ``0.0``, and
+``0.0 + t`` is ``t`` exactly for every term (terms are never ``-0.0``),
+so each of its distances is the float ``pairwise_many`` gives over that
+row's dims. Chebyshev reduces with ``max``, which is exact in any order
+(its masked view starts at ``0.0`` too, below every term). The
 sum-reducing ``pairwise`` views also accept an ``(n, d)`` matrix as
 ``q``, pairing one query with each row of ``X`` — the form the
 full-space unit's exact refine uses
@@ -148,7 +161,9 @@ def _magnitude(values: np.ndarray) -> np.ndarray:
     return np.abs(values, out=values)
 
 
-def _accumulate(a: np.ndarray, b: np.ndarray, dims: np.ndarray, term) -> np.ndarray:
+def _accumulate(
+    a: np.ndarray, b: np.ndarray, dims: np.ndarray, term, select: "np.ndarray | None" = None
+) -> np.ndarray:
     """``Σ_j term(a[..., j] - b[..., j])`` over *dims*, one dim at a time.
 
     The one accumulation of the L_p metrics (see the module docstring):
@@ -157,14 +172,33 @@ def _accumulate(a: np.ndarray, b: np.ndarray, dims: np.ndarray, term) -> np.ndar
     every output element is the same sequential sum whatever shape ``a``
     and ``b`` broadcast to. ``a - b`` and ``b - a`` round to exact
     negatives, and every term here is even, so operand order is free.
+
+    *select*, when given, is a boolean array whose last axis runs over
+    the dimensions and whose other axes broadcast against the output:
+    an element's sum then skips every dimension its selection leaves
+    out, starting from ``0.0`` — the same float as the plain sum over
+    its selected dims.
     """
     columns = dims.tolist()
     with np.errstate(over="ignore"):
         # A distance past float64 range is inf, not an error.
-        total = term(a[..., columns[0]] - b[..., columns[0]])
-        for j in columns[1:]:
-            total += term(a[..., j] - b[..., j])
+        if select is None:
+            total = term(a[..., columns[0]] - b[..., columns[0]])
+            for j in columns[1:]:
+                total += term(a[..., j] - b[..., j])
+            return total
+        total = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        for j in columns:
+            np.add(total, term(a[..., j] - b[..., j]), out=total, where=select[..., j])
     return total
+
+
+def _masked(X: np.ndarray, Q: np.ndarray, select: np.ndarray, term) -> np.ndarray:
+    """The masked view's accumulation: row ``i`` of *Q* against every row
+    of *X* over the dims row ``i`` of *select* names, shape ``(m, n)``."""
+    return _accumulate(
+        Q[:, None, :], X[None, :, :], np.arange(Q.shape[1]), term, select[:, None, :]
+    )
 
 
 def _accumulate_terms(terms: np.ndarray) -> np.ndarray:
@@ -195,6 +229,9 @@ class EuclideanMetric:
 
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
         return np.sqrt(_accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), _square))
+
+    def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
+        return np.sqrt(_masked(X, Q, select, _square))
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         diff = X - q
@@ -231,6 +268,9 @@ class ManhattanMetric:
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
         return _accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), _magnitude)
 
+    def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
+        return _masked(X, Q, select, _magnitude)
+
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.abs(X - q)
 
@@ -260,6 +300,15 @@ class ChebyshevMetric:
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
         dims = _as_index(dims)
         return np.abs(X[None, :, dims] - Q[:, None, dims]).max(axis=2)
+
+    def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
+        total = np.zeros((Q.shape[0], X.shape[0]))
+        with np.errstate(over="ignore"):
+            # A dim left out of every selection may still overflow.
+            for j in range(Q.shape[1]):
+                gap = np.abs(Q[:, None, j] - X[None, :, j])
+                np.maximum(total, gap, out=total, where=select[:, None, j])
+        return total
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.abs(X - q)
@@ -299,6 +348,9 @@ class MinkowskiMetric:
     def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
         total = _accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), self._term)
         return np.power(total, 1.0 / self.p)
+
+    def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
+        return np.power(_masked(X, Q, select, self._term), 1.0 / self.p)
 
     def pairwise_components(self, X: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.power(np.abs(X - q), self.p)

@@ -41,7 +41,7 @@ from repro.core.result import BatchResult, OutlyingSubspaceResult
 from repro.core.search import DynamicSubspaceSearch, SearchOutcome
 from repro.core.subspace import Subspace, full_mask
 from repro.index import make_backend
-from repro.index.base import KnnBackend, require_finite
+from repro.index.base import KnnBackend, as_float64, require_finite
 
 if TYPE_CHECKING:
     from repro.core.shard import ShardPool
@@ -70,8 +70,8 @@ def calibrate_threshold(
     The sampled ODs come from one settle step on the full space
     (:func:`~repro.core.od.full_space_ods`), so every value is exact
     and ``T`` is the quantile of exact values. When *shared_cache* is
-    given, every computed full-space OD is published under its ``(row,
-    full mask)`` key with its exact kth distance as the delta bound, so
+    given, every computed full-space OD is published under its row and
+    the full mask with its exact kth distance as the delta bound, so
     later batched queries of the same rows replay the value instead of
     redoing kNN.
     """
@@ -88,7 +88,7 @@ def calibrate_threshold(
     if shared_cache is not None:
         mask = full_mask(backend.d)
         for row, value, bound in zip(rows.tolist(), values.tolist(), bounds.tolist()):
-            shared_cache.put(SharedODCache.point_key(X[row], row), mask, value, kth=bound)
+            shared_cache.put(shared_cache.point_key(X[row], row), mask, value, kth=bound)
     return float(np.quantile(values, quantile))
 
 
@@ -127,7 +127,7 @@ class HOSMiner:
         # A refit invalidates the shard pool's data shards; the next
         # multi-worker batch respawns it.
         self.close()
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = as_float64(X, "data")
         if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
             raise DataShapeError(
                 f"expected an (n >= 2, d >= 1) matrix, got shape {X.shape}"
@@ -283,7 +283,7 @@ class HOSMiner:
             raise ConfigurationError(
                 f"refresh must be 'none', 'threshold' or 'full', got {refresh!r}"
             )
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = np.atleast_2d(as_float64(rows, "new rows"))
         if rows.shape[1] != self.d_:
             raise DataShapeError(
                 f"new rows have {rows.shape[1]} columns, the miner was fitted on {self.d_}"
@@ -336,7 +336,7 @@ class HOSMiner:
         window with the same explicit threshold.
         """
         self._require_fitted()
-        X_new = np.ascontiguousarray(np.atleast_2d(np.asarray(X_new, dtype=np.float64)))
+        X_new = np.atleast_2d(as_float64(X_new, "new rows"))
         if X_new.ndim != 2 or X_new.shape[1] != self.d_:
             raise DataShapeError(
                 f"new rows have shape {X_new.shape}, the miner was fitted on d={self.d_}"
@@ -360,8 +360,8 @@ class HOSMiner:
         expiry — the trees would need deletion machinery the paper's
         system never had. Row ids shift down by ``n_oldest`` (window
         coordinates); cached ODs survive when their kth-distance bound
-        proves no expired row was among their k neighbours, and
-        surviving row-keyed entries are re-keyed to the new coordinates.
+        proves no expired row was among their k neighbours, and keep
+        their keys (the cache numbers rows absolutely).
         """
         self._require_fitted()
         n_oldest = require_integer("n_oldest", n_oldest)
@@ -411,7 +411,7 @@ class HOSMiner:
         """Dispatch: an integer is a dataset row, a vector an external point."""
         if isinstance(target, (int, np.integer)):
             return self.query_row(target)
-        return self.query_point(np.asarray(target))
+        return self.query_point(target)
 
     def query_row(self, row: int) -> OutlyingSubspaceResult:
         """Outlying subspaces of dataset member *row* (self excluded from

@@ -44,7 +44,7 @@ search) and because evaluation counting must distinguish cached hits
 from real work.
 
 :class:`SharedODCache` extends that idea across queries: one per-fit
-cache keyed by ``(point key, subspace mask)`` that every evaluator of
+cache keyed by point slot and subspace mask that every evaluator of
 the same fitted miner can consult, so overlapping searches — the
 fit-time learning pass, repeated queries of the same row, duplicate
 points inside one batch — reuse OD values instead of redoing kNN work.
@@ -55,17 +55,26 @@ approximation), so sharing never changes answers, only cost.
 from __future__ import annotations
 
 from functools import partial
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.lattice import MAX_LATTICE_DIM
 from repro.core.metrics import resolve_kernel
 from repro.core.precision import resolve_precision, reverify_rtol
 from repro.core.subspace import Subspace, dims_of_mask, full_mask
-from repro.index.base import KnnBackend, components32_from, mask_matrix, validate_masks
+from repro.index.base import (
+    KnnBackend,
+    as_float64,
+    components32_from,
+    mask_matrix,
+    validate_masks,
+)
 
 __all__ = [
+    "DELTA_BLOCK_BYTES",
     "GEMM_REVERIFY_RTOL",
     "ODEvaluator",
     "SharedODCache",
@@ -87,6 +96,20 @@ __all__ = [
 #: nothing: outside the band the two kernels provably agree on the
 #: ``OD >= T`` decision, inside it the exact kernel decides.
 GEMM_REVERIFY_RTOL = 1e-9
+
+#: Ceiling on each ``(entries × batch rows)`` float64 temporary of the
+#: streaming delta pass (:func:`_subspace_minima`). At stream-window's
+#: shape (about 1,400 entries × 32 rows, d = 8) 256 KiB blocks ran about
+#: 10% faster than one 1 MiB block.
+DELTA_BLOCK_BYTES = 1 << 18
+
+# A cache key is ``slot << _MASK_BITS | mask``: every searchable mask
+# fits, since ``fit`` rejects ``d > MAX_LATTICE_DIM``.
+_MASK_BITS = MAX_LATTICE_DIM
+_MASK_LIMIT = (1 << _MASK_BITS) - 1
+# Slot-table row markers (absolute rows are >= 0).
+_EXTERNAL = -1
+_FREE = -2
 
 def near_threshold(value, threshold: float, rtol: float = GEMM_REVERIFY_RTOL):
     """Whether GEMM OD values are too close to ``T`` to decide alone.
@@ -389,12 +412,19 @@ def settle(
 class SharedODCache:
     """Per-fit OD cache shared by every evaluator of one fitted miner.
 
-    Keys are ``(point key, mask)`` pairs where the point key identifies
-    a query point *together with its exclusion semantics*: dataset
-    members queried with self-exclusion key by row id, external points
-    by their coordinate bytes. Two queries with the same key are
-    guaranteed to produce the same OD in every subspace of the current
-    fit, so a stored value can be replayed verbatim.
+    An entry is keyed by one int, ``slot << MAX_LATTICE_DIM | mask``.
+    The slot names a query point *together with its exclusion
+    semantics*: dataset members queried with self-exclusion map to a
+    slot by absolute row — window row plus the rows expired so far, so
+    expiry moves no key — and external points by their coordinate bytes,
+    which the slot table keeps as their coordinates. Two queries with the
+    same slot are guaranteed to produce the same OD in every subspace of
+    the current fit, so a stored value can be replayed verbatim. An
+    evaluator resolves its slot once (:meth:`point_key`), so a replay
+    hashes one int.
+
+    Values and kth bounds sit in two dicts that gain keys in the same
+    order, so their keys and values read as aligned columns.
 
     The cache is owned by the miner and must be kept consistent whenever
     the indexed dataset changes: ``extend``/refit drop everything via
@@ -403,16 +433,31 @@ class SharedODCache:
     entry survives a window update only when its cached kth-distance
     bound *proves* the update cannot have changed its kNN k-prefix, so a
     retained value is still exactly what a fresh fit on the new window
-    would compute (see docs/streaming.md for the argument).
+    would compute (see docs/streaming.md for the argument). A delta pass
+    frees every slot left without an entry, so rows that have left the
+    window leave the slot table too.
     """
 
-    __slots__ = ("_values", "_kth", "hits", "stores", "delta_evicted", "delta_retained")
+    __slots__ = (
+        "_values", "_kth", "_slots", "_slot_ident", "_slot_row", "_free", "_expired",
+        "hits", "stores", "delta_evicted", "delta_retained",
+    )
 
     def __init__(self) -> None:
-        self._values: dict[tuple[object, int], float] = {}
+        self._values: dict[int, float] = {}
         #: Per-entry safe upper bound on the true kth-neighbour distance
         #: (:func:`kth_bound`).
-        self._kth: dict[tuple[object, int], float] = {}
+        self._kth: dict[int, float] = {}
+        # The slot table: point identity (absolute row or external
+        # coordinate bytes) -> slot, and per slot its identity and its
+        # absolute row (_EXTERNAL for an external point, _FREE when
+        # unused). Freed slots are reused.
+        self._slots: dict[int | bytes, int] = {}
+        self._slot_ident: list[int | bytes | None] = []
+        self._slot_row: list[int] = []
+        self._free: list[int] = []
+        #: Rows expired so far: window row + this = absolute row.
+        self._expired = 0
         #: Number of lookups served from the cache.
         self.hits = 0
         #: Number of values recorded.
@@ -422,63 +467,75 @@ class SharedODCache:
         #: Entries proven unaffected and kept across window updates.
         self.delta_retained = 0
 
-    @staticmethod
-    def point_key(query: np.ndarray, exclude: int | None) -> tuple[str, object]:
-        """Canonical key of one ``(query, exclude)`` pair."""
-        if exclude is not None:
-            return ("row", exclude)
-        return ("ext", query.tobytes())
+    def point_key(self, query: np.ndarray, exclude: int | None) -> int:
+        """Key prefix ``slot << MAX_LATTICE_DIM`` of one ``(query,
+        exclude)`` pair; the slot is allocated on first use.
 
-    def get(self, point_key: tuple[str, object], mask: int) -> float | None:
-        value = self._values.get((point_key, mask))
+        A dataset member (*exclude* its window row) is identified by its
+        absolute row, an external point by ``query.tobytes()``.
+        """
+        ident = query.tobytes() if exclude is None else int(exclude) + self._expired
+        slot = self._slots.get(ident)
+        if slot is None:
+            row = _EXTERNAL if exclude is None else ident
+            if self._free:
+                slot = self._free.pop()
+                self._slot_ident[slot] = ident
+                self._slot_row[slot] = row
+            else:
+                slot = len(self._slot_row)
+                self._slot_ident.append(ident)
+                self._slot_row.append(row)
+            self._slots[ident] = slot
+        return slot << _MASK_BITS
+
+    def get(self, point_key: int, mask: int) -> float | None:
+        value = self._values.get(point_key | mask)
         if value is not None:
             self.hits += 1
         return value
 
-    def put(
-        self, point_key: tuple[str, object], mask: int, value: float, kth: float
-    ) -> None:
+    def put(self, point_key: int, mask: int, value: float, kth: float) -> None:
         """Record a value with its safe kth-distance bound.
 
         *kth* must come from :func:`kth_bound` (or be exact): every
         producer of an OD value sees the whole k-prefix, so every entry
         carries the bound its delta invalidation needs.
         """
-        key = (point_key, mask)
+        key = point_key | mask
         if key not in self._values:
             self.stores += 1
         self._values[key] = value
         self._kth[key] = kth
 
-    def kth_of(self, point_key: tuple[str, object], mask: int) -> float | None:
+    def kth_of(self, point_key: int, mask: int) -> float | None:
         """The recorded kth-distance bound for an entry, if any."""
-        return self._kth.get((point_key, mask))
+        return self._kth.get(point_key | mask)
+
+    def entries(self) -> "dict[tuple[int | bytes, int], tuple[float, float]]":
+        """Every entry as ``{(point, mask): (value, kth bound)}``.
+
+        *point* is a dataset member's window row or an external point's
+        coordinate bytes — a view that does not depend on how slots were
+        numbered, for comparing two caches.
+        """
+        out = {}
+        for key, value in self._values.items():
+            ident = self._slot_ident[key >> _MASK_BITS]
+            point = ident if isinstance(ident, bytes) else ident - self._expired
+            out[(point, key & _MASK_LIMIT)] = (value, self._kth[key])
+        return out
 
     def invalidate(self) -> None:
-        """Drop every cached value (dataset changed)."""
+        """Drop every cached value and the slot table (dataset changed)."""
         self._values.clear()
         self._kth.clear()
+        self._slots.clear()
+        self._slot_ident.clear()
+        self._slot_row.clear()
+        self._free.clear()
 
     # -- delta invalidation ------------------------------------------------
-    def _entry_query(self, point_key: tuple[str, object], data: np.ndarray, shift: int):
-        """Current coordinates of a cached entry's query point.
-
-        Row keys index the *current* window ``data`` after shifting down
-        by *shift* (0 on insert, the expired count on expiry); external
-        keys decode their coordinate bytes. ``None`` means the point
-        cannot be resolved and the entry must be evicted.
-        """
-        kind, ident = point_key
-        if kind == "row":
-            row = ident - shift
-            if not 0 <= row < data.shape[0]:
-                return None
-            return data[row]
-        point = np.frombuffer(ident, dtype=np.float64)
-        if point.shape[0] != data.shape[1]:
-            return None
-        return point
-
     def delta_insert(self, rows: np.ndarray, data: np.ndarray, metric) -> tuple[int, int]:
         """Evict only entries an inserted batch could have changed.
 
@@ -491,104 +548,150 @@ class SharedODCache:
         inserted rows' subspace distances against it errs only toward
         eviction.
 
-        *data* is the post-insert window matrix (row keys are unshifted
-        by inserts). Returns ``(evicted, retained)``.
+        *data* is the post-insert window matrix. Returns ``(evicted,
+        retained)``.
         """
-        return self._delta_scan(rows, data, metric, shift=0, keep_ties=True)
+        return self._delta_scan(rows, data, metric, keep_ties=True)
 
     def delta_expire(
         self, expired_rows: np.ndarray, count: int, data: np.ndarray, metric
     ) -> tuple[int, int]:
-        """Evict entries an expiry could have changed; re-key the rest.
+        """Evict entries an expiry could have changed.
 
         Entries *for* an expired query row are dropped. For every other
         entry, removing a row changes the k-smallest multiset only if
         that row's subspace distance was ``<=`` the true kth distance
         (it could have been one of the k neighbours, or tied with one);
         distances strictly above the cached bound prove it was not.
-        Surviving row keys shift down by *count* to the new window
-        coordinates — same point, same subspace, so the value and bound
-        carry over verbatim.
+        Keys hold absolute rows, so the survivors keep theirs: the
+        window rows shift down by *count*, the expired count rises by
+        it.
 
-        *data* is the post-expiry window matrix. Returns
-        ``(evicted, retained)``.
+        *data* is the post-expiry window matrix. Returns ``(evicted,
+        retained)``.
         """
-        return self._delta_scan(
-            expired_rows, data, metric, shift=count, keep_ties=False
-        )
+        self._expired += count
+        return self._delta_scan(expired_rows, data, metric, keep_ties=False)
 
     def _delta_scan(
-        self,
-        batch: np.ndarray,
-        data: np.ndarray,
-        metric,
-        shift: int,
-        keep_ties: bool,
+        self, batch: np.ndarray, data: np.ndarray, metric, keep_ties: bool
     ) -> tuple[int, int]:
         """Shared delta pass: evict entries the batch's rows can reach.
 
-        Entries are grouped by subspace mask so each group's survival
-        test is one broadcasted ``pairwise_many`` call over all its
-        query points and the whole batch at once (``len(batch)``
-        ``pairwise`` calls for metrics without the batched view), not
-        one call per entry — the scan has to be cheaper than the refit
-        it replaces. ``keep_ties`` selects the
-        insert rule (a new distance *equal* to the bound keeps the
-        k-smallest multiset) versus the expire rule (a removed row tied
-        with the kth could have been a neighbour, so ties evict).
+        Reads every entry's key and bound as arrays, resolves each slot
+        to its point once (:meth:`_slot_points`; an unresolvable point —
+        a row outside the window, an external point of the wrong width —
+        evicts its entries), and measures every resolved entry against
+        the whole batch in its own subspace with :func:`_subspace_minima`.
+        ``keep_ties`` selects the insert rule (a new distance *equal* to
+        the bound keeps the k-smallest multiset) versus the expire rule
+        (a removed row tied with the kth could have been a neighbour, so
+        ties evict). Slots left without an entry are freed.
         """
-        if not self._values:
-            return (0, 0)
-        by_mask: dict[int, tuple[list, list, list]] = {}
-        evicted = 0
-        for (point_key, mask), value in self._values.items():
-            kind, ident = point_key
-            if shift and kind == "row" and ident < shift:
-                evicted += 1
-                continue
-            query = self._entry_query(point_key, data, shift)
-            if query is None:
-                evicted += 1
-                continue
-            keys, queries, bounds = by_mask.setdefault(mask, ([], [], []))
-            keys.append((point_key, value))
-            queries.append(query)
-            bounds.append(self._kth[(point_key, mask)])
-        survivors: dict[tuple[object, int], float] = {}
-        kths: dict[tuple[object, int], float] = {}
-        batch_arr = np.asarray(batch, dtype=np.float64)
-        many = getattr(metric, "pairwise_many", None)
-        for mask, (keys, queries, bounds) in by_mask.items():
-            dims = np.asarray(dims_of_mask(mask), dtype=np.intp)
-            points = np.asarray(queries)
-            if many is not None:
-                mins = many(batch_arr, points, dims).min(axis=1)
-            else:
-                mins = np.full(len(keys), np.inf)
-                for row in batch_arr:
-                    np.minimum(mins, metric.pairwise(points, row, dims), out=mins)
-            bounds_arr = np.asarray(bounds)
-            kept = mins >= bounds_arr if keep_ties else mins > bounds_arr
-            for j, (point_key, value) in enumerate(keys):
-                if not kept[j]:
-                    evicted += 1
-                    continue
-                kind, ident = point_key
-                if shift and kind == "row":
-                    point_key = ("row", ident - shift)
-                survivors[(point_key, mask)] = value
-                kths[(point_key, mask)] = bounds[j]
-        self._values = survivors
-        self._kth = kths
+        count = len(self._values)
+        keys = np.fromiter(self._values, dtype=np.int64, count=count)
+        values = np.fromiter(self._values.values(), dtype=np.float64, count=count)
+        bounds = np.fromiter(self._kth.values(), dtype=np.float64, count=count)
+        slots = keys >> _MASK_BITS
+        rows = np.array(self._slot_row, dtype=np.int64)
+        points, resolved = self._slot_points(rows, data)
+        live = np.flatnonzero(resolved[slots])
+        mins = _subspace_minima(
+            np.asarray(batch, dtype=np.float64),
+            points[slots[live]],
+            keys[live] & _MASK_LIMIT,
+            metric,
+        )
+        kept = live[mins >= bounds[live] if keep_ties else mins > bounds[live]]
+        kept_keys = keys[kept].tolist()
+        self._values = dict(zip(kept_keys, values[kept].tolist()))
+        self._kth = dict(zip(kept_keys, bounds[kept].tolist()))
+        held = np.zeros(rows.size, dtype=bool)
+        held[slots[kept]] = True
+        for slot in np.flatnonzero(~held & (rows != _FREE)).tolist():
+            del self._slots[self._slot_ident[slot]]
+            self._slot_ident[slot] = None
+            self._slot_row[slot] = _FREE
+            self._free.append(slot)
+        evicted, retained = count - kept.size, int(kept.size)
         self.delta_evicted += evicted
-        self.delta_retained += len(survivors)
-        return (evicted, len(survivors))
+        self.delta_retained += retained
+        return (evicted, retained)
+
+    def _slot_points(
+        self, rows: np.ndarray, data: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Every slot's current coordinates and whether it resolves.
+
+        *rows* is the slot table's row column. A row slot resolves while
+        its absolute row is in the window *data* and reads its
+        coordinates there; an external slot resolves when its coordinate
+        bytes have the window's width.
+        """
+        n, d = data.shape
+        points = np.zeros((rows.size, d))
+        window = rows - self._expired
+        resolved = (rows >= self._expired) & (window < n)
+        points[resolved] = data[window[resolved]]
+        external = np.flatnonzero(rows == _EXTERNAL)
+        if external.size:
+            idents = [self._slot_ident[slot] for slot in external.tolist()]
+            fits = np.fromiter(map(len, idents), dtype=np.int64, count=len(idents)) == 8 * d
+            joined = b"".join(compress(idents, fits.tolist()))
+            points[external[fits]] = np.frombuffer(joined, dtype=np.float64).reshape(-1, d)
+            resolved[external[fits]] = True
+        return points, resolved
 
     def __len__(self) -> int:
         return len(self._values)
 
     def __repr__(self) -> str:
         return f"SharedODCache(entries={len(self)}, hits={self.hits})"
+
+
+def _subspace_minima(
+    batch: np.ndarray, points: np.ndarray, masks: np.ndarray, metric
+) -> np.ndarray:
+    """Per entry, the smallest distance from ``points[i]`` to any row of
+    *batch* in the subspace of ``masks[i]`` — the delta pass's test.
+
+    Metrics with the masked view (``pairwise_masked``, every built-in
+    metric) measure all entries at once, whatever their masks, in blocks
+    whose ``(entries × batch rows)`` temporaries stay under
+    :data:`DELTA_BLOCK_BYTES`. Other metrics keep the per-mask
+    arithmetic: entries are grouped by mask with one argsort, and each
+    group costs one ``pairwise_many`` call per block, or one
+    ``pairwise`` call per batch row without it. Every path measures a
+    distance with the kernel's own arithmetic (``repro.core.metrics``),
+    so an expired kth neighbour reads exactly its bound.
+    """
+    out = np.full(points.shape[0], np.inf)
+    if batch.shape[0] == 0 or points.shape[0] == 0:
+        return out
+    d = points.shape[1]
+    step = max(1, DELTA_BLOCK_BYTES // (8 * batch.shape[0]))
+    select = mask_matrix(masks, d, bool)
+    masked = getattr(metric, "pairwise_masked", None)
+    if masked is not None:
+        for start in range(0, points.shape[0], step):
+            block = slice(start, start + step)
+            out[block] = masked(batch, points[block], select[block]).min(axis=1)
+        return out
+    many = getattr(metric, "pairwise_many", None)
+    order = np.argsort(masks, kind="stable")
+    cuts = np.flatnonzero(np.diff(masks[order])) + 1
+    for group in np.split(order, cuts):
+        dims = np.flatnonzero(select[group[0]])
+        for start in range(0, group.size, step):
+            rows = group[start : start + step]
+            if many is not None:
+                out[rows] = many(batch, points[rows], dims).min(axis=1)
+                continue
+            mins = np.full(rows.size, np.inf)
+            for row in batch:
+                np.minimum(mins, metric.pairwise(points[rows], row, dims), out=mins)
+            out[rows] = mins
+    return out
 
 
 class ODEvaluator:
@@ -671,7 +774,7 @@ class ODEvaluator:
         self.shared_cache = shared_cache
         #: Shared-cache key of the point; ``None`` without a shared cache.
         self.point_key = (
-            SharedODCache.point_key(query, exclude) if shared_cache is not None else None
+            shared_cache.point_key(query, exclude) if shared_cache is not None else None
         )
 
     @staticmethod
@@ -682,12 +785,7 @@ class ODEvaluator:
         query fails here with the expected/actual shapes spelled out
         instead of surfacing as an opaque error deep inside a backend.
         """
-        try:
-            query = np.ascontiguousarray(query, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataShapeError(
-                f"query could not be converted to a float vector: {exc}"
-            ) from exc
+        query = as_float64(query, "query")
         if query.ndim != 1 or query.shape[0] != d:
             raise DataShapeError(
                 f"expected a query of shape ({d},), got shape {query.shape}"

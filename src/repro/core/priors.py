@@ -50,7 +50,8 @@ class PruningPriors:
                 raise ConfigurationError(
                     f"{name} must have shape ({self.d + 1},), got {array.shape}"
                 )
-            if np.any(array < 0) or np.any(array > 1):
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not np.all((array >= 0) & (array <= 1)):
                 raise ConfigurationError(f"{name} entries must be probabilities")
         self.p_up.setflags(write=False)
         self.p_down.setflags(write=False)

@@ -19,7 +19,9 @@ unit tests.
 probabilities that up/down pruning fires at level ``m`` and (b) the
 fraction of that saving still achievable given what has already been
 pruned (``f_down``, ``f_up``). The dynamic search engine always expands
-the level with the highest TSF next.
+the level with the highest TSF next: it computes every level's TSF in
+one pass per step (:func:`total_saving_factors`), which keeps the
+float operations of :func:`total_saving_factor` for each level.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "workload_above",
     "TSFInputs",
     "total_saving_factor",
+    "total_saving_factors",
 ]
 
 
@@ -157,3 +160,60 @@ def total_saving_factor(inputs: TSFInputs) -> float:
     if m == d:
         return down_term
     return down_term + up_term
+
+
+@lru_cache(maxsize=None)
+def _level_constants(d: int) -> "tuple[tuple[int, int, int, int], ...]":
+    """Per level ``m`` (entry 0 unused): ``C_down(m)``, ``DSF(m)``,
+    ``C_up(m)`` and ``USF(m, d)`` — the integers of the TSF formula."""
+    return ((0, 0, 0, 0),) + tuple(
+        (
+            workload_below(m, d),
+            downward_saving_factor(m),
+            workload_above(m, d),
+            upward_saving_factor(m, d),
+        )
+        for m in range(1, d + 1)
+    )
+
+
+def total_saving_factors(
+    d: int,
+    levels: "list[int]",
+    p_up: "list[float]",
+    p_down: "list[float]",
+    workloads: "list[int]",
+) -> "list[float]":
+    """``TSF(m, p)`` of every level in *levels*, in one pass.
+
+    *p_up* / *p_down* are indexed by level (entry ``m`` is level ``m``'s
+    prior) and *workloads* is
+    :meth:`~repro.core.lattice.SubspaceLattice.remaining_workloads`, so
+    ``C_down_left(m)`` is ``workloads[m]`` and ``C_up_left(m)`` is
+    ``workloads[d + 1] - workloads[m + 1]``. Each value is
+    :func:`total_saving_factor` of that level's :class:`TSFInputs`, bit
+    for bit: the same float operations in the same order, with the
+    per-``d`` integers looked up instead of recomputed. Inputs are
+    trusted — the priors were checked by
+    :class:`~repro.core.priors.PruningPriors`.
+    """
+    constants = _level_constants(d)
+    total = workloads[d + 1]
+    out = []
+    for m in levels:
+        below, dsf, above, usf = constants[m]
+        down_term = 0.0
+        if m > 1:
+            f_down = workloads[m] / below if below else 0.0
+            down_term = p_down[m] * f_down * dsf
+        up_term = 0.0
+        if m < d:
+            f_up = (total - workloads[m + 1]) / above if above else 0.0
+            up_term = p_up[m] * f_up * usf
+        if m == 1:
+            out.append(up_term)
+        elif m == d:
+            out.append(down_term)
+        else:
+            out.append(down_term + up_term)
+    return out

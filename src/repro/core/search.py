@@ -56,7 +56,10 @@ from repro.core.exceptions import ConfigurationError, SearchBudgetExceeded
 from repro.core.lattice import SubspaceLattice
 from repro.core.od import ODEvaluator, component_entry, knn_prefixes, settle
 from repro.core.priors import PruningPriors
-from repro.core.savings import TSFInputs, total_saving_factor
+# Every level's TSF in one pass, under the scalar formula's name: the
+# per-layer trace (apibench, ``savings.tsf``) wraps this module
+# attribute, so it counts one call per search step.
+from repro.core.savings import total_saving_factors as total_saving_factor
 from repro.core.subspace import Subspace, full_mask
 
 __all__ = [
@@ -260,10 +263,11 @@ class DynamicSubspaceSearch:
         lattice = SubspaceLattice(self.evaluator.backend.d)
         stats = SearchStats()
         threshold = self.threshold
+        priors = (self.priors.p_up.tolist(), self.priors.p_down.tolist())
 
         cursors: dict[int, int] = {}
         while lattice.has_unknown():
-            level, masks = self._next_step(lattice, stats, cursors)
+            level, masks = self._next_step(lattice, priors, stats, cursors)
             requested = masks
             if self.max_evaluations is not None:
                 remaining = self.max_evaluations - stats.od_evaluations
@@ -294,10 +298,14 @@ class DynamicSubspaceSearch:
 
     # ------------------------------------------------------------------
     def _next_step(
-        self, lattice: SubspaceLattice, stats: SearchStats, cursors: dict[int, int]
+        self,
+        lattice: SubspaceLattice,
+        priors: "tuple[list[float], list[float]]",
+        stats: SearchStats,
+        cursors: dict[int, int],
     ) -> tuple[int, list[int]]:
         """Select the next level and the masks this step will decide."""
-        level = self._select_level(lattice)
+        level = self._select_level(lattice, *priors)
         stats.level_schedule.append(level)
         if self.reselect == "level":
             return level, lattice.unknown_masks_at_level(level)
@@ -318,31 +326,33 @@ class DynamicSubspaceSearch:
             lattice=lattice,
         )
 
-    def _select_level(self, lattice: SubspaceLattice) -> int:
+    def _select_level(
+        self, lattice: SubspaceLattice, p_up: "list[float]", p_down: "list[float]"
+    ) -> int:
         """Level with the highest TSF; ties favour the lower level, which
         keeps the schedule deterministic and biases toward the small
-        subspaces the final filter wants anyway."""
+        subspaces the final filter wants anyway.
+
+        *p_up* / *p_down* are the priors by level. Every level's TSF
+        comes from one :func:`~repro.core.savings.total_saving_factors`
+        call per step."""
+        levels = lattice.levels_with_unknown()
+        if self.adaptive:
+            p_up, p_down = self._adaptive_priors(lattice, levels, p_up)
+        tsfs = total_saving_factor(
+            lattice.d, levels, p_up, p_down, lattice.remaining_workloads()
+        )
         best_level = -1
         best_tsf = -1.0
-        workloads = lattice.remaining_workloads()
-        for m in lattice.levels_with_unknown():
-            p_up, p_down = self._effective_priors(m, lattice)
-            tsf = total_saving_factor(
-                TSFInputs(
-                    m=m,
-                    d=lattice.d,
-                    p_up=p_up,
-                    p_down=p_down,
-                    remaining_below=workloads[m],
-                    remaining_above=workloads[-1] - workloads[m + 1],
-                )
-            )
+        for m, tsf in zip(levels, tsfs):
             if tsf > best_tsf:
                 best_level, best_tsf = m, tsf
         return best_level
 
-    def _effective_priors(self, m: int, lattice: SubspaceLattice) -> tuple[float, float]:
-        """Priors for level ``m``: learned values, optionally shrunk toward
+    def _adaptive_priors(
+        self, lattice: SubspaceLattice, levels: "list[int]", p_up: "list[float]"
+    ) -> "tuple[list[float], list[float]]":
+        """Priors by level for *levels*: the learned values shrunk toward
         the evidence produced so far by this very search.
 
         The blend is a conjugate-style update: the learned prior counts as
@@ -352,26 +362,24 @@ class DynamicSubspaceSearch:
         so untouched levels still react when the search discovers the
         query point is (or is not) broadly outlying.
         """
-        p_up, p_down = self.priors.at(m)
-        if not self.adaptive:
-            return p_up, p_down
-        level_decided, level_outlying = lattice.decided_stats(m)
+        d = lattice.d
         global_decided, global_outlying = lattice.decided_stats_total()
-        global_weight = min(global_decided, 2 * lattice.d)
+        global_weight = min(global_decided, 2 * d)
         global_fraction = (
             global_outlying / global_decided if global_decided else 0.0
         )
         weight = self.adaptive_prior_weight
-        estimate = (
-            weight * p_up + level_outlying + global_weight * global_fraction
-        ) / (weight + level_decided + global_weight)
-        p_up_new, p_down_new = estimate, 1.0 - estimate
-        # Preserve the structural boundary conventions of Section 3.2.
-        if m == 1:
-            p_down_new = 0.0
-        if m == lattice.d:
-            p_up_new = 0.0
-        return p_up_new, p_down_new
+        blended_up = [0.0] * (d + 1)
+        blended_down = [0.0] * (d + 1)
+        for m in levels:
+            level_decided, level_outlying = lattice.decided_stats(m)
+            estimate = (
+                weight * p_up[m] + level_outlying + global_weight * global_fraction
+            ) / (weight + level_decided + global_weight)
+            # Preserve the structural boundary conventions of Section 3.2.
+            blended_up[m] = 0.0 if m == d else estimate
+            blended_down[m] = 0.0 if m == 1 else 1.0 - estimate
+        return blended_up, blended_down
 
 
 @dataclass(slots=True)

@@ -40,6 +40,7 @@ from repro.core.config import require_integer
 from repro.core.exceptions import ConfigurationError
 from repro.core.miner import HOSMiner
 from repro.core.result import BatchResult, OutlyingSubspaceResult
+from repro.index.base import as_float64
 
 __all__ = ["StreamEngine"]
 
@@ -103,7 +104,7 @@ class StreamEngine:
         leaves exactly the last ``window`` rows. Returns the number of
         rows expired.
         """
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = np.atleast_2d(as_float64(rows, "pushed rows"))
         self.miner.insert(rows)
         overflow = 0
         if self.window is not None:

@@ -26,6 +26,7 @@ from repro.index.stats import IndexStats
 __all__ = [
     "MAX_MASK_DIM",
     "KnnBackend",
+    "as_float64",
     "components32_from",
     "mask_matrix",
     "normalize_excludes",
@@ -213,17 +214,36 @@ def normalize_excludes(
     return excludes
 
 
+def as_float64(values, what: str) -> np.ndarray:
+    """*values* as a C-contiguous float64 array, or a
+    :class:`~repro.core.exceptions.DataShapeError` naming *what*.
+
+    The one conversion of every data matrix, new row and query point at
+    the API boundary. Strings that are not numbers, ragged nesting and
+    complex numbers all fail here; a complex dtype is rejected before
+    the cast, which would keep only the real part (with a mere
+    ``ComplexWarning``). Shapes are the caller's to check.
+    """
+    from repro.core.exceptions import DataShapeError
+
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise DataShapeError(f"{what} could not be converted to float64: {exc}") from exc
+    if np.iscomplexobj(array):
+        raise DataShapeError(f"{what} has complex dtype {array.dtype}; coordinates must be real")
+    try:
+        return np.ascontiguousarray(array, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataShapeError(f"{what} could not be converted to float64: {exc}") from exc
+
+
 def validate_query_matrix(queries: np.ndarray, d: int) -> np.ndarray:
     """Coerce *queries* to a float64 ``(m, d)`` matrix or raise
     :class:`~repro.core.exceptions.DataShapeError` naming both shapes."""
     from repro.core.exceptions import DataShapeError
 
-    try:
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataShapeError(
-            f"query matrix could not be converted to float64: {exc}"
-        ) from exc
+    queries = as_float64(queries, "query matrix")
     if queries.ndim != 2 or queries.shape[1] != d:
         raise DataShapeError(
             f"expected a query matrix of shape (m, {d}), got {queries.shape}"

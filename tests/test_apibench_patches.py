@@ -4,13 +4,17 @@
 trace and raises on a name that no longer exists. This loads the table by
 path and resolves every entry the way ``Tracer.install`` does, so a
 rename or a moved method fails tier-1 rather than only the traced
-benchmark run.
+benchmark run. A name that resolves but is no longer called reads 0 in
+the trace, so the streaming layers are also driven under the installed
+tracer.
 """
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 TRACING = Path(__file__).resolve().parents[1] / "apibench" / "tracing.py"
 
@@ -38,3 +42,27 @@ def test_every_patch_entry_resolves():
         if not callable(target):
             missing.append(f"{module_name}:{path} ({name}) is not callable")
     assert not missing, "\n".join(missing)
+
+
+def test_trace_sees_the_streaming_layers():
+    """Fit a small streaming miner, push twice and poll once under the
+    tracer: the delta pass, cache lookups, the TSF pass and both window
+    updates each record calls."""
+    from repro.core.miner import HOSMiner
+    from repro.core.stream import StreamEngine
+
+    tracer = _load_tracing().Tracer()
+    rng = np.random.default_rng(4)
+    warm = rng.normal(size=(60, 4))
+    tracer.install()
+    try:
+        miner = HOSMiner(k=3, sample_size=3, threshold_quantile=0.9, stream_window=60)
+        engine = StreamEngine(miner.fit(warm))
+        engine.push(rng.normal(size=(5, 4)))
+        engine.push(rng.normal(size=(5, 4)))
+        engine.query_batch([55, 56, 57, 58, 59, warm[0] + 0.01])
+    finally:
+        tracer.remove()
+    calls = {name: rec[0] for name, rec in tracer.acc.items()}
+    for name in ("od.delta", "od.cache_get", "savings.tsf", "stream.insert", "stream.expire"):
+        assert calls.get(name, 0) > 0, name

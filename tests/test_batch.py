@@ -521,12 +521,16 @@ class TestSharedODCache:
         assert_matches_oracles(fresh, range(6), batched.results)
 
     def test_point_key_distinguishes_row_and_external(self):
+        cache = SharedODCache()
         query = np.array([1.0, 2.0])
-        assert SharedODCache.point_key(query, 3) == ("row", 3)
-        assert SharedODCache.point_key(query, None)[0] == "ext"
-        assert SharedODCache.point_key(query, None) == SharedODCache.point_key(
-            query.copy(), None
-        )
+        row, external = cache.point_key(query, 3), cache.point_key(query, None)
+        assert row != external
+        assert cache.point_key(query.copy(), None) == external
+        assert cache.point_key(query + 1.0, 3) == row  # a row is its id
+        cache.put(row, 0b01, 4.0, kth=1.0)
+        assert cache.get(row, 0b01) == 4.0
+        assert cache.get(external, 0b01) is None
+        assert cache.get(row, 0b10) is None
 
     def test_evaluator_shared_hits(self, rng):
         X = rng.normal(size=(50, 4))

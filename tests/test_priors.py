@@ -43,6 +43,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             PruningPriors(4, bad, np.zeros(5))
 
+    @pytest.mark.parametrize("which", ["p_up", "p_down"])
+    def test_nan_rejected(self, which):
+        """NaN compares false against both bounds, so a range check
+        written as ``< 0 or > 1`` lets it through to the search."""
+        arrays = {"p_up": np.full(5, 0.5), "p_down": np.full(5, 0.5)}
+        arrays[which][3] = np.nan
+        with pytest.raises(ConfigurationError, match=which):
+            PruningPriors(4, arrays["p_up"], arrays["p_down"])
+
     def test_level_bounds_checked(self):
         priors = PruningPriors.uniform(4)
         with pytest.raises(DimensionalityError):

@@ -146,6 +146,56 @@ class TestNonFiniteInput:
             miner.query_batch(point[None, :])
 
 
+def _unconvertible(kind: str, d: int = 3):
+    """Input no float matrix can hold: non-numeric strings, ragged rows,
+    or complex numbers (whose cast would keep only the real part)."""
+    if kind == "strings":
+        return [["a", "b", "c"][:d]]
+    if kind == "ragged":
+        return [[0.0] * d, [0.0] * (d - 1)]
+    return np.ones((2, d)) + 1j
+
+
+def _entry_points():
+    """``(entry, kind)`` cases; ``query_point`` and ``query_batch``
+    rejected strings and ragged input with a DataShapeError already
+    (``tests/test_batch.py::TestEvaluatorValidation``)."""
+    kinds = ("strings", "ragged", "complex")
+    cases = [(entry, kind) for entry in ("fit", "extend", "insert", "push") for kind in kinds]
+    return cases + [("query_point", "complex"), ("query_batch", "complex")]
+
+
+class TestUnconvertibleInput:
+    """Data, rows and points that cannot become a float64 array fail
+    with a DataShapeError at every entry point, before any state
+    changes."""
+
+    @pytest.mark.parametrize("entry, kind", _entry_points())
+    def test_rejected_with_a_typed_error(self, entry, kind):
+        from repro.core.stream import StreamEngine
+
+        X = np.random.default_rng(8).normal(size=(40, 3))
+        if entry == "fit":
+            data = _unconvertible(kind)
+            if kind == "complex":
+                data = X + 1j
+            with pytest.raises(DataShapeError, match="complex|converted"):
+                HOSMiner(k=3, sample_size=0, threshold=2.0).fit(data)
+            return
+        with HOSMiner(k=3, sample_size=0, threshold=2.0).fit(X) as miner:
+            bad = _unconvertible(kind)
+            calls = {
+                "extend": lambda: miner.extend(bad),
+                "insert": lambda: miner.insert(bad),
+                "push": lambda: StreamEngine(miner, window=40).push(bad),
+                "query_point": lambda: miner.query_point(np.ones(3) + 1j),
+                "query_batch": lambda: miner.query_batch(bad),
+            }
+            with pytest.raises(DataShapeError, match="complex|converted"):
+                calls[entry]()
+            assert miner.backend_.size == 40
+
+
 class TestSearchOutcomeBoundary:
     """search_outcome resolves its target through the same API-boundary
     checks as query_row and query_point."""

@@ -11,9 +11,9 @@ identical — ``minimal``, ``total_outlying``, exact ``od_values`` floats
   against freshly built indexes over the same window, including the
   out-of-grid VA-file insert regression (drifted points beyond the
   fit-time grid must stretch the outer boundary, not clamp);
-* delta-cache rules — the kth-bound eviction/retention/re-keying
-  algebra of :class:`repro.core.od.SharedODCache`, pinned entry by
-  entry;
+* delta-cache rules — the kth-bound eviction/retention algebra of
+  :class:`repro.core.od.SharedODCache`, pinned entry by entry and
+  checked against a per-entry reference on random caches;
 * the miner-level differential sweep across kernels × precisions ×
   backends × worker counts;
 * seeded randomized operation sequences — every failure message carries
@@ -26,11 +26,15 @@ contrasts with.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigurationError, NotFittedError
-from repro.core.metrics import EuclideanMetric
+from repro.core.metrics import EuclideanMetric, get_metric
 from repro.core.miner import HOSMiner
 from repro.core.od import SharedODCache, kth_bound
 from repro.core.stream import StreamEngine
@@ -65,6 +69,39 @@ def fitted(warm, threshold=None, **overrides):
         kwargs["threshold"] = threshold
     kwargs.update(overrides)
     return HOSMiner(**kwargs).fit(warm)
+
+
+class PairwiseOnly:
+    """A custom metric with only the required views: the delta pass
+    falls back to one ``pairwise`` call per batch row and mask."""
+
+    name = "pairwise-only"
+
+    def __init__(self):
+        self._inner = EuclideanMetric()
+
+    def pairwise(self, X, q, dims):
+        return self._inner.pairwise(X, q, dims)
+
+    def point(self, a, b, dims):
+        return self._inner.point(a, b, dims)
+
+    def mindist(self, q, lower, upper, dims):
+        return self._inner.mindist(q, lower, upper, dims)
+
+
+class PairwiseManyOnly(PairwiseOnly):
+    """A custom metric with the batched ``pairwise_many`` view but no
+    masked one: the delta pass makes one ``pairwise_many`` call per
+    mask."""
+
+    name = "pairwise-many-only"
+
+    def pairwise_many(self, X, Q, dims):
+        return self._inner.pairwise_many(X, Q, dims)
+
+
+CUSTOM_METRICS = {"pairwise-only": PairwiseOnly, "pairwise-many-only": PairwiseManyOnly}
 
 
 def assert_answers_identical(streamed, oracle, context=""):
@@ -234,18 +271,19 @@ class TestDeltaCache:
 
     def test_put_records_bound(self):
         cache = SharedODCache()
-        key = ("row", 0)
+        key = cache.point_key(self.data()[0], 0)
         cache.put(key, self.MASK, 7.0, kth=2.0)
         assert cache.kth_of(key, self.MASK) == 2.0
         cache.put(key, self.MASK, 7.0, kth=1.5)  # an overwrite carries its own bound
         assert cache.kth_of(key, self.MASK) == 1.5
         with pytest.raises(TypeError):
-            cache.put(("row", 1), self.MASK, 7.0)  # every entry needs a bound
+            cache.put(key, 3, 7.0)  # every entry needs a bound
 
     def test_insert_keeps_far_rows_and_ties_evicts_near(self):
         data = self.data()
         cache = SharedODCache()
-        cache.put(("row", 0), self.MASK, 5.0, kth=1.0)
+        key = cache.point_key(data[0], 0)
+        cache.put(key, self.MASK, 5.0, kth=1.0)
         metric = EuclideanMetric()
         direction = np.zeros(D)
         direction[0] = 1.0
@@ -254,26 +292,32 @@ class TestDeltaCache:
         near = data[0] + 0.5 * direction
         grown = np.vstack([data, far, tie])
         assert cache.delta_insert(np.vstack([far, tie]), grown, metric) == (0, 1)
-        assert cache.get(("row", 0), self.MASK) == 5.0
+        assert cache.get(key, self.MASK) == 5.0
         grown = np.vstack([data, near])
         assert cache.delta_insert(near[None, :], grown, metric) == (1, 0)
-        assert cache.get(("row", 0), self.MASK) is None
+        assert cache.get(key, self.MASK) is None
 
-    def test_expire_evicts_ties_rekeys_survivors(self):
+    def test_expire_evicts_ties_keeps_survivor_keys(self):
         data = self.data()
         metric = EuclideanMetric()
         cache = SharedODCache()
-        cache.put(("row", 0), self.MASK, 5.0, kth=1.0)  # the expired row itself
-        cache.put(("row", 5), self.MASK, 6.0, kth=1e-9)  # tight bound, survives
+        expired_key = cache.point_key(data[0], 0)
+        cache.put(expired_key, self.MASK, 5.0, kth=1.0)  # the expired row itself
+        row_key = cache.point_key(data[5], 5)
+        cache.put(row_key, self.MASK, 6.0, kth=1e-9)  # tight bound, survives
         ext = np.ascontiguousarray(data[7] + 30.0)
-        cache.put(("ext", ext.tobytes()), self.MASK, 9.0, kth=1e-9)
+        ext_key = cache.point_key(ext, None)
+        cache.put(ext_key, self.MASK, 9.0, kth=1e-9)
         expired, shrunk = data[:2], data[2:]
         evicted, retained = cache.delta_expire(expired, 2, shrunk, metric)
         assert (evicted, retained) == (1, 2)
-        # survivors re-keyed to window coordinates, bounds carried over
-        assert cache.get(("row", 3), self.MASK) == 6.0
-        assert cache.kth_of(("row", 3), self.MASK) == 1e-9
-        assert cache.get(("ext", ext.tobytes()), self.MASK) == 9.0
+        # rows are numbered absolutely: window row 3 is the old row 5,
+        # under the same key, with its bound carried over
+        assert cache.point_key(shrunk[3], 3) == row_key
+        assert cache.get(row_key, self.MASK) == 6.0
+        assert cache.kth_of(row_key, self.MASK) == 1e-9
+        assert cache.get(ext_key, self.MASK) == 9.0
+        assert cache.get(expired_key, self.MASK) is None
         # a removed row tying the bound could have been a neighbour
         # (the bound is compared against pairwise_many's floats, so the
         # tie is manufactured with the same arithmetic)
@@ -281,35 +325,21 @@ class TestDeltaCache:
         tie_kth = float(
             metric.pairwise_many(expired, data[2][None, :], np.arange(D)).min()
         )
-        cache2.put(("row", 2), self.MASK, 5.0, kth=tie_kth)
+        cache2.put(cache2.point_key(data[2], 2), self.MASK, 5.0, kth=tie_kth)
         assert cache2.delta_expire(data[:2], 2, shrunk, metric) == (1, 0)
 
     def test_unresolvable_entries_evict(self):
         data = self.data()
         cache = SharedODCache()
-        cache.put(("ext", np.zeros(D + 1).tobytes()), self.MASK, 1.0, kth=1e-9)
-        cache.put(("row", 999), self.MASK, 1.0, kth=1e-9)  # beyond the window
+        wide = cache.point_key(np.zeros(D + 1), None)
+        cache.put(wide, self.MASK, 1.0, kth=1e-9)
+        beyond = cache.point_key(np.zeros(D), 999)  # beyond the window
+        cache.put(beyond, self.MASK, 1.0, kth=1e-9)
         far = (data[0] + 100.0)[None, :]
         assert cache.delta_insert(far, np.vstack([data, far]), metric=EuclideanMetric()) == (2, 0)
 
     def test_pairwise_only_metric_matches_broadcasted_path(self):
-        """The pairwise_many fast path and the per-row fallback agree."""
-
-        class PairwiseOnly:
-            name = "pairwise-only"
-
-            def __init__(self):
-                self._inner = EuclideanMetric()
-
-            def pairwise(self, X, q, dims):
-                return self._inner.pairwise(X, q, dims)
-
-            def point(self, a, b, dims):
-                return self._inner.point(a, b, dims)
-
-            def mindist(self, q, lower, upper, dims):
-                return self._inner.mindist(q, lower, upper, dims)
-
+        """The masked fast path and the per-row fallback agree."""
         data = self.data()
         rng = np.random.default_rng(11)
         batch = data[:3] + rng.normal(scale=4.0, size=(3, D))
@@ -317,14 +347,119 @@ class TestDeltaCache:
         caches = [SharedODCache(), SharedODCache()]
         for cache in caches:
             for j, row in enumerate(range(4, 12)):
-                cache.put(("row", row), self.MASK, 5.0, kth=float(bounds[j, 0]))
-                cache.put(("row", row), 3, 2.0, kth=float(bounds[j, 1]))
+                key = cache.point_key(data[row], row)
+                cache.put(key, self.MASK, 5.0, kth=float(bounds[j, 0]))
+                cache.put(key, 3, 2.0, kth=float(bounds[j, 1]))
         grown = np.vstack([data, batch])
         fast = caches[0].delta_insert(batch, grown, EuclideanMetric())
         slow = caches[1].delta_insert(batch, grown, PairwiseOnly())
         assert fast == slow
-        assert caches[0]._values == caches[1]._values
+        assert len(caches[0]) == len(caches[1])
+        for row in range(4, 12):
+            keys = [cache.point_key(data[row], row) for cache in caches]
+            for mask in (self.MASK, 3):
+                assert caches[0].get(keys[0], mask) == caches[1].get(keys[1], mask)
+                assert caches[0].kth_of(keys[0], mask) == caches[1].kth_of(keys[1], mask)
 
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize(
+        "metric_name",
+        ["euclidean", "manhattan", "minkowski:3", "chebyshev", *CUSTOM_METRICS],
+    )
+    def test_delta_pass_matches_the_per_entry_rule(self, metric_name, data):
+        """Random caches — row keys (some beyond the window), external
+        keys (some of the wrong width), masks at every level, bounds on,
+        one ulp either side of, or away from an exact ``pairwise``
+        distance — through a few inserts and expiries: every delta call
+        keeps exactly the entries the per-entry rule keeps, with their
+        values and bounds, and frees every slot of an expired row."""
+        custom = CUSTOM_METRICS.get(metric_name)
+        metric = custom() if custom else get_metric(metric_name)
+        d = data.draw(st.integers(1, 5), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grid = data.draw(st.booleans(), label="grid")
+
+        def draw_rows(count):
+            # Small-integer coordinates make duplicate rows and exact ties.
+            if grid:
+                return rng.integers(-2, 3, size=(count, d)).astype(np.float64)
+            return rng.normal(size=(count, d))
+
+        window = draw_rows(data.draw(st.integers(2, 10), label="n"))
+        cache, expired = SharedODCache(), 0
+        reference: dict = {}  # (point identity, mask) -> (key, value, bound)
+        for _ in range(data.draw(st.integers(1, 3), label="updates")):
+            insert = window.shape[0] < 3 or data.draw(st.booleans(), label="insert")
+            if insert:
+                batch = draw_rows(data.draw(st.integers(1, 4), label="rows"))
+                after = np.vstack([window, batch])
+            else:
+                count = data.draw(st.integers(1, window.shape[0] - 2), label="count")
+                batch, after = window[:count], window[count:]
+            for _ in range(data.draw(st.integers(0, 12), label="entries")):
+                kind = data.draw(
+                    st.sampled_from(["row", "beyond", "external", "on-batch", "wide"])
+                )
+                if kind in ("row", "beyond"):
+                    row = int(rng.integers(window.shape[0]))
+                    if kind == "beyond":
+                        row += window.shape[0]
+                    point = window[row] if kind == "row" else rng.normal(size=d)
+                    key, ident = cache.point_key(point, row), ("row", row + expired)
+                else:
+                    point = {
+                        "external": lambda: draw_rows(1)[0],
+                        "on-batch": lambda: batch[int(rng.integers(batch.shape[0]))].copy(),
+                        "wide": lambda: rng.normal(size=d + 1),
+                    }[kind]()
+                    key, ident = cache.point_key(point, None), ("ext", point.tobytes())
+                mask = int(rng.integers(1, 1 << d))
+                exact = float(rng.uniform(0.0, 4.0))
+                if point.shape[0] == d:
+                    dims = np.flatnonzero((mask >> np.arange(d)) & 1)
+                    distances = metric.pairwise(batch, point, dims)
+                    exact = float(distances[int(rng.integers(distances.size))])
+                bound = {
+                    "tie": exact,
+                    "above": float(np.nextafter(exact, np.inf)),
+                    "below": float(np.nextafter(exact, -np.inf)),
+                    "random": float(rng.uniform(0.0, 4.0)),
+                    "zero": 0.0,
+                    "inf": float("inf"),
+                }[data.draw(st.sampled_from(["tie", "above", "below", "random", "zero", "inf"]))]
+                value = float(rng.normal())
+                cache.put(key, mask, value, kth=bound)
+                reference[(ident, mask)] = (key, value, bound)
+
+            if insert:
+                result = cache.delta_insert(batch, after, metric)
+            else:
+                result = cache.delta_expire(batch, count, after, metric)
+                expired += count
+            kept = {}
+            for (ident, mask), (key, value, bound) in reference.items():
+                if ident[0] == "row":
+                    row = ident[1] - expired
+                    point = after[row] if 0 <= row < after.shape[0] else None
+                else:
+                    point = np.frombuffer(ident[1], dtype=np.float64)
+                    point = point if point.shape[0] == d else None
+                if point is None:
+                    continue
+                dims = np.flatnonzero((mask >> np.arange(d)) & 1)
+                nearest = metric.pairwise(batch, point, dims).min()
+                if (nearest >= bound) if insert else (nearest > bound):
+                    kept[(ident, mask)] = (key, value, bound)
+            assert result == (len(reference) - len(kept), len(kept))
+            assert len(cache) == len(kept)
+            for (ident, mask), (key, value, bound) in reference.items():
+                want = kept.get((ident, mask))
+                assert cache.get(key, mask) == (None if want is None else value)
+                assert cache.kth_of(key, mask) == (None if want is None else bound)
+            assert all(row < 0 or row >= expired for row in cache._slot_row)
+            reference, window = kept, after
 
     @pytest.mark.parametrize("seed", [24, 26, 48, 51])
     def test_expired_kth_neighbour_evicts_a_one_entry_group(self, seed):
@@ -356,6 +491,43 @@ class TestDeltaCache:
         oracle = HOSMiner(**config).fit(X[1:]).query_point(q)
         assert [s.mask for s in streamed.minimal] == [full]
         assert_answers_identical([streamed], [oracle], f"seed={seed}")
+
+
+# ----------------------------------------------------------------------
+# The slot table across a long stream; a pickled streamed miner
+# ----------------------------------------------------------------------
+class TestStreamedCacheState:
+    def test_slot_table_drops_rows_that_left_the_window(self):
+        warm, batches = drift_windows(cycles=40, drift=0.05)
+        miner = fitted(warm, stream_window=WINDOW)
+        watch = list(warm[:4] + 0.01)
+        with StreamEngine(miner) as engine:
+            for rows in batches:
+                engine.push(rows)
+                engine.query_batch(list(range(WINDOW - BATCH, WINDOW)) + watch)
+        cache = miner.od_cache_
+        assert cache._expired == engine.expired
+        window_rows = [row for row in cache._slot_row if row >= 0]
+        assert window_rows and min(window_rows) >= cache._expired
+        assert len(cache._slots) <= len(cache)
+
+    def test_pickled_streamed_miner_streams_identically(self):
+        warm, batches = drift_windows(cycles=6)
+        miner = fitted(warm, stream_window=WINDOW)
+        targets = list(range(WINDOW - BATCH, WINDOW)) + list(warm[:3] + 0.01)
+        StreamEngine(miner).push(batches[0])
+        miner.query_batch(targets)
+        clone = pickle.loads(pickle.dumps(miner))
+        assert clone.od_cache_.entries() == miner.od_cache_.entries()
+        engines = [StreamEngine(miner), StreamEngine(clone)]
+        for rows in batches[1:]:
+            assert engines[0].push(rows) == engines[1].push(rows)
+            assert_answers_identical(miner.query_batch(targets), clone.query_batch(targets))
+            assert clone.od_cache_.entries() == miner.od_cache_.entries()
+            assert (clone.od_cache_.delta_evicted, clone.od_cache_.delta_retained) == (
+                miner.od_cache_.delta_evicted,
+                miner.od_cache_.delta_retained,
+            )
 
 
 # ----------------------------------------------------------------------
