@@ -12,6 +12,17 @@ zero new kNN work), identical points coalesced, and the misses grouped
 by mask signature into one work unit ``(queries × masks) → k-prefixes``
 each, settled by :func:`repro.core.od.settle`.
 
+A target whose cache slot holds the outcome of its last ``query_batch``
+search, found under the miner's current search settings, is answered
+from it without a search (:class:`~repro.core.od.StoredOutcome`): a
+search is a pure function of its point, its settings and the OD values
+it reads, and the cache drops a slot's outcome with any of its entries.
+A replay reports what a fully cached search reports — the same
+``SearchStats`` but ``wall_time_s``, nothing re-verified, every OD value
+a shared-cache hit. :meth:`BatchQueryEngine.run` is the one place that
+reads and stores outcomes; the call ends by trimming the cache to its
+byte budget (:meth:`~repro.core.od.SharedODCache.trim`).
+
 The engine chooses the work unit's executor once per call. In process
 it is :func:`repro.core.od.knn_prefixes`, with the searches' component
 matrices held under :data:`~repro.core.search.COMPONENT_BUDGET_BYTES`.
@@ -44,7 +55,7 @@ import numpy as np
 
 from repro.core.config import require_integer
 from repro.core.exceptions import ConfigurationError
-from repro.core.od import ODEvaluator, knn_prefixes
+from repro.core.od import ODEvaluator, StoredOutcome, knn_prefixes
 from repro.core.result import BatchResult, OutlyingSubspaceResult
 from repro.core.search import COMPONENT_BUDGET_BYTES, SearchStats, run_searches
 from repro.index.base import require_finite, validate_query_matrix
@@ -76,6 +87,48 @@ def _scatter_executor(pool: "ShardPool", backend):
         return prefixes
 
     return execute
+
+
+def _stored_outcome(settings: tuple, result: OutlyingSubspaceResult) -> StoredOutcome:
+    """What the cache keeps of a finished search: plain numbers only."""
+    stats = result.stats
+    return StoredOutcome(
+        settings,
+        tuple(subspace.mask for subspace in result.minimal),
+        tuple(result.od_values.values()),
+        result.total_outlying,
+        stats.od_evaluations,
+        stats.upward_pruned,
+        stats.downward_pruned,
+        tuple(stats.level_schedule),
+        tuple(stats.evaluations_by_level.items()),
+    )
+
+
+def _replay(
+    miner: "HOSMiner", evaluator: ODEvaluator, outcome: StoredOutcome
+) -> OutlyingSubspaceResult:
+    """A fresh result from a stored outcome, reported as the fully cached
+    search it stands for: every OD value a shared-cache hit, nothing
+    evaluated or re-verified."""
+    start = time.perf_counter()
+    evaluator.shared_hits += outcome.od_evaluations
+    stats = SearchStats(
+        od_evaluations=outcome.od_evaluations,
+        upward_pruned=outcome.upward_pruned,
+        downward_pruned=outcome.downward_pruned,
+        level_schedule=list(outcome.level_schedule),
+        evaluations_by_level=dict(outcome.evaluations_by_level),
+    )
+    result = miner._result(
+        evaluator.query,
+        outcome.minimal,
+        outcome.od_values,
+        outcome.total_outlying,
+        stats,
+    )
+    stats.wall_time_s = time.perf_counter() - start
+    return result
 
 
 def _pool_counters(pool: "ShardPool") -> tuple[int, ...]:
@@ -130,25 +183,36 @@ class BatchQueryEngine:
             # Shard workers keep their own component caches, so the
             # coordinator builds none.
             execute, budget = _scatter_executor(pool, backend), 0
+        cache = miner.od_cache_
         evaluators = [
             ODEvaluator(
                 backend,
                 query,
                 miner.config.k,
                 exclude=exclude,
-                shared_cache=miner.od_cache_,
+                shared_cache=cache,
                 kernel=miner.kernel_,
                 precision=miner.precision_,
             )
             for query, exclude in zip(queries, excludes)
         ]
-        outcomes = run_searches(
-            [miner._make_search(evaluator) for evaluator in evaluators], execute, budget
+        # Every target's slot is looked up before any search runs, so a
+        # target repeated inside this batch is searched (and coalesced)
+        # as it would be without stored outcomes.
+        settings = miner._search_settings()
+        stored = [cache.outcome(evaluator.point_key, settings) for evaluator in evaluators]
+        searched = [i for i, outcome in enumerate(stored) if outcome is None]
+        outcomes = iter(
+            run_searches([miner._make_search(evaluators[i]) for i in searched], execute, budget)
         )
-        results = [
-            miner._build_result(outcome, evaluator)
-            for outcome, evaluator in zip(outcomes, evaluators)
-        ]
+        results = []
+        for evaluator, outcome in zip(evaluators, stored):
+            if outcome is None:
+                result = miner._build_result(next(outcomes), evaluator)
+                cache.keep_outcome(evaluator.point_key, _stored_outcome(settings, result))
+            else:
+                result = _replay(miner, evaluator, outcome)
+            results.append(result)
         stats = self._aggregate_stats(results)
         if pool is not None:
             (
@@ -159,6 +223,8 @@ class BatchQueryEngine:
                 stats.timeouts,
                 stats.degraded_rounds,
             ) = (after - was for after, was in zip(_pool_counters(pool), before))
+        # The call's last read of the cache is behind it.
+        cache.trim()
         wall_time = time.perf_counter() - start
         stats.wall_time_s = wall_time
         return BatchResult(
@@ -168,6 +234,7 @@ class BatchQueryEngine:
             shared_cache_hits=sum(evaluator.shared_hits for evaluator in evaluators),
             wall_time_s=wall_time,
             workers=1 if pool is None else pool.workers,
+            replayed=len(evaluators) - len(searched),
         )
 
     # ------------------------------------------------------------------

@@ -38,8 +38,13 @@ from repro.core.od import ODEvaluator, SharedODCache, full_space_ods
 from repro.core.precision import resolve_precision
 from repro.core.priors import PruningPriors
 from repro.core.result import BatchResult, OutlyingSubspaceResult
-from repro.core.search import DynamicSubspaceSearch, SearchOutcome
-from repro.core.subspace import Subspace, full_mask
+from repro.core.search import (
+    ADAPTIVE_PRIOR_WEIGHT,
+    DynamicSubspaceSearch,
+    SearchOutcome,
+    SearchStats,
+)
+from repro.core.subspace import Subspace, full_mask, ordered_masks
 from repro.index import make_backend
 from repro.index.base import KnnBackend, as_float64, require_finite
 
@@ -200,6 +205,7 @@ class HOSMiner:
         )
         self._priors = self._learning_report.priors
         self._fitted = True
+        self._od_cache.trim()
         self.fit_time_s = time.perf_counter() - start
         return self
 
@@ -315,6 +321,7 @@ class HOSMiner:
                 precision=self._precision,
             )
             self._priors = self._learning_report.priors
+        self._od_cache.trim()  # type: ignore[union-attr]
         return self
 
     # ------------------------------------------------------------------
@@ -539,40 +546,67 @@ class HOSMiner:
         require_finite(point, "query point")
         return point, None
 
+    def _search_settings(self) -> tuple:
+        """``(threshold, priors, reselect, adaptive,
+        adaptive_prior_weight)`` of this miner's searches.
+
+        With the OD values a search reads, they decide its outcome, so
+        the batch engine replays a stored outcome only under equal
+        settings (:class:`~repro.core.od.StoredOutcome`).
+        """
+        return (
+            self._threshold,
+            self._priors,
+            self.config.reselect,
+            self.config.adaptive,
+            ADAPTIVE_PRIOR_WEIGHT,
+        )
+
     def _make_search(self, evaluator: ODEvaluator) -> DynamicSubspaceSearch:
         """A search over *evaluator* with this miner's fitted parameters.
 
         Single factory for the sequential and batched paths, so both run
         the exact same decision process.
         """
-        return DynamicSubspaceSearch(
-            evaluator,
-            self._threshold,
-            self._priors,
-            self.config.reselect,
-            adaptive=self.config.adaptive,
-        )
+        return DynamicSubspaceSearch(evaluator, *self._search_settings())
 
     def _build_result(
         self, outcome: SearchOutcome, evaluator: ODEvaluator
     ) -> OutlyingSubspaceResult:
         """Filter a finished search into the user-facing result."""
-        minimal = sorted(
-            Subspace(mask, outcome.d) for mask in minimal_masks(outcome.outlying_masks)
-        )
+        masks = ordered_masks(minimal_masks(outcome.outlying_masks), outcome.d)
         # Minimal subspaces are always concretely evaluated (an inferred-
         # outlying subspace has an outlying subset, so it cannot be
         # minimal) — their ODs are cache hits, never new kNN work.
-        od_values = {subspace: evaluator.od(subspace.mask) for subspace in minimal}
+        return self._result(
+            evaluator.query,
+            masks,
+            [evaluator.od(mask) for mask in masks],
+            len(outcome.outlying_masks),
+            outcome.stats,
+        )
+
+    def _result(
+        self,
+        query: np.ndarray,
+        masks: "Sequence[int]",
+        od_values: "Sequence[float]",
+        total_outlying: int,
+        stats: SearchStats,
+    ) -> OutlyingSubspaceResult:
+        """The user-facing result of one of this miner's searches:
+        minimal *masks* in output order, with their OD values."""
+        d = self._backend.d  # type: ignore[union-attr]
+        minimal = [Subspace(mask, d) for mask in masks]
         return OutlyingSubspaceResult(
-            query=evaluator.query,
-            d=outcome.d,
+            query=query,
+            d=d,
             k=self.config.k,
-            threshold=outcome.threshold,
+            threshold=self._threshold,  # type: ignore[arg-type]
             minimal=minimal,
-            total_outlying=len(outcome.outlying_masks),
-            od_values=od_values,
-            stats=outcome.stats,
+            total_outlying=total_outlying,
+            od_values=dict(zip(minimal, od_values)),
+            stats=stats,
             feature_names=self._feature_names,
         )
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,10 +74,12 @@ from repro.index.base import (
 )
 
 __all__ = [
+    "CACHE_BUDGET_BYTES",
     "DELTA_BLOCK_BYTES",
     "GEMM_REVERIFY_RTOL",
     "ODEvaluator",
     "SharedODCache",
+    "StoredOutcome",
     "component_entry",
     "evaluate",
     "full_space_ods",
@@ -102,6 +104,25 @@ GEMM_REVERIFY_RTOL = 1e-9
 #: shape (about 1,400 entries × 32 rows, d = 8) 256 KiB blocks ran about
 #: 10% faster than one 1 MiB block.
 DELTA_BLOCK_BYTES = 1 << 18
+
+#: Byte budget of a :class:`SharedODCache` between calls: its entries,
+#: slots and stored outcomes, as :meth:`SharedODCache.footprint` counts
+#: them. batch-traffic's 24 hot targets hold about 54,000 entries (12 MB
+#: at the costs below) after warm-up. At 16 MiB a trim left about 25
+#: batches of other traffic beside them, and over 2,000 batches one hot
+#: re-poll found its outcome evicted; 18 MiB leaves about 50. It also
+#: caps the entries below 87,381, past which CPython's next dict resize
+#: doubles both entry tables to 2**19 cells (10 MB more than counted).
+CACHE_BUDGET_BYTES = 18 * 2**20
+
+# Budget accounting, measured with tracemalloc on CPython 3.11 over
+# batch-traffic's steady state (dict tables never shrink on deletion, so
+# churn keeps them about a third full): an entry is two dict cells, its
+# key int and two floats; a slot is a dict cell, its identity (an int,
+# or an external point's bytes), its stamp, its slot int and three list
+# cells.
+_ENTRY_BYTES = 220
+_SLOT_BYTES = 300
 
 # A cache key is ``slot << _MASK_BITS | mask``: every searchable mask
 # fits, since ``fit`` rejects ``d > MAX_LATTICE_DIM``.
@@ -409,6 +430,48 @@ def settle(
     return rows
 
 
+class StoredOutcome(NamedTuple):
+    """The finished, filtered answer of one ``query_batch`` search, kept
+    in its point's slot (:meth:`SharedODCache.outcome`).
+
+    Plain ints and floats only — no lattice, query array or
+    :class:`~repro.core.subspace.Subspace` objects — so a replay builds
+    fresh result objects and costs a few hundred bytes of budget.
+    """
+
+    #: ``(threshold, priors, reselect, adaptive, adaptive_prior_weight)``
+    #: of the search; an outcome replays only under equal settings, the
+    #: priors compared by identity.
+    settings: tuple
+    #: Minimal outlying masks in output order, and their OD values.
+    minimal: tuple
+    od_values: tuple
+    total_outlying: int
+    od_evaluations: int
+    upward_pruned: int
+    downward_pruned: int
+    level_schedule: tuple
+    #: ``(level, evaluations)`` pairs in first-evaluation order.
+    evaluations_by_level: tuple
+
+    def matches(self, settings: tuple) -> bool:
+        """Whether this outcome was found under *settings*."""
+        mine = self.settings
+        return mine is settings or (mine[1] is settings[1] and mine == settings)
+
+    def nbytes(self) -> int:
+        """Budget charge: the record, its tuples and their numbers (a
+        fit to their allocation sizes on CPython 3.11), plus its cell in
+        the cache's outcome dict; an inlier's outcome is about 430
+        bytes."""
+        return (
+            336
+            + 80 * len(self.minimal)
+            + 8 * len(self.level_schedule)
+            + 88 * len(self.evaluations_by_level)
+        )
+
+
 class SharedODCache:
     """Per-fit OD cache shared by every evaluator of one fitted miner.
 
@@ -436,11 +499,27 @@ class SharedODCache:
     would compute (see docs/streaming.md for the argument). A delta pass
     frees every slot left without an entry, so rows that have left the
     window leave the slot table too.
+
+    A slot also keeps the :class:`StoredOutcome` of its point's last
+    ``query_batch`` search. A search is a pure function of its point,
+    its settings and the OD values it reads, and it reads only its own
+    slot's entries; so while the slot has lost none of them, the stored
+    outcome is the outcome a new search would find. Every path that
+    drops entries drops outcomes with them: the delta pass drops the
+    outcome of each slot that loses an entry, :meth:`invalidate` drops
+    all, and :meth:`trim` evicts whole slots.
+
+    :meth:`trim` holds the cache to :data:`CACHE_BUDGET_BYTES`, evicting
+    the least recently used slots first (a slot is used when
+    :meth:`point_key` resolves it). The miner trims when ``fit``,
+    ``extend`` and ``query_batch`` return, never during a call: a call
+    in flight reads values back from the cache after its rounds.
     """
 
     __slots__ = (
-        "_values", "_kth", "_slots", "_slot_ident", "_slot_row", "_free", "_expired",
-        "hits", "stores", "delta_evicted", "delta_retained",
+        "_values", "_kth", "_slots", "_slot_ident", "_slot_row", "_slot_used", "_clock",
+        "_free", "_expired", "_outcomes", "_outcome_bytes",
+        "hits", "stores", "delta_evicted", "delta_retained", "outcome_hits", "evicted",
     )
 
     def __init__(self) -> None:
@@ -455,10 +534,17 @@ class SharedODCache:
         self._slots: dict[int | bytes, int] = {}
         self._slot_ident: list[int | bytes | None] = []
         self._slot_row: list[int] = []
+        # Per slot, the stamp of its last point_key resolution.
+        self._slot_used: list[int] = []
+        self._clock = 0
         self._free: list[int] = []
         #: Rows expired so far: window row + this = absolute row.
         self._expired = 0
-        #: Number of lookups served from the cache.
+        # Slot -> StoredOutcome, and their summed nbytes().
+        self._outcomes: dict[int, StoredOutcome] = {}
+        self._outcome_bytes = 0
+        #: Number of lookups served from the cache (a replayed outcome
+        #: counts every value its search read).
         self.hits = 0
         #: Number of values recorded.
         self.stores = 0
@@ -466,13 +552,18 @@ class SharedODCache:
         self.delta_evicted = 0
         #: Entries proven unaffected and kept across window updates.
         self.delta_retained = 0
+        #: Searches answered from a stored outcome (lifetime total).
+        self.outcome_hits = 0
+        #: Entries evicted by :meth:`trim` to hold the budget (lifetime).
+        self.evicted = 0
 
     def point_key(self, query: np.ndarray, exclude: int | None) -> int:
         """Key prefix ``slot << MAX_LATTICE_DIM`` of one ``(query,
         exclude)`` pair; the slot is allocated on first use.
 
         A dataset member (*exclude* its window row) is identified by its
-        absolute row, an external point by ``query.tobytes()``.
+        absolute row, an external point by ``query.tobytes()``. Stamps
+        the slot's last use for :meth:`trim`.
         """
         ident = query.tobytes() if exclude is None else int(exclude) + self._expired
         slot = self._slots.get(ident)
@@ -486,7 +577,10 @@ class SharedODCache:
                 slot = len(self._slot_row)
                 self._slot_ident.append(ident)
                 self._slot_row.append(row)
+                self._slot_used.append(0)
             self._slots[ident] = slot
+        self._clock += 1
+        self._slot_used[slot] = self._clock
         return slot << _MASK_BITS
 
     def get(self, point_key: int, mask: int) -> float | None:
@@ -527,13 +621,99 @@ class SharedODCache:
         return out
 
     def invalidate(self) -> None:
-        """Drop every cached value and the slot table (dataset changed)."""
+        """Drop every cached value, stored outcome and the slot table
+        (dataset changed)."""
         self._values.clear()
         self._kth.clear()
         self._slots.clear()
         self._slot_ident.clear()
         self._slot_row.clear()
+        self._slot_used.clear()
         self._free.clear()
+        self._outcomes.clear()
+        self._outcome_bytes = 0
+
+    # -- stored outcomes -----------------------------------------------------
+    def outcome(self, point_key: int, settings: tuple) -> "StoredOutcome | None":
+        """The stored outcome of the point's last ``query_batch`` search,
+        if it was found under *settings*.
+
+        A replay counts as the fully cached search it stands for: one
+        hit per OD value that search read.
+        """
+        outcome = self._outcomes.get(point_key >> _MASK_BITS)
+        if outcome is None or not outcome.matches(settings):
+            return None
+        self.outcome_hits += 1
+        self.hits += outcome.od_evaluations
+        return outcome
+
+    def keep_outcome(self, point_key: int, outcome: StoredOutcome) -> None:
+        """Store *outcome* as the point's last ``query_batch`` answer."""
+        slot = point_key >> _MASK_BITS
+        self._drop_outcome(slot)
+        self._outcomes[slot] = outcome
+        self._outcome_bytes += outcome.nbytes()
+
+    def _drop_outcome(self, slot: int) -> None:
+        outcome = self._outcomes.pop(slot, None)
+        if outcome is not None:
+            self._outcome_bytes -= outcome.nbytes()
+
+    # -- the budget ----------------------------------------------------------
+    def footprint(self) -> int:
+        """Bytes the budget counts: entries, live slots and stored
+        outcomes, at their measured per-object costs."""
+        return (
+            len(self._values) * _ENTRY_BYTES
+            + len(self._slots) * _SLOT_BYTES
+            + self._outcome_bytes
+        )
+
+    def trim(self) -> int:
+        """Hold the cache to :data:`CACHE_BUDGET_BYTES`; returns the
+        entries evicted.
+
+        Over budget, whole slots go — entries, outcome and slot-table
+        row together — least recently used first, until the footprint
+        is at most seven eighths of the budget, so the scan over the
+        keys runs once per many calls rather than on every call. Keys
+        are deleted one by one, so eviction never holds a second copy
+        of the cache.
+        """
+        excess = self.footprint() - CACHE_BUDGET_BYTES
+        if excess <= 0:
+            return 0
+        excess += CACHE_BUDGET_BYTES // 8
+        keys = np.fromiter(self._values, dtype=np.int64, count=len(self._values))
+        slots = keys >> _MASK_BITS
+        table = len(self._slot_row)
+        cost = np.bincount(slots, minlength=table) * _ENTRY_BYTES + _SLOT_BYTES
+        for slot, outcome in self._outcomes.items():
+            cost[slot] += outcome.nbytes()
+        live = np.flatnonzero(np.array(self._slot_row, dtype=np.int64) != _FREE)
+        used = np.array(self._slot_used, dtype=np.int64)
+        order = live[np.argsort(used[live], kind="stable")]
+        cut = int(np.searchsorted(np.cumsum(cost[order]), excess)) + 1
+        drop = np.zeros(table, dtype=bool)
+        drop[order[:cut]] = True
+        gone = keys[drop[slots]].tolist()
+        values, kth = self._values, self._kth
+        for key in gone:
+            del values[key]
+            del kth[key]
+        for slot in order[:cut].tolist():
+            self._free_slot(slot)
+        self.evicted += len(gone)
+        return len(gone)
+
+    def _free_slot(self, slot: int) -> None:
+        """Return an emptied slot, and its outcome, to the free list."""
+        del self._slots[self._slot_ident[slot]]
+        self._slot_ident[slot] = None
+        self._slot_row[slot] = _FREE
+        self._drop_outcome(slot)
+        self._free.append(slot)
 
     # -- delta invalidation ------------------------------------------------
     def delta_insert(self, rows: np.ndarray, data: np.ndarray, metric) -> tuple[int, int]:
@@ -586,7 +766,8 @@ class SharedODCache:
         ``keep_ties`` selects the insert rule (a new distance *equal* to
         the bound keeps the k-smallest multiset) versus the expire rule
         (a removed row tied with the kth could have been a neighbour, so
-        ties evict). Slots left without an entry are freed.
+        ties evict). Every slot that loses an entry loses its stored
+        outcome, and slots left without an entry are freed.
         """
         count = len(self._values)
         keys = np.fromiter(self._values, dtype=np.int64, count=count)
@@ -606,13 +787,19 @@ class SharedODCache:
         kept_keys = keys[kept].tolist()
         self._values = dict(zip(kept_keys, values[kept].tolist()))
         self._kth = dict(zip(kept_keys, bounds[kept].tolist()))
+        if self._outcomes:
+            # One mark per slot that lost an entry drops its outcome.
+            gone = np.ones(count, dtype=bool)
+            gone[kept] = False
+            lost = np.zeros(rows.size, dtype=bool)
+            lost[slots[gone]] = True
+            stored = np.fromiter(self._outcomes, dtype=np.int64, count=len(self._outcomes))
+            for slot in stored[lost[stored]].tolist():
+                self._drop_outcome(slot)
         held = np.zeros(rows.size, dtype=bool)
         held[slots[kept]] = True
         for slot in np.flatnonzero(~held & (rows != _FREE)).tolist():
-            del self._slots[self._slot_ident[slot]]
-            self._slot_ident[slot] = None
-            self._slot_row[slot] = _FREE
-            self._free.append(slot)
+            self._free_slot(slot)
         evicted, retained = count - kept.size, int(kept.size)
         self.delta_evicted += evicted
         self.delta_retained += retained

@@ -147,6 +147,10 @@ class BatchResult:
         End-to-end batch wall time, including result assembly.
     workers:
         Number of worker processes used (1 = in-process).
+    replayed:
+        Targets answered from an outcome the shared cache stored for
+        their point, without a search (their OD values count as
+        shared-cache hits).
     """
 
     results: list[OutlyingSubspaceResult]
@@ -155,6 +159,7 @@ class BatchResult:
     shared_cache_hits: int = 0
     wall_time_s: float = 0.0
     workers: int = 1
+    replayed: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -185,7 +190,8 @@ class BatchResult:
             f"{self.n_outliers} outlier(s)",
             f"  kNN evaluations: {self.knn_evaluations}, "
             f"shared-cache hits: {self.shared_cache_hits}, "
-            f"OD values consumed: {self.stats.od_evaluations}",
+            f"OD values consumed: {self.stats.od_evaluations}, "
+            f"answers replayed: {self.replayed}",
             f"  pruning: {self.stats.upward_pruned} upward, "
             f"{self.stats.downward_pruned} downward",
         ]

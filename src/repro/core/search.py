@@ -60,7 +60,7 @@ from repro.core.priors import PruningPriors
 # per-layer trace (apibench, ``savings.tsf``) wraps this module
 # attribute, so it counts one call per search step.
 from repro.core.savings import total_saving_factors as total_saving_factor
-from repro.core.subspace import Subspace, full_mask
+from repro.core.subspace import Subspace, full_mask, ordered_masks
 
 __all__ = [
     "COMPONENT_BUDGET_BYTES",
@@ -77,6 +77,10 @@ __all__ = [
 #: of a batch — so this budget is rarely binding; when it is, the work
 #: unit builds a transient matrix per request instead.
 COMPONENT_BUDGET_BYTES = 256 * 2**20
+
+#: Pseudo-count weight of the learned prior in the adaptive blend: the
+#: default of :class:`DynamicSubspaceSearch`'s ``adaptive_prior_weight``.
+ADAPTIVE_PRIOR_WEIGHT = 8.0
 
 
 @dataclass(slots=True)
@@ -159,7 +163,7 @@ class SearchOutcome:
 
     def outlying_subspaces(self) -> list[Subspace]:
         """Outlying subspaces as wrapper objects, in (level, lex) order."""
-        return sorted(Subspace(mask, self.d) for mask in self.outlying_masks)
+        return [Subspace(mask, self.d) for mask in ordered_masks(self.outlying_masks, self.d)]
 
     def is_outlier_anywhere(self) -> bool:
         """Paper Section 1: the point is an outlier iff the answer set is
@@ -199,7 +203,7 @@ class DynamicSubspaceSearch:
         priors: PruningPriors,
         reselect: str = "level",
         adaptive: bool = False,
-        adaptive_prior_weight: float = 8.0,
+        adaptive_prior_weight: float = ADAPTIVE_PRIOR_WEIGHT,
         max_evaluations: int | None = None,
     ) -> None:
         require_threshold(threshold)

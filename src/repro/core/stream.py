@@ -62,7 +62,8 @@ class StreamEngine:
     --------
     ``pushes``, ``inserted``, ``expired`` count work accepted so far;
     the miner's ``od_cache_.delta_evicted`` / ``delta_retained`` expose
-    how much cached state survived it.
+    how much cached state survived it, and ``od_cache_.outcome_hits``
+    how many polled targets were answered from a stored outcome.
     """
 
     def __init__(self, miner: HOSMiner, window: "int | None" = None) -> None:

@@ -43,6 +43,8 @@ __all__ = [
     "iter_supermasks",
     "mask_of_dims",
     "masks_at_level",
+    "order_key",
+    "ordered_masks",
     "popcount",
     "popcounts",
 ]
@@ -158,6 +160,25 @@ def masks_at_level(d: int, m: int) -> list[int]:
 def all_masks(d: int) -> Iterator[int]:
     """Yield every non-empty mask of a ``d``-wide space (1 .. 2**d - 1)."""
     return iter(range(1, 1 << d))
+
+
+def order_key(mask: int, d: int) -> int:
+    """Integer sort key of *mask* in :class:`Subspace` order: by level,
+    then by the ascending dims tuple.
+
+    Of two same-level masks, the one with the lexicographically smaller
+    dims tuple holds the lowest bit in which they differ, so its
+    ``d``-bit reversal is the larger; the key takes that reversal's
+    complement below the level.
+    """
+    reversal = int(f"{mask:0{d}b}"[::-1], 2)
+    return mask.bit_count() << d | (full_mask(d) ^ reversal)
+
+
+def ordered_masks(masks: Iterable[int], d: int) -> list[int]:
+    """*masks* sorted as their :class:`Subspace` wrappers sort, with one
+    :func:`order_key` per mask instead of a wrapper comparison per pair."""
+    return sorted(masks, key=lambda mask: order_key(mask, d))
 
 
 @dataclass(frozen=True, slots=True)

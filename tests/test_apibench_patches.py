@@ -66,3 +66,31 @@ def test_trace_sees_the_streaming_layers():
     calls = {name: rec[0] for name, rec in tracer.acc.items()}
     for name in ("od.delta", "od.cache_get", "savings.tsf", "stream.insert", "stream.expire"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_trace_attributes_replayed_polls():
+    """Poll the same targets twice under the tracer: the second poll is
+    an ``api.query_batch`` span answered from stored outcomes, with no
+    cache lookups and no result filtering of its own."""
+    from repro.core.miner import HOSMiner
+
+    tracer = _load_tracing().Tracer()
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 4))
+    X[0, :2] += 6.0
+    targets = [0, 1, 2, X[0] + 0.01, 1]
+    tracer.install()
+    try:
+        miner = HOSMiner(k=3, sample_size=3, threshold_quantile=0.9).fit(X)
+        miner.query_batch(targets)
+        first = tracer.snapshot()
+        spans = len(tracer.spans)
+        second = miner.query_batch(targets)
+    finally:
+        tracer.remove()
+    assert second.replayed == len(targets)
+    calls = {name: rec[0] for name, rec in tracer.acc.items()}
+    for name in ("od.cache_get", "filtering.minimal"):
+        assert first[name][0] > 0, name
+        assert calls[name] == first[name][0], name
+    assert [span[3] for span in tracer.spans[spans:]] == ["api.query_batch"]

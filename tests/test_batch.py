@@ -11,18 +11,27 @@ the index-layer prefix kernel and the up-front validation.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive_search import exhaustive_search
+from repro.core import od
+from repro.core.batch import BatchQueryEngine
 from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.filtering import minimal_masks
 from repro.core.miner import HOSMiner
-from repro.core.od import ODEvaluator, SharedODCache
+from repro.core.od import ODEvaluator, SharedODCache, StoredOutcome, knn_prefixes
 from repro.core.precision import reverify_rtol
+from repro.core.priors import PruningPriors
 from repro.core.result import BatchResult
+from repro.core.search import SearchStats, run_searches
 from repro.core.subspace import dims_of_mask
 from repro.data.synthetic import make_planted_outliers
 from repro.index import LinearScanIndex
@@ -541,6 +550,170 @@ class TestSharedODCache:
         second = ODEvaluator(backend, X[0], 3, exclude=0, shared_cache=cache)
         assert second.od(0b0011) == value
         assert second.shared_hits == 1 and second.evaluations == 0
+
+
+# ----------------------------------------------------------------------
+# Stored outcomes: a repeated query_batch target replays its answer
+# ----------------------------------------------------------------------
+def _stats_fields(stats: SearchStats) -> dict:
+    """Every ``SearchStats`` field except ``wall_time_s``."""
+    return {
+        field.name: getattr(stats, field.name)
+        for field in dataclasses.fields(SearchStats)
+        if field.name != "wall_time_s"
+    }
+
+
+def _mixed_targets(dataset) -> list:
+    """Rows (planted outliers among them), points and duplicates."""
+    planted = [int(row) for row in dataset.outlier_rows]
+    external = dataset.X[planted[0]] + 0.05
+    return [*planted, 7, external, planted[0], dataset.X[40] + 0.1, external, 7]
+
+
+def _outcome(settings, evaluations=1) -> StoredOutcome:
+    return StoredOutcome(settings, (), (), 0, evaluations, 0, 2, (2,), ((2, evaluations),))
+
+
+class TestStoredOutcomes:
+    @pytest.fixture
+    def fresh(self, dataset):
+        with HOSMiner(k=4, sample_size=6, threshold_quantile=0.95).fit(dataset.X) as miner:
+            yield miner
+
+    def test_replay_reports_the_fully_cached_search(self, fresh, dataset):
+        """A replay matches a search over the same cache in every answer
+        field and cost counter but wall time."""
+        targets = _mixed_targets(dataset)
+        first = fresh.query_batch(targets)
+        assert first.replayed == 0
+        cache = fresh.od_cache_
+        hits = cache.hits
+        second = fresh.query_batch(targets)
+        replay_hits = cache.hits - hits
+        assert second.replayed == len(targets)
+        assert cache.outcome_hits == len(targets)
+
+        queries, excludes = BatchQueryEngine(fresh)._normalize_targets(targets)
+        evaluators = [
+            ODEvaluator(
+                fresh.backend_, query, fresh.config.k, exclude=exclude,
+                shared_cache=cache, kernel=fresh.kernel_, precision=fresh.precision_,
+            )
+            for query, exclude in zip(queries, excludes)
+        ]
+        hits = cache.hits
+        outcomes = run_searches(
+            [fresh._make_search(evaluator) for evaluator in evaluators],
+            partial(knn_prefixes, fresh.backend_),
+        )
+        reference = [fresh._build_result(o, e) for o, e in zip(outcomes, evaluators)]
+        assert cache.hits - hits == replay_hits
+        assert second.knn_evaluations == sum(e.evaluations for e in evaluators) == 0
+        assert second.shared_cache_hits == sum(e.shared_hits for e in evaluators) > 0
+        for got, want in zip(second.results, reference):
+            assert got.minimal == want.minimal
+            assert got.od_values == want.od_values
+            assert got.total_outlying == want.total_outlying
+            assert got.threshold == want.threshold
+            assert _stats_fields(got.stats) == _stats_fields(want.stats)
+        assert any(result.is_outlier for result in second.results)
+        assert_matches_oracles(fresh, targets, second.results)
+
+    def test_mutating_a_result_never_reaches_a_replay(self, fresh, dataset):
+        targets = _mixed_targets(dataset)
+        first = fresh.query_batch(targets)
+        want = copy.deepcopy([_answer(result) for result in first.results])
+        for batch in (first, fresh.query_batch(targets)):
+            for result in batch.results:
+                result.minimal.clear()
+                result.od_values.clear()
+                result.stats.level_schedule.append(99)
+                result.stats.evaluations_by_level[99] = 1
+            replay = fresh.query_batch(targets)
+            assert replay.replayed == len(targets)
+            assert [_answer(result) for result in replay.results] == want
+
+    def test_swapped_priors_replay_nothing(self, fresh, dataset):
+        """``load_miner`` swaps in equal-valued priors after ``fit``; a
+        stored outcome replays only under the priors it was found with."""
+        targets = _mixed_targets(dataset)
+        fresh.query_batch(targets)
+        priors = fresh.priors_
+        fresh._priors = PruningPriors(priors.d, priors.p_up.copy(), priors.p_down.copy())
+        swapped = fresh.query_batch(targets)
+        assert swapped.replayed == 0
+        assert_matches_oracles(fresh, targets, swapped.results)
+        assert fresh.query_batch(targets).replayed == len(targets)
+
+    def test_sequential_queries_neither_read_nor_store_outcomes(self, fresh, dataset):
+        fresh.query_batch([3])
+        cache = fresh.od_cache_
+        stored, hits = len(cache._outcomes), cache.outcome_hits
+        fresh.query_row(3)
+        fresh.query_point(dataset.X[3] + 0.2)
+        assert (len(cache._outcomes), cache.outcome_hits) == (stored, hits)
+
+    def test_delta_pass_drops_the_outcomes_of_slots_that_lose_an_entry(self):
+        from repro.core.metrics import get_metric
+
+        cache = SharedODCache()
+        window = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        near, far = cache.point_key(window[0], 0), cache.point_key(window[1], 1)
+        cache.put(near, 0b01, 3.0, kth=1.0)  # the new row lands inside: evicted
+        cache.put(near, 0b10, 3.0, kth=0.1)  # 5.0 away in dim 1: kept
+        cache.put(far, 0b01, 3.0, kth=1.0)  # 9.5 away: kept
+        settings = (1.0, object(), "level", False, 8.0)
+        cache.keep_outcome(near, _outcome(settings))
+        cache.keep_outcome(far, _outcome(settings))
+        new = np.array([[0.5, 5.0]])
+        assert cache.delta_insert(new, np.vstack([window, new]), get_metric("euclidean")) == (1, 2)
+        assert cache.outcome(near, settings) is None
+        assert cache.outcome(far, settings) == _outcome(settings)
+        assert cache.get(near, 0b10) == 3.0  # the slot itself stays
+        cache.invalidate()
+        assert cache.outcome(far, settings) is None and cache.footprint() == 0
+
+    def test_trim_evicts_least_recently_used_slots_whole(self, monkeypatch):
+        cache = SharedODCache()
+        points = np.eye(3)
+        keys = [cache.point_key(point, None) for point in points]
+        settings = (1.0, object(), "level", False, 8.0)
+        for key in keys:
+            for mask in range(1, 8):
+                cache.put(key, mask, float(mask), kth=1.0)
+            cache.keep_outcome(key, _outcome(settings))
+        cache.point_key(points[0], None)  # points[1] is now the oldest
+        monkeypatch.setattr(od, "CACHE_BUDGET_BYTES", cache.footprint() - 1)
+        assert cache.trim() == 7
+        assert cache.evicted == 7
+        assert cache.footprint() <= od.CACHE_BUDGET_BYTES
+        assert [cache.outcome(key, settings) is not None for key in (keys[0], keys[2])] == [True] * 2
+        assert points[1].tobytes() not in {point for point, _ in cache.entries()}
+        # The freed slot goes to the next new point, without an outcome.
+        reused = cache.point_key(np.ones(3), None)
+        assert reused == keys[1] and cache.outcome(reused, settings) is None
+        assert cache.trim() == 0  # back under budget: nothing to do
+
+    def test_query_batch_returns_within_budget(self, dataset, monkeypatch):
+        monkeypatch.setattr(od, "CACHE_BUDGET_BYTES", 40_000)
+        miner = HOSMiner(k=4, sample_size=6, threshold_quantile=0.95).fit(dataset.X)
+        assert miner.od_cache_.footprint() <= 40_000
+        targets = _mixed_targets(dataset)
+        for _ in range(3):
+            batch = miner.query_batch(targets)
+            assert miner.od_cache_.footprint() <= 40_000
+            assert_matches_oracles(miner, targets, batch.results)
+        assert miner.od_cache_.evicted > 0
+
+    def test_pickled_clone_answers_alike(self, fresh, dataset):
+        targets = _mixed_targets(dataset)
+        fresh.query_batch(targets)
+        clone = pickle.loads(pickle.dumps(fresh))
+        original, cloned = fresh.query_batch(targets), clone.query_batch(targets)
+        assert cloned.replayed == original.replayed == len(targets)
+        assert [_answer(r) for r in cloned.results] == [_answer(r) for r in original.results]
+        assert "answers replayed: " + str(len(targets)) in cloned.summary()
 
 
 # ----------------------------------------------------------------------

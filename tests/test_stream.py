@@ -32,11 +32,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
+from repro.baselines.naive_search import exhaustive_search
+from repro.core import od
 from repro.core.exceptions import ConfigurationError, NotFittedError
+from repro.core.filtering import minimal_masks
 from repro.core.metrics import EuclideanMetric, get_metric
 from repro.core.miner import HOSMiner
-from repro.core.od import SharedODCache, kth_bound
+from repro.core.od import ODEvaluator, SharedODCache, kth_bound
 from repro.core.stream import StreamEngine
 from repro.core.subspace import full_mask
 from repro.data.synthetic import make_drift_stream
@@ -701,3 +710,99 @@ class TestRandomizedOpSequences:
         with pytest.raises(AssertionError, match=r"seed=1701 .*ops=\[") as excinfo:
             run_op_sequence(1701, "linear")
         assert "insert" in str(excinfo.value) or "query" in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# Stateful model: stored outcomes under pushes, extends and eviction
+# ----------------------------------------------------------------------
+MODEL_WINDOW = 40
+POOL_ROWS = [0, 1, 17, MODEL_WINDOW - 1]
+
+
+class OutcomeModel(RuleBasedStateMachine):
+    """A small windowed miner under ``push``, ``query_batch``,
+    ``query_row`` and ``extend``.
+
+    ``query_batch`` draws its targets from a pool of 4 rows and 4
+    external points, so stored outcomes replay and then meet the delta
+    pass, ``extend``'s invalidation and (in the budgeted model) eviction.
+    Every answer must equal a fresh fit on a copy of the window with the
+    same explicit ``T``, and exhaustive search must agree on the most
+    outlying one.
+    """
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(71)
+        warm = rng.normal(size=(MODEL_WINDOW, D))
+        warm[:2, :2] += 5.0
+        self.threshold = float(fitted(warm).threshold_)
+        self.miner = fitted(warm, threshold=self.threshold, stream_window=MODEL_WINDOW)
+        self.engine = StreamEngine(self.miner)
+        self.points = [warm[0] + 0.05, warm[9] + 0.1, np.full(D, 2.5), rng.normal(size=D)]
+        self.replayed = 0
+
+    def _rows(self, seed, count, near):
+        rng = np.random.default_rng(seed)
+        centre = self.points[seed % 4] if near else np.full(D, 40.0)
+        return centre + rng.normal(scale=0.5, size=(count, D))
+
+    def _check(self, targets, results):
+        window = np.array(self.miner.backend_.data, copy=True)
+        oracle = fitted(window, threshold=self.threshold, sample_size=0)
+        assert_answers_identical(results, oracle.query_batch(targets).results)
+        target, result = max(zip(targets, results), key=lambda pair: pair[1].total_outlying)
+        if isinstance(target, int):
+            query, exclude = window[target], target
+        else:
+            query, exclude = target, None
+        want = exhaustive_search(
+            ODEvaluator(LinearScanIndex(window), query, K, exclude=exclude), self.threshold
+        )
+        assert sorted(minimal_masks(want.outlying_masks)) == sorted(
+            subspace.mask for subspace in result.minimal
+        )
+        assert len(want.outlying_masks) == result.total_outlying
+
+    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 6), near=st.booleans())
+    def push(self, seed, count, near):
+        self.engine.push(self._rows(seed, count, near))
+
+    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 4))
+    def extend(self, seed, count):
+        self.miner.extend(self._rows(seed, count, near=True))
+
+    @rule(picks=st.lists(st.integers(0, 7), min_size=1, max_size=6))
+    def query_batch(self, picks):
+        targets = [POOL_ROWS[i] if i < 4 else self.points[i - 4] for i in picks]
+        batch = self.engine.query_batch(targets)
+        self.replayed += batch.replayed
+        self._check(targets, batch.results)
+
+    @rule(pick=st.integers(0, 3))
+    def query_row(self, pick):
+        row = POOL_ROWS[pick]
+        self._check([row], [self.engine.query(row)])
+
+
+class BudgetedOutcomeModel(OutcomeModel):
+    """The same model under a budget of a few dozen entries, so that
+    ``trim`` evicts slots between calls."""
+
+    @invariant()
+    def within_budget(self):
+        assert self.miner.od_cache_.footprint() <= od.CACHE_BUDGET_BYTES
+
+
+class TestStoredOutcomeModel:
+    def test_replays_stay_fresh_fit_identical(self):
+        run_state_machine_as_test(
+            OutcomeModel, settings=settings(max_examples=12, stateful_step_count=12, deadline=None)
+        )
+
+    def test_eviction_keeps_answers_and_the_budget(self, monkeypatch):
+        monkeypatch.setattr(od, "CACHE_BUDGET_BYTES", 40 * od._ENTRY_BYTES)
+        run_state_machine_as_test(
+            BudgetedOutcomeModel,
+            settings=settings(max_examples=12, stateful_step_count=12, deadline=None),
+        )

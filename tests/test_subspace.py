@@ -23,6 +23,7 @@ from repro.core.subspace import (
     iter_supermasks,
     mask_of_dims,
     masks_at_level,
+    ordered_masks,
     popcount,
 )
 
@@ -208,3 +209,22 @@ class TestSubspaceType:
         s = Subspace(mask, 8)
         assert s.dimensionality == popcount(mask)
         assert s.dims == dims_of_mask(mask)
+
+
+class TestOrderedMasks:
+    """The integer sort key orders masks exactly as ``Subspace.__lt__``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2, 12, 20]))
+    def test_matches_wrapper_sort(self, data, d):
+        masks = data.draw(
+            st.lists(st.integers(min_value=1, max_value=(1 << d) - 1), max_size=40)
+        )
+        want = [subspace.mask for subspace in sorted(Subspace(mask, d) for mask in masks)]
+        assert ordered_masks(masks, d) == want
+
+    def test_same_level_orders_by_dims(self):
+        # {0, 3} < {1, 2}, although 0b1001 > 0b0110.
+        assert ordered_masks([0b0110, 0b1001, 0b0001, 0b1111], 4) == [
+            0b0001, 0b1001, 0b0110, 0b1111
+        ]
