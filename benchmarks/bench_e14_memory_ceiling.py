@@ -10,7 +10,9 @@ same cell, asserts the sums are bit-identical, and records both
 high-water marks from the backend's ``peak_intermediate_bytes`` counter.
 A 4-query ``knn_distance_prefix_batch`` call runs under the same
 ceiling (``peak_blocked_batch_mb``), asserted bit-identical to its
-unblocked twin.
+unblocked twin, and a 64-query call of the full-space unit
+(``knn_full_prefix_batch``) records its query block
+(``peak_full_space_mb``), its prefixes asserted equal to the exact scan.
 
 The measurement lives in :data:`repro.bench.perf.E14_SPEC`; this script
 is its classic entry point. ``python benchmarks/bench_e14_memory_ceiling.py``
@@ -38,6 +40,7 @@ def test_benchmark_memory_ceiling_blocked(benchmark):
     assert row["identical"]
     assert row["peak_blocked_mb"] <= 2.0 + 1e-9
     assert row["peak_blocked_batch_mb"] <= 2.0 + 1e-9
+    assert row["peak_full_space_mb"] <= 2.0 + 1e-9
     assert np.isfinite(row["footprint_ratio"])
 
 

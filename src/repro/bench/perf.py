@@ -339,10 +339,14 @@ def run_memory_cell(
     high-water marks. A 4-query ``knn_distance_prefix_batch`` call runs
     under the same ceiling and is asserted bit-identical to its
     unblocked twin: ``peak_blocked_batch_mb`` shows the ceiling holds
-    at any query count. The byte counts are
-    deterministic, so ``peak_blocked_mb`` and ``peak_blocked_batch_mb``
-    gate exactly (any growth past the CI tolerance means the ceiling
-    logic regressed).
+    at any query count. A 64-query ``knn_full_prefix_batch`` call (the
+    full-space unit, always float64, blocked by its own
+    :data:`repro.index.linear.FULL_SPACE_BLOCK_BYTES`) is asserted
+    equal to the exact scan, and its block's size is
+    ``peak_full_space_mb``. The byte counts are deterministic, so
+    ``peak_blocked_mb``, ``peak_blocked_batch_mb`` and
+    ``peak_full_space_mb`` gate exactly (any growth past the CI
+    tolerance means the ceiling logic regressed).
     """
     import repro.index.linear as linear_module
 
@@ -397,6 +401,19 @@ def run_memory_cell(
         "blocked multi-query GEMM diverged from the unblocked kernel"
     )
 
+    # The full-space unit: 32 rows (themselves excluded) and 32 points,
+    # drawn after everything above so the GEMM cells' data do not move.
+    rows = rng.choice(n, size=32, replace=False)
+    full_queries = np.vstack([X[rows], rng.normal(size=(32, d))])
+    full_excludes = [int(row) for row in rows] + [None] * 32
+    backend.stats.reset()
+    full = backend.knn_full_prefix_batch(full_queries, k, full_excludes)
+    peak_full_space = backend.stats.snapshot().get("peak_intermediate_bytes", 0)
+    for query, exclude, prefix in zip(full_queries, full_excludes, full):
+        assert np.array_equal(prefix, backend.knn(query, k, range(d), exclude=exclude)[1]), (
+            "the full-space unit diverged from the exact scan"
+        )
+
     return {
         "n": n,
         "d": d,
@@ -407,6 +424,7 @@ def run_memory_cell(
         "peak_unblocked_mb": peak_unblocked / 2**20,
         "peak_blocked_mb": peak_blocked / 2**20,
         "peak_blocked_batch_mb": peak_blocked_batch / 2**20,
+        "peak_full_space_mb": peak_full_space / 2**20,
         "footprint_ratio": peak_unblocked / max(1, peak_blocked),
         "blocked_overhead": blocked_s / unblocked_s,
         "identical": True,
@@ -441,6 +459,7 @@ E14_SPEC = ExperimentSpec(
         "peak_unblocked_mb",
         "peak_blocked_mb",
         "peak_blocked_batch_mb",
+        "peak_full_space_mb",
         "footprint_ratio",
         "blocked_overhead",
         "identical",
@@ -454,11 +473,18 @@ E14_SPEC = ExperimentSpec(
     notes=[
         "blocked and unblocked sums asserted bit-identical on every cell "
         "(the reduction axis is never split; merging per-block k-prefixes "
-        "is exact), for the one-query call and a 4-query batch call"
+        "is exact), for the one-query call and a 4-query batch call",
+        "a 64-query full-space unit call is asserted equal to the exact "
+        "scan; peak_full_space_mb is its float64 query block (13 rows of "
+        "n=20000 under the 2 MiB budget), the same at both precisions",
     ],
     warmup=1,
     repeats=3,
-    regression={"peak_blocked_mb": "lower", "peak_blocked_batch_mb": "lower"},
+    regression={
+        "peak_blocked_mb": "lower",
+        "peak_blocked_batch_mb": "lower",
+        "peak_full_space_mb": "lower",
+    },
 )
 
 

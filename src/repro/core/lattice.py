@@ -305,11 +305,15 @@ class SubspaceLattice:
         # Mirror guard of prune_supersets.
         if masks is None or not any(self._remaining_count[1:level]):
             return 0
+        if isinstance(masks, int) and masks == self._full_mask:
+            return self._prune_below_full()
         return self._settle(self._cones(masks, upward=False), _PRUNED_NON_OUTLYING)
 
     # -- results -----------------------------------------------------------
     def outlying_masks(self) -> list[int]:
         """Every subspace known outlying, as raw masks (unspecified order)."""
+        if not any(self._outlying_decided):
+            return []
         states = self._state
         outlying = np.flatnonzero(
             (states == _EVALUATED_OUTLYING) | (states == _PRUNED_OUTLYING)
@@ -428,6 +432,24 @@ class SubspaceLattice:
             if outlying:
                 self._outlying_decided[level] += count
         return int(indices.size)
+
+    def _prune_below_full(self) -> int:
+        """:meth:`prune_subsets` of the full space: every UNKNOWN subspace
+        below it is decided non-outlying in one write.
+
+        The cone is every level but ``d`` (and the empty subspace), so
+        the per-level counts are the remaining counts themselves.
+        """
+        body = self._state[1 : self._full_mask]
+        count = sum(self._remaining_count[1 : self.d])
+        if count == body.size:
+            # Nothing below is decided yet (an inlier's first step): a
+            # plain fill, several times cheaper than the masked write.
+            body.fill(_PRUNED_NON_OUTLYING)
+        else:
+            body[body == _UNKNOWN] = _PRUNED_NON_OUTLYING
+        self._remaining_count[1 : self.d] = [0] * (self.d - 1)
+        return count
 
     def _check_mask(self, mask: int) -> None:
         if not 1 <= mask <= self._full_mask:

@@ -132,7 +132,10 @@ class HOSMiner:
         # A refit invalidates the shard pool's data shards; the next
         # multi-worker batch respawns it.
         self.close()
-        X = as_float64(X, "data")
+        # A private copy: as_float64 hands back the caller's own array when
+        # it is already C-contiguous float64, and the fitted index (and its
+        # full-space screen's resident operand) must not see later writes.
+        X = as_float64(X, "data").copy()
         if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
             raise DataShapeError(
                 f"expected an (n >= 2, d >= 1) matrix, got shape {X.shape}"

@@ -48,13 +48,14 @@ BATCH_CHUNK_BYTES = 64 * 2**20
 
 #: Byte budget of one query block of the full-space unit
 #: (:meth:`LinearScanIndex.knn_full_prefix_batch`): its ``(B, n)``
-#: float64 squared-distance block and the selection copy beside it each
-#: stay under this size, and so does each slice of its exact refine.
-#: Blocks never change values (every reported distance is recomputed
-#: exactly). Measured on a 2-core x86 host at n=8000, d=12 and n=6400,
-#: d=8 (256 and 2048 queries): 1-2 MiB blocks cost 17-24 us per query,
-#: 8 MiB blocks 20-40 us (the block falls out of cache) and 128 KiB
-#: blocks 45-57 us (per-block overhead).
+#: float64 squared-distance block lives in one resident workspace of
+#: this size (or of one row, if a row is larger), and each slice of its
+#: exact refine stays under it. Blocks never change values (every
+#: reported distance is recomputed exactly). Measured on a 2-core x86
+#: host at n=8000, d=12 and n=6400, d=8 (256 and 2048 queries): 2 MiB
+#: blocks cost 34-46 us per query, 128 KiB blocks 117-215 us (per-block
+#: overhead) and 8 MiB blocks 29-43 us for 6 MiB more held memory
+#: (docs/tuning.md).
 FULL_SPACE_BLOCK_BYTES = 2 * 2**20
 
 #: Safety factor on the full-space unit's derived rounding bound, as in
@@ -96,6 +97,13 @@ class LinearScanIndex:
         self._X = self._buf[self._lo : self._n]
         self.metric = get_metric(metric)
         self.stats = IndexStats()
+        # The full-space screen's state: _version moves whenever _X does
+        # (insert, expire), the resident operand is the screen's centred
+        # data for one version, and the workspace is its one block
+        # buffer. Both caches are rebuilt lazily and never pickled.
+        self._version = 0
+        self._resident: "tuple | None" = None
+        self._workspace: "np.ndarray | None" = None
 
     # -- KnnBackend interface ------------------------------------------------
     @property
@@ -330,10 +338,10 @@ class LinearScanIndex:
             # The L_p finalizers are monotone, so selecting on component
             # sums selected exactly the k nearest.
             out[i] = self.metric.finalize_component_sums(prefix.astype(np.float64, copy=False))
-            # Free this product (the prefix is a view of it) before the next
-            # query's is allocated, so its pages are reused rather than
-            # faulted in afresh; on a 2-core x86 host that took E13's
-            # 4-query call from 3.0 to 2.2 ms per query at n=8000.
+            # Free this product (and the selection scratch the prefix views)
+            # before the next query's is allocated, so its pages are reused
+            # rather than faulted in afresh; on a 2-core x86 host that took
+            # E13's 4-query call from 3.0 to 2.2 ms per query at n=8000.
             del S, part, prefix
         self.stats.bump("gemm_flops", 2 * n * self.d * m * q_count)
         self.stats.bump("gemm_masks", m * q_count)
@@ -352,21 +360,32 @@ class LinearScanIndex:
         The full-space work unit. Under the Euclidean metric one float64
         Gram product per block of queries screens every row, and only
         the screen's survivors are recomputed exactly. Other metrics, a
-        lone query (centring the data costs about one scan, so a single
-        query never wins) and any query whose screen is not finite run
+        lone query (one product, selection and refine cost more than one
+        ``pairwise`` scan) and any query whose screen is not finite run
         the exact scan (``pairwise`` over every row). Queries are
         screened in blocks of :data:`FULL_SPACE_BLOCK_BYTES`.
 
+        The screen keeps its operand resident: the centred rows, their
+        squared norms and the largest norm are computed once per window
+        version (every ``insert`` and ``expire`` moves the version), and
+        each block's product is written into one reused workspace. A
+        call owns that workspace while it runs, so the unit is not
+        re-entrant on one index: threads that share an index must not
+        call it concurrently.
+
         The screen
         ----------
-        Per call the data are centred on their mean ``c`` (any ``c`` is
-        correct; the mean keeps the norms, hence the bound, small).
-        With ``a_r = fl(x_r - c)`` and ``b = fl(q - c)`` the vectors
-        actually used, each block computes
+        The data are centred on their mean ``c`` (any ``c`` is correct;
+        the mean keeps the norms, hence the bound, small). With ``a_r =
+        fl(x_r - c)`` and ``b = fl(q - c)`` the vectors actually used,
+        each block computes
 
             D_r = fl(‖a_r‖² + ‖b‖² - 2·a_r·b)
 
-        from one ``(B, d) @ (d, n)`` product, takes ``tau``, the k-th
+        from one ``(B, d) @ (d, n)`` product of ``-2·b`` against the
+        ``a_r`` (the factor ``-2`` is folded into the query operand;
+        scaling by a power of two is exact, and the finite ``4·reach``
+        check below rules out its overflow), takes ``tau``, the k-th
         smallest ``D_r`` over the non-excluded rows, keeps every row
         with ``D_r <= tau + 2·delta`` and recomputes those candidates
         through ``metric.pairwise`` on ``(row, query)`` pairs — the exact
@@ -383,7 +402,8 @@ class LinearScanIndex:
         * the Gram arithmetic against ``‖a_r - b‖²``: two norms and a
           dot product of length ``d`` in any summation order (blocked
           or FMA BLAS included) err by ``gamma_d·A_r``, ``gamma_d·B`` and,
-          doubled, ``2·gamma_d·√(A_r·B) <= gamma_d·(A_r + B)``; the two
+          doubled (the doubling is exact, folded into ``-2·b`` or not),
+          ``2·gamma_d·√(A_r·B) <= gamma_d·(A_r + B)``; the two
           final additions add ``4u·(A_r + B)``; together
           ``(2·gamma_d + 4u)·(A_r + B)``;
         * the centring: each coordinate of ``a_r - b`` differs from
@@ -433,6 +453,20 @@ class LinearScanIndex:
             out[i] = _sorted_prefix(self.metric.pairwise(self._X, queries[i], dims), k, excludes[i])
         return out
 
+    def _resident_operand(self) -> tuple:
+        """``(centre, centred rows, their squared norms, the largest)``
+        of the current window version, recomputed only when it moved."""
+        resident = self._resident
+        if resident is None or resident[0] != self._version:
+            X = self._X
+            with np.errstate(over="ignore", invalid="ignore"):
+                centre = np.full(X.shape[0], 1.0 / X.shape[0]) @ X  # the mean, one product
+                data = X - centre
+                norms = np.einsum("ij,ij->i", data, data)
+            resident = (self._version, centre, data, norms, norms.max())
+            self._resident = resident
+        return resident[1:]
+
     def _gram_screen(
         self,
         queries: np.ndarray,
@@ -449,38 +483,41 @@ class LinearScanIndex:
         X = self._X
         n, d = X.shape
         settled = np.zeros(queries.shape[0], dtype=bool)
+        centre, data, norms, max_norm = self._resident_operand()
         with np.errstate(over="ignore", invalid="ignore"):
-            centre = np.full(n, 1.0 / n) @ X  # the mean, as one BLAS product
-            data = X - centre
-            norms = np.einsum("ij,ij->i", data, data)
             centred = queries - centre
             query_norms = np.einsum("ij,ij->i", centred, centred)
-            reach = norms.max() + query_norms
+            reach = max_norm + query_norms
             # Every intermediate stays below 4·reach in magnitude: a
             # finite 4·reach rules out overflow (and so NaN) in the screen.
             safe = np.isfinite(4.0 * reach)
             delta = _GRAM_SAFETY * ((4 * d + 12) * 2.0**-53 * reach + (4 * d + 4) * 2.0**-1074)
+            left = -2.0 * centred  # D_r's factor -2, folded in exactly
         if not safe.any():
             return settled
         block = max(1, FULL_SPACE_BLOCK_BYTES // (8 * n))
+        if self._workspace is None or self._workspace.size < block * n:
+            self._workspace = np.empty(max(FULL_SPACE_BLOCK_BYTES // 8, block * n))
         chunk = max(1, FULL_SPACE_BLOCK_BYTES // (8 * d))
         ranks = np.arange(k)
+        # (query, row) pairs to exclude, as two index arrays.
+        excluded = np.array([i for i, row in enumerate(excludes) if row is not None], dtype=np.intp)
+        excluded_rows = np.array([excludes[i] for i in excluded], dtype=np.intp)
         for lo in range(0, queries.shape[0], block):
             hi = min(lo + block, queries.shape[0])
+            squared = self._workspace[: (hi - lo) * n].reshape(hi - lo, n)
             with np.errstate(over="ignore", invalid="ignore"):
-                squared = centred[lo:hi] @ data.T
-                squared *= -2.0
+                np.matmul(left[lo:hi], data.T, out=squared)
                 squared += norms
                 squared += query_norms[lo:hi, None]
             self.stats.record_peak("peak_intermediate_bytes", squared.nbytes)
-            for row, exclude in enumerate(excludes[lo:hi]):
-                if exclude is not None:
-                    squared[row, exclude] = np.inf
+            here = (excluded >= lo) & (excluded < hi)
+            squared[excluded[here] - lo, excluded_rows[here]] = np.inf
             with np.errstate(over="ignore", invalid="ignore"):
-                limit = topk_prefix(squared.copy(), k)[:, -1] + 2.0 * delta[lo:hi]
+                limit = topk_prefix(squared, k)[:, -1] + 2.0 * delta[lo:hi]
                 candidates = squared <= limit[:, None]
             candidates[~safe[lo:hi]] = False
-            rows, cols = np.nonzero(candidates)
+            rows, cols = np.divmod(np.flatnonzero(candidates), n)
             values = np.empty(cols.size)
             for start in range(0, cols.size, chunk):
                 part = slice(start, start + chunk)
@@ -535,6 +572,7 @@ class LinearScanIndex:
         self._buf[self._n] = point
         self._n += 1
         self._X = self._buf[self._lo : self._n]
+        self._version += 1
         return self.size - 1
 
     def expire(self, count: int) -> np.ndarray:
@@ -557,6 +595,7 @@ class LinearScanIndex:
         removed = self._buf[self._lo : self._lo + count].copy()
         self._lo += count
         self._X = self._buf[self._lo : self._n]
+        self._version += 1
         return removed
 
     # -- internals ------------------------------------------------------------
@@ -576,6 +615,12 @@ class LinearScanIndex:
     def _account_scan(self) -> None:
         self.stats.distance_computations += self.size
         self.stats.node_accesses += -(-self.size // BLOCK_ROWS)  # ceil division
+
+    def __getstate__(self) -> dict:
+        # The screen's caches are derived state; a copy rebuilds them.
+        state = self.__dict__.copy()
+        state["_resident"] = state["_workspace"] = None
+        return state
 
     def __repr__(self) -> str:
         return f"LinearScanIndex(n={self.size}, d={self.d}, metric={self.metric.name})"

@@ -33,7 +33,7 @@ _FILTER_MAX_CHUNKS = 256
 
 
 def _partition_prefix(S: np.ndarray, k: int) -> np.ndarray:
-    """In-place introselect + sorted k-prefix."""
+    """In-place introselect + sorted k-prefix of a scratch array."""
     S.partition(k - 1, axis=1)
     prefix = S[:, :k]
     prefix.sort(axis=1)
@@ -43,8 +43,11 @@ def _partition_prefix(S: np.ndarray, k: int) -> np.ndarray:
 def topk_prefix(S: np.ndarray, k: int) -> np.ndarray:
     """Sorted ascending k-prefix of every row of ``S``, shape ``(m, k)``.
 
-    ``S`` is owned by the caller and may be mutated (the selection
-    partitions in place). Chunk ``g`` is the interleaved column set
+    ``S`` is only read, never written: the two-stage path partitions the
+    gathered candidates, and the narrow-row fallback partitions a copy.
+    So a caller may select on a block it still needs (the full-space
+    screen compares the same block against the k-th value afterwards).
+    Chunk ``g`` is the interleaved column set
     ``{g, g+G, g+2G, ...}``, so the chunk-min pass reduces over the
     *leading* axis of a strided ``(m, B, G)`` view and vectorises across
     the contiguous ``G``-wide inner axis. If chunk ``X`` has
@@ -59,8 +62,8 @@ def topk_prefix(S: np.ndarray, k: int) -> np.ndarray:
     B = n // G
     if B < 4 or G <= 2 * k:
         # Too small for two stages to pay off (or to be valid): the
-        # plain partition is optimal at these widths.
-        return _partition_prefix(S, k)
+        # plain partition, on a copy, is optimal at these widths.
+        return _partition_prefix(S.copy(), k)
     body = G * B
     view = np.lib.stride_tricks.as_strided(
         S,

@@ -157,7 +157,8 @@ class TestBenchCommand:
         for name in ("e0", "e11", "e12", "e13", "e14", "e15", "f1"):
             assert name in out
         assert "[gated: f32_speedup,fused_speedup,speedup]" in out  # e13's gate
-        assert "[gated: peak_blocked_batch_mb,peak_blocked_mb]" in out  # e14's gate
+        # e14's gate: both GEMM ceilings plus the full-space unit's block
+        assert "[gated: peak_blocked_batch_mb,peak_blocked_mb,peak_full_space_mb]" in out
         # e15's gate: the warm-pool ratio plus the deterministic wire counters
         assert "[gated: bytes_shipped,persist_speedup,round_trips]" in out
 

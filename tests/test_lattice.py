@@ -304,6 +304,52 @@ class TestLevelWideTransitions:
         assert lattice.is_unknown(0b0001)
 
 
+class TestFullSpacePrune:
+    """``prune_subsets(full)`` decides everything below the full space in
+    one write. The reference here is a per-mask loop over raw states,
+    not another lattice call, which would take the same fast path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=LATTICES, mark_full=st.booleans())
+    def test_matches_a_per_mask_loop(self, case, mark_full):
+        d, decisions, _, _ = case
+        lattice = _random_lattice(d, decisions)
+        full = (1 << d) - 1
+        if mark_full and lattice.is_unknown(full):
+            lattice.mark_evaluated(full, False)
+        states = [SubspaceState.UNKNOWN] + [state for _, state in lattice.iter_states()]
+        expected_pruned = 0
+        for mask in range(1, full):
+            if states[mask] is SubspaceState.UNKNOWN:
+                states[mask] = SubspaceState.PRUNED_NON_OUTLYING
+                expected_pruned += 1
+        outlying = (SubspaceState.EVALUATED_OUTLYING, SubspaceState.PRUNED_OUTLYING)
+
+        pruned = lattice.prune_subsets(full)
+
+        assert pruned == expected_pruned
+        assert [state for _, state in lattice.iter_states()] == states[1:]
+        for m in range(1, d + 1):
+            level = [mask for mask in range(1, full + 1) if popcount(mask) == m]
+            unknown = sum(states[mask] is SubspaceState.UNKNOWN for mask in level)
+            hits = sum(states[mask] in outlying for mask in level)
+            assert lattice.remaining_count(m) == unknown
+            assert lattice.decided_stats(m) == (comb(d, m) - unknown, hits)
+        assert sorted(lattice.outlying_masks()) == [
+            mask for mask in range(1, full + 1) if states[mask] in outlying
+        ]
+
+    def test_fresh_inlier(self):
+        """The serving path's inlier: the full space evaluated non-outlying
+        on a fresh lattice decides every subspace, none outlying."""
+        lattice = SubspaceLattice(12)
+        lattice.mark_evaluated([(1 << 12) - 1], False)
+        assert lattice.prune_subsets([(1 << 12) - 1]) == 2**12 - 2
+        assert not lattice.has_unknown()
+        assert lattice.outlying_masks() == []
+        assert lattice.counts_by_state()[SubspaceState.PRUNED_NON_OUTLYING] == 2**12 - 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(LATTICES)
 def test_prefix_sum_workloads_match_the_per_level_sums(case):

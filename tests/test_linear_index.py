@@ -166,6 +166,47 @@ class TestFullSpaceUnit:
         )
         assert settled.all()
 
+    @staticmethod
+    def held_bytes(backend):
+        """Bytes the screen keeps between calls: its workspace and its
+        resident operand."""
+        held = 0 if backend._workspace is None else backend._workspace.nbytes
+        if backend._resident is not None:
+            held += sum(part.nbytes for part in backend._resident if isinstance(part, np.ndarray))
+        return held
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_resident_operand_follows_every_data_change(self, data):
+        """Inserts (in capacity and through buffer growth), expiries and
+        pickle round-trips between multi-query calls: every prefix stays
+        the scan's, and the screen holds no more than its block, the
+        centred rows, their norms and the centre."""
+        import pickle
+
+        from repro.index.linear import FULL_SPACE_BLOCK_BYTES
+
+        k = data.draw(st.integers(1, 5), label="k")
+        d = data.draw(st.integers(1, 6), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        backend = LinearScanIndex(rng.normal(size=(data.draw(st.integers(k + 2, 30)), d)))
+        ops = st.sampled_from(["insert", "insert", "expire", "pickle"])
+        for op in data.draw(st.lists(ops, min_size=1, max_size=8), label="ops"):
+            if op == "insert":
+                for row in rng.normal(size=(int(rng.integers(1, 12)), d)):
+                    backend.insert(row)
+            elif op == "expire" and backend.size > k + 2:
+                backend.expire(int(rng.integers(1, backend.size - k - 1)))
+            elif op == "pickle":
+                backend = pickle.loads(pickle.dumps(backend))
+                assert backend._workspace is None and backend._resident is None
+            n = backend.size
+            rows = rng.choice(n, size=min(n, 3), replace=False)
+            queries = np.vstack([backend.data[rows], rng.normal(size=(2, d))])
+            self.assert_matches_knn(backend, queries, k, [int(row) for row in rows] + [None] * 2)
+            assert self.held_bytes(backend) <= FULL_SPACE_BLOCK_BYTES + 8 * n * d + 8 * n + 8 * d
+        assert pickle.loads(pickle.dumps(backend))._workspace is None
+
     def test_batch_traffic_rows_at_k1(self):
         """At k=1 nearly every selection has one candidate; a refine
         through a one-row ``einsum`` instead of ``pairwise`` disagrees

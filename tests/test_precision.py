@@ -187,7 +187,21 @@ class TestTopkKernels:
             S[:, : n // 2] = np.round(S[:, : n // 2])  # mass-produce ties
             S[:, -1] = np.inf  # excluded-self sentinel
         reference = np.sort(S, axis=1)[:, :k]
-        np.testing.assert_array_equal(topk_prefix(S.copy(), k), reference)
+        before = S.copy()
+        np.testing.assert_array_equal(topk_prefix(S, k), reference)
+        np.testing.assert_array_equal(S, before)  # read, never written
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [40, 8000])  # the narrow fallback, the two-stage filter
+    def test_input_never_mutated(self, rng, dtype, n):
+        """The full-space screen selects on its block and then reads it
+        again, so neither path may partition the caller's array."""
+        S = np.round(rng.normal(size=(6, n)) * 2).astype(dtype)  # ties
+        S[:, -1] = np.inf
+        before = S.copy()
+        reference = np.sort(S, axis=1)[:, :5]
+        np.testing.assert_array_equal(topk_prefix(S, 5), reference)
+        np.testing.assert_array_equal(S, before)
 
     def test_strided_input(self, rng):
         """The filter's as_strided view must respect the source strides —

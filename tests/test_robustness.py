@@ -63,6 +63,36 @@ class TestDegenerateData:
         assert [s.dims for s in result.minimal] == [(0,)]
 
 
+class TestFitCopiesItsData:
+    """A fitted miner answers for the data it was fitted on: a later write
+    into the caller's array (already C-contiguous float64, so no
+    conversion copied it) must not reach the index."""
+
+    @pytest.mark.parametrize("index", ["linear", "vafile"])
+    @pytest.mark.parametrize("entry", ["query_row", "query_batch"])
+    def test_later_writes_to_the_input_do_not_move_answers(self, index, entry):
+        X = np.random.default_rng(11).normal(size=(120, 4))
+        X[0, :2] += 6.0
+        pristine = X.copy()
+        miner = HOSMiner(k=4, sample_size=5, index=index).fit(X)
+        X[1:] *= 3.0
+        reference = HOSMiner(k=4, sample_size=5, index=index, threshold=miner.threshold_)
+        reference.fit(pristine)
+        rows = [0, 10, 20]
+
+        def answers(fitted):
+            if entry == "query_row":
+                results = [fitted.query_row(row) for row in rows]
+            else:
+                results = fitted.query_batch(rows).results
+            return [(r.total_outlying, [s.mask for s in r.minimal]) for r in results]
+
+        expected = answers(reference)
+        assert expected[0][0] > 0  # row 0 is outlying, so the check has teeth
+        assert answers(miner) == expected
+        np.testing.assert_array_equal(miner.backend_.data, pristine)
+
+
 class TestHugeMagnitudes:
     """A coordinate whose square overflows float64 (|x| > ~1.3e154) gives
     an inf distance component. Inside the GEMM a masked-out inf
