@@ -1,29 +1,25 @@
-"""E15 — persistent sharded scatter-gather engine vs per-call spin-up.
+"""E15 — row shards on threads.
 
-``shard="rows"`` splits the fitted data row-wise across worker
-processes that attach to ``multiprocessing.shared_memory`` segments, so
-batches ship only subspace masks and query rows over the pipes — the
-wire volume is independent of n. Because OD is additive over data
-points, the coordinator's exact k-way merge of per-shard sorted
-k-prefixes reproduces the sequential kernels bit for bit.
+``workers > 1`` splits the fitted window into contiguous row shards and
+runs each batch's work units on every shard at once: the calling thread
+takes shard 0 and one thread of a persistent pool each other shard.
+Because OD is additive over data points, the exact k-way merge of
+per-shard sorted k-prefixes reproduces the in-process kernels bit for
+bit.
 
-The persistent pool is the point: it is spawned once per fit and reused
-across ``query_batch`` calls, so steady-state calls skip fork,
-shared-memory attach and backend construction entirely (and keep the
-worker-side component caches warm). This benchmark measures exactly
-that gap — the gated ``persist_speedup`` is warm-pool vs
-torn-down-before-every-call wall time — plus the deterministic wire
-counters ``round_trips``/``bytes_shipped``. Raw multi-process
-``scaling`` vs the in-process engine is recorded for the trajectory but
-not gated: it measures the runner's core count, not the code.
+Shards pay where the prefix kernel and its top-k dominate: the gated
+``thread_speedup`` times a cold batch of 32 planted outliers and 31
+random rows at n=32000, d=12, at one worker against two. The
+traffic-shaped cells record ``shard_qps`` and ``scaling`` for the
+trajectory and gate the deterministic ``round_trips`` counter.
 
 The measurement lives in :data:`repro.bench.perf.E15_SPEC`; this script
 is its classic entry point. ``python benchmarks/bench_e15_shard_engine.py``
 prints the full table; ``--fast`` runs the CI smoke grid; ``--save
 [PATH]`` writes the canonical ``BENCH_e15.json`` snapshot (the
 committed baseline the CI regression gate compares against — see
-docs/benchmarking.md). The pytest-benchmark twins time a warm pool
-against per-call teardown on a small fixed batch.
+docs/benchmarking.md). The pytest-benchmark twin times a cold batch
+over a warm 2-shard pool on a small fixed batch.
 """
 
 from __future__ import annotations
@@ -39,11 +35,11 @@ from repro.bench.workloads import small_batch_setup
 def test_benchmark_shard_pool_warm(benchmark):
     """Time 64 traffic-shaped queries through a persistent 2-shard pool.
 
-    The pool is spun up before the first round; every round invalidates
+    The pool is built before the first round; every round invalidates
     the per-fit cache so it measures a cold batch over a warm pool.
     """
     miner, targets = small_batch_setup()
-    miner.query_batch(targets, workers=2)  # spin up, unmeasured
+    miner.query_batch(targets, workers=2)  # build the pool, unmeasured
 
     def run():
         miner.od_cache_.invalidate()
@@ -53,21 +49,6 @@ def test_benchmark_shard_pool_warm(benchmark):
     miner.close()
     assert len(result) == 64
     assert result.stats.shard_round_trips > 0
-
-
-def test_benchmark_shard_pool_percall(benchmark):
-    """Time the same batch with the pool torn down before every round,
-    so each round pays fork + shared-memory attach + backend build."""
-    miner, targets = small_batch_setup()
-
-    def run():
-        miner.close()
-        miner.od_cache_.invalidate()
-        return miner.query_batch(targets, workers=2)
-
-    result = benchmark(run)
-    miner.close()
-    assert len(result) == 64
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.bench.perf import (
     E13_SPEC,
     E14_SPEC,
     E15_SPEC,
-    E16_SPEC,
     E17_SPEC,
     PERF_SPECS,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "E13_SPEC",
     "E14_SPEC",
     "E15_SPEC",
-    "E16_SPEC",
     "E17_SPEC",
     "Experiment",
     "ExperimentSpec",

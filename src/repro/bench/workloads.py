@@ -46,7 +46,7 @@ E13_SEED = SEED + 13
 #: Seed for the E14 memory-ceiling benchmark.
 E14_SEED = SEED + 14
 
-#: Seed for the E15 sharded scatter-gather benchmark.
+#: Seed for the E15 row-shard benchmark.
 E15_SEED = SEED + 15
 
 #: Seed for the E17 streaming-engine benchmark.
@@ -170,16 +170,15 @@ def make_traffic(workload: Workload, m: int, hot_fraction: float = 0.3) -> list:
     return targets[:m]
 
 
-def small_batch_setup(**overrides):
+def small_batch_setup():
     """The E12 pytest-benchmark twin setup: a small fixed batch.
 
     Returns ``(miner, targets)`` for 64 traffic-shaped queries on an
     n=600, d=8 workload — big enough to exercise the batch engine,
-    small enough for per-round benchmark timing. Keyword *overrides*
-    reach the miner config (the E16 twins arm supervision deadlines).
+    small enough for per-round benchmark timing.
     """
     workload = planted_workload(n=600, d=8, seed_offset=12)
-    miner = standard_miner(workload, threshold_quantile=0.9, **overrides)
+    miner = standard_miner(workload, threshold_quantile=0.9)
     targets = make_traffic(workload, 64)
     return miner, targets
 

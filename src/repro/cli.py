@@ -14,8 +14,8 @@ Subcommands
 ``batch``
     Fit on a CSV file and answer many queries at once through the
     batched multi-query engine — rows of the fitted dataset, the rows
-    of a second query CSV, or both; ``--workers`` fans the batch out to
-    worker processes holding persistent shared-memory row shards.
+    of a second query CSV, or both; ``--workers`` splits the batch's
+    work across row shards served on threads.
 ``stream``
     Replay a synthetic drift or burst workload through the sliding-
     window streaming engine: fit once on a warm-up window, then push
@@ -157,25 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the batch (default: the HOSMINER_WORKERS "
-        "environment variable, else 1 = in-process)",
-    )
-    batch.add_argument(
-        "--timeout-s", type=float, default=None,
-        help="reply deadline per shard round in seconds (default: the "
-        "HOSMINER_TIMEOUT_S environment variable, else 30; <= 0 disables "
-        "deadlines); a hung worker is killed, respawned and the round "
-        "replayed, so answers are unaffected",
-    )
-    batch.add_argument(
-        "--max-retries", type=int, default=None,
-        help="respawn-and-replay attempts per shard per round before the "
-        "shard is served in-process via the sequential kernels (default 2)",
-    )
-    batch.add_argument(
-        "--backoff-s", type=float, default=None,
-        help="first exponential-backoff sleep between respawn attempts "
-        "(default 0.05; doubles per attempt)",
+        help="row shards for the batch, one thread each (default: the "
+        "HOSMINER_WORKERS environment variable, else 1 = in-process)",
     )
     batch.add_argument("--k", type=int, default=5, help="neighbour count (default 5)")
     batch.add_argument(
@@ -258,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes; above 1 the window updates propagate into "
-        "the live shard pool (default: HOSMINER_WORKERS, else 1)",
+        help="row shards, one thread each; above 1 the window updates "
+        "propagate into the live shard pool (default: HOSMINER_WORKERS, else 1)",
     )
     stream.add_argument(
         "--sample-size", type=int, default=10,
@@ -431,14 +414,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     dataset = load_csv(args.csv)
     scaler = ZScoreScaler().fit(dataset.X) if args.normalize else None
     X = scaler.transform(dataset.X) if scaler is not None else dataset.X
-    supervision: dict = {}
-    if args.timeout_s is not None:
-        # <= 0 on the CLI means "disable deadlines" (None internally).
-        supervision["timeout_s"] = args.timeout_s if args.timeout_s > 0 else None
-    if args.max_retries is not None:
-        supervision["max_retries"] = args.max_retries
-    if args.backoff_s is not None:
-        supervision["backoff_s"] = args.backoff_s
     miner = HOSMiner(
         k=args.k,
         threshold=args.threshold,
@@ -447,7 +422,6 @@ def _run_batch(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         kernel=args.kernel,
         precision=args.precision,
-        **supervision,
     ).fit(X, feature_names=dataset.feature_names)
     print(
         f"fitted on {dataset.n} rows x {dataset.d} columns; "

@@ -24,18 +24,16 @@ reads and stores outcomes; the call ends by trimming the cache to its
 byte budget (:meth:`~repro.core.od.SharedODCache.trim`).
 
 The engine chooses the work unit's executor once per call. In process
-it is :func:`repro.core.od.knn_prefixes`, with the searches' component
-matrices held under :data:`~repro.core.search.COMPONENT_BUDGET_BYTES`.
-With ``workers > 1`` (default from ``HOSMinerConfig.workers`` / the
-``HOSMINER_WORKERS`` environment variable) it is the miner's persistent
-shard pool
-(:mod:`repro.core.shard`), spawned once and reused across every
-``query_batch`` call: each shard answers the work unit over its
-shared-memory row slice and the coordinator merges the k-prefixes
-exactly — OD additivity over data points makes the merged prefix
-identical to a full scan's. Only masks and query rows cross the pipe,
-so per-call shipped bytes are independent of ``n``; ``SearchStats``
-gains ``shard_round_trips`` and ``bytes_shipped``.
+it is :func:`repro.core.od.knn_prefixes`; with ``workers > 1`` (default
+from ``HOSMinerConfig.workers`` / the ``HOSMINER_WORKERS`` environment
+variable) it is the miner's persistent shard pool
+(:mod:`repro.core.shard`), built once and reused across every
+``query_batch`` call: each shard answers the work unit over its row
+slice on its own thread and the k-prefixes are merged exactly — OD
+additivity over data points makes the merged prefix identical to a
+full scan's. Either way the searches' component matrices are held
+under :data:`~repro.core.search.COMPONENT_BUDGET_BYTES`, and a shard
+reads its rows of them; ``SearchStats`` gains ``shard_round_trips``.
 
 Every search sees exactly the OD values and decisions it would see
 alone, so per-point results are element-wise identical to sequential
@@ -57,7 +55,7 @@ from repro.core.config import require_integer
 from repro.core.exceptions import ConfigurationError
 from repro.core.od import ODEvaluator, StoredOutcome, knn_prefixes
 from repro.core.result import BatchResult, OutlyingSubspaceResult
-from repro.core.search import COMPONENT_BUDGET_BYTES, SearchStats, run_searches
+from repro.core.search import SearchStats, run_searches
 from repro.index.base import require_finite, validate_query_matrix
 
 if TYPE_CHECKING:
@@ -78,7 +76,9 @@ def _scatter_executor(pool: "ShardPool", backend):
     flops_per_cell = 2 * backend.size * backend.d
 
     def execute(queries, masks, k, excludes, kernel, precision, entries=None):
-        prefixes = pool.scatter_prefixes(queries, masks, k, excludes, kernel, precision)
+        prefixes = pool.scatter_prefixes(
+            queries, masks, k, excludes, kernel, precision, entries
+        )
         cells = queries.shape[0] * len(masks)
         stats.knn_queries += cells
         if kernel == "gemm":
@@ -131,17 +131,6 @@ def _replay(
     return result
 
 
-def _pool_counters(pool: "ShardPool") -> tuple[int, ...]:
-    return (
-        pool.round_trips,
-        pool.bytes_shipped,
-        pool.respawns,
-        pool.retries,
-        pool.timeouts,
-        pool.degraded_rounds,
-    )
-
-
 class BatchQueryEngine:
     """Drive many subspace searches against one fitted miner.
 
@@ -150,10 +139,9 @@ class BatchQueryEngine:
     miner:
         A fitted :class:`~repro.core.miner.HOSMiner`.
     workers:
-        Worker processes; ``None`` (default) reads the miner's
-        ``config.workers``. 1 runs in-process; above 1 every work unit
-        is scattered over the miner's persistent shared-memory shard
-        pool.
+        Row shards, one thread each; ``None`` (default) reads the
+        miner's ``config.workers``. 1 runs in-process; above 1 every
+        work unit is scattered over the miner's persistent shard pool.
     """
 
     def __init__(self, miner: "HOSMiner", workers: "int | None" = None) -> None:
@@ -173,16 +161,13 @@ class BatchQueryEngine:
         miner = self.miner
         backend = miner.backend_
         pool: "ShardPool | None" = None
-        execute, budget = partial(knn_prefixes, backend), COMPONENT_BUDGET_BYTES
+        execute = partial(knn_prefixes, backend)
         if self.workers > 1 and queries.shape[0] > 0:
-            # Single-query batches ride the warm pool too — the whole
-            # point of a persistent engine is that small batches no
-            # longer pay a spin-up, so there is nothing to dodge.
+            # Single-query batches ride the warm pool too: a persistent
+            # pool costs a small batch nothing to reach.
             pool = miner._ensure_shard_pool(self.workers)
-            before = _pool_counters(pool)
-            # Shard workers keep their own component caches, so the
-            # coordinator builds none.
-            execute, budget = _scatter_executor(pool, backend), 0
+            round_trips = pool.round_trips
+            execute = _scatter_executor(pool, backend)
         cache = miner.od_cache_
         evaluators = [
             ODEvaluator(
@@ -203,7 +188,7 @@ class BatchQueryEngine:
         stored = [cache.outcome(evaluator.point_key, settings) for evaluator in evaluators]
         searched = [i for i, outcome in enumerate(stored) if outcome is None]
         outcomes = iter(
-            run_searches([miner._make_search(evaluators[i]) for i in searched], execute, budget)
+            run_searches([miner._make_search(evaluators[i]) for i in searched], execute)
         )
         results = []
         for evaluator, outcome in zip(evaluators, stored):
@@ -215,14 +200,7 @@ class BatchQueryEngine:
             results.append(result)
         stats = self._aggregate_stats(results)
         if pool is not None:
-            (
-                stats.shard_round_trips,
-                stats.bytes_shipped,
-                stats.worker_respawns,
-                stats.retries,
-                stats.timeouts,
-                stats.degraded_rounds,
-            ) = (after - was for after, was in zip(_pool_counters(pool), before))
+            stats.shard_round_trips = pool.round_trips - round_trips
         # The call's last read of the cache is behind it.
         cache.trim()
         wall_time = time.perf_counter() - start

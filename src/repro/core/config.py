@@ -57,33 +57,11 @@ def _default_precision() -> str:
     return os.environ.get("HOSMINER_PRECISION", "auto")
 
 
-def _default_timeout() -> "float | None":
-    """Default of the ``timeout_s`` knob; overridable via the
-    ``HOSMINER_TIMEOUT_S`` environment variable (the CI chaos job sets a
-    short deadline so injected hangs recover fast). ``""``, ``"none"``,
-    ``"off"`` and ``"0"`` disable deadlines entirely."""
-    raw = os.environ.get("HOSMINER_TIMEOUT_S")
-    if raw is None:
-        return 30.0
-    if raw.strip().lower() in ("", "none", "off", "0"):
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"HOSMINER_TIMEOUT_S must be a number (or none/off/0 to "
-            f"disable deadlines), got {raw!r}"
-        ) from None
-    if value <= 0:
-        return None
-    return value
-
-
 def _default_workers() -> int:
     """Default of the ``workers`` knob; overridable via the
     ``HOSMINER_WORKERS`` environment variable (mirroring
     ``HOSMINER_PRECISION`` — the CI workers job sets it to run the whole
-    suite through the sharded scatter-gather engine)."""
+    suite through the row-shard pool)."""
     raw = os.environ.get("HOSMINER_WORKERS", "1")
     try:
         return int(raw)
@@ -149,37 +127,18 @@ class HOSMinerConfig:
         (:func:`repro.core.precision.reverify_rtol`), keeping answer
         sets bit-identical to float64 at either setting.
     workers:
-        Worker processes of :meth:`~repro.core.miner.HOSMiner.query_batch`
-        (default 1 = in-process; reads the ``HOSMINER_WORKERS``
-        environment variable when set). Values above 1 route batches
-        through the persistent scatter-gather engine
-        (:mod:`repro.core.shard`): workers are spawned once per fit,
-        attach to shared-memory row shards of the dataset, and every
-        batch ships only masks + query rows across the pipe; per-shard
-        k-nearest partials are merged exactly at the coordinator. Like
-        every cost knob, answers are element-wise identical at any
-        setting.
+        Row shards of :meth:`~repro.core.miner.HOSMiner.query_batch`,
+        one thread each (default 1 = in-process; reads the
+        ``HOSMINER_WORKERS`` environment variable when set). Values
+        above 1 route batches through the persistent row-shard pool
+        (:mod:`repro.core.shard`): built once per fit, it splits the
+        window into contiguous row shards, runs each batch's work units
+        on every shard at once and merges the per-shard k-nearest
+        partials exactly. Like every cost knob, answers are
+        element-wise identical at any setting.
     shard:
         Multi-worker execution strategy; ``"rows"`` (the only one) is
-        the row-shard engine described under ``workers``.
-    timeout_s:
-        Reply deadline of one shard scatter round (and of the
-        post-respawn health ping) in the row-shard engine.
-        Default 30 s; reads the ``HOSMINER_TIMEOUT_S`` environment
-        variable when set (``none``/``off``/``0`` disable deadlines —
-        a hung worker then blocks its round forever). On expiry the
-        hung worker is killed, respawned against its existing
-        shared-memory segment, and the round is replayed; answers are
-        unaffected at any setting.
-    max_retries:
-        Respawn-and-replay attempts per shard per round before the
-        shard is declared irrecoverable and its row slice is served
-        in-process through the sequential kernels (graceful
-        degradation — still element-wise identical, just slower).
-    backoff_s:
-        First exponential-backoff sleep between respawn attempts
-        (doubles per attempt, capped at
-        :data:`repro.core.shard.BACKOFF_CAP_S`).
+        the row-shard pool described under ``workers``.
     stream_window:
         Default sliding-window size for
         :class:`~repro.core.stream.StreamEngine` (``None`` = unbounded:
@@ -203,13 +162,10 @@ class HOSMinerConfig:
     precision: str = field(default_factory=_default_precision)
     workers: int = field(default_factory=_default_workers)
     shard: str = "rows"
-    timeout_s: float | None = field(default_factory=_default_timeout)
-    max_retries: int = 2
-    backoff_s: float = 0.05
     stream_window: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("k", "threshold_sample", "sample_size", "workers", "max_retries"):
+        for name in ("k", "threshold_sample", "sample_size", "workers"):
             require_integer(name, getattr(self, name))
         for name in ("stream_window", "seed"):
             if getattr(self, name) is not None:
@@ -254,19 +210,6 @@ class HOSMinerConfig:
         if self.shard not in _SHARD_MODES:
             raise ConfigurationError(
                 f"shard must be one of {_SHARD_MODES}, got {self.shard!r}"
-            )
-        if self.timeout_s is not None and not self.timeout_s > 0:
-            raise ConfigurationError(
-                f"timeout_s must be positive (or None to disable "
-                f"deadlines), got {self.timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not self.backoff_s >= 0:
-            raise ConfigurationError(
-                f"backoff_s must be >= 0, got {self.backoff_s}"
             )
         if self.stream_window is not None and self.stream_window < self.k + 1:
             raise ConfigurationError(

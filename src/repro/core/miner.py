@@ -129,8 +129,8 @@ class HOSMiner:
     def fit(self, X: np.ndarray, feature_names: list[str] | None = None) -> "HOSMiner":
         """Index the dataset, calibrate ``T`` if needed, learn the priors."""
         start = time.perf_counter()
-        # A refit invalidates the shard pool's data shards; the next
-        # multi-worker batch respawns it.
+        # A refit invalidates the shard pool's shards; the next
+        # multi-worker batch rebuilds it.
         self.close()
         # A private copy: as_float64 hands back the caller's own array when
         # it is already C-contiguous float64, and the fitted index (and its
@@ -303,7 +303,7 @@ class HOSMiner:
         self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
         # New rows can change any point's neighbour set in any subspace,
         # so every cached OD value is stale from here on. The shard pool
-        # holds pre-extend data shards, equally stale.
+        # holds pre-extend shards, equally stale.
         self._od_cache.invalidate()  # type: ignore[union-attr]
         self.close()
 
@@ -335,10 +335,10 @@ class HOSMiner:
         invalidation, live shard-pool propagation.
 
         The streaming counterpart of :meth:`extend`: instead of dropping
-        every cached OD and every worker pool, only cache entries whose
+        every cached OD and the shard pool, only cache entries whose
         kNN k-prefix *could* contain an inserted row are evicted
         (:meth:`~repro.core.od.SharedODCache.delta_insert`), and a live
-        row-shard pool absorbs the rows into its tail segment instead of
+        row-shard pool absorbs the rows into its tail shard instead of
         being torn down. ``T`` and the priors are kept — the threshold is
         part of the window's query contract (see docs/streaming.md), and
         priors only steer search order, never answers. Answers after any
@@ -397,22 +397,12 @@ class HOSMiner:
         return self
 
     def _propagate_update(self, rows: "np.ndarray | None", expired: int) -> None:
-        """Push a window update into the live shard pool.
-
-        A live row-shard pool absorbs the update in place
-        (:meth:`~repro.core.shard.ShardPool.apply_update`: tail-segment
-        append + head trim + per-shard resync); when it cannot — the
-        head shard would drain, or the sync ultimately fails — the pool
-        is closed and the next batch respawns it over the new window.
-        """
+        """Follow a window update in the live shard pool, in place
+        (:meth:`~repro.core.shard.ShardPool.apply_update`); a closed
+        pool is left for the next batch to rebuild."""
         pool = self._shard_pool
-        if pool is not None:
-            applied = False
-            if not pool.closed:
-                applied = pool.apply_update(rows, expired)
-            if not applied:
-                pool.close()
-                self._shard_pool = None
+        if pool is not None and not pool.closed:
+            pool.apply_update(rows, expired)
 
     # ------------------------------------------------------------------
     # Queries
@@ -454,10 +444,10 @@ class HOSMiner:
         engine only restructures the work — vectorised multi-query kNN
         across concurrent searches, OD reuse through the per-fit shared
         cache (see :attr:`od_cache_`), and with ``workers > 1`` (default
-        ``config.workers``) the persistent row-shard pool
+        ``config.workers``) the persistent row-shard pool on threads
         (:mod:`repro.core.batch`). The pool persists on the miner across
-        calls; :meth:`close` (or the context-manager protocol) releases
-        it eagerly. Returns a :class:`~repro.core.result.BatchResult`.
+        calls; :meth:`close` (or the context-manager protocol) stops its
+        threads eagerly. Returns a :class:`~repro.core.result.BatchResult`.
         """
         self._require_fitted()
         return BatchQueryEngine(self, workers=workers).run(targets)
@@ -630,11 +620,11 @@ class HOSMiner:
             raise NotFittedError("call fit(X) before querying")
 
     # ------------------------------------------------------------------
-    # Worker-pool lifecycle
+    # Shard-pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_shard_pool(self, workers: int) -> "ShardPool":
-        """The persistent row-shard pool, spawned on first use and
-        reused by every subsequent batch; recreated when closed or when
+        """The persistent row-shard pool, built on first use and
+        reused by every subsequent batch; rebuilt when closed or when
         a different worker count is requested."""
         from repro.core.shard import ShardPool
 
@@ -649,21 +639,18 @@ class HOSMiner:
                 index=self.config.index,
                 metric=self.config.metric,
                 index_options=self.config.index_options,
-                timeout_s=self.config.timeout_s,
-                max_retries=self.config.max_retries,
-                backoff_s=self.config.backoff_s,
             )
             self._shard_pool = pool
         return pool
 
     def close(self) -> None:
-        """Release the shard pool (processes, pipes, shared memory).
+        """Release the shard pool: stop its threads and drop its shards.
 
         Idempotent and safe on an unfitted miner. The miner itself stays
         fully usable — a later multi-worker ``query_batch`` simply
-        spawns a fresh pool. Garbage collection and interpreter exit
-        release the pool too (``weakref.finalize``), so ``close`` is
-        about promptness, not correctness.
+        builds a fresh pool. Garbage collection and interpreter exit
+        stop the pool's threads too (``weakref.finalize``), so ``close``
+        is about promptness, not correctness.
         """
         if self._shard_pool is not None:
             self._shard_pool.close()
@@ -676,10 +663,8 @@ class HOSMiner:
         self.close()
 
     def __getstate__(self) -> dict:
-        # The shard pool holds processes, pipes and shared-memory handles
-        # — never picklable, never meaningful in another process. A
-        # pickled miner arrives poolless and lazily spawns its own if
-        # ever asked.
+        # The shard pool holds threads — never picklable. A pickled miner
+        # arrives poolless and builds its own if ever asked.
         state = self.__dict__.copy()
         state["_shard_pool"] = None
         return state

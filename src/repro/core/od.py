@@ -191,10 +191,10 @@ def component_entry(backend, query: np.ndarray, precision: str) -> "tuple | None
     whether every component is finite — i.e. whether the GEMM may use
     it. ``None`` when the backend (or its metric) has no component
     decomposition. Callers own the entry's lifetime: the search driver
-    keeps one per search under a memory budget, a shard worker a few in
-    a small FIFO. A float32 copy that survived
-    the cast proves the float64 matrix finite, so the full finiteness
-    scan only runs outside the float32 tier.
+    keeps one per search under a memory budget, and a row shard reads
+    its rows of it. A float32 copy that survived the cast proves the
+    float64 matrix finite, so the full finiteness scan only runs
+    outside the float32 tier.
     """
     components_fn = getattr(backend, "distance_components", None)
     components = None if components_fn is None else components_fn(query)
@@ -241,8 +241,8 @@ def knn_prefixes(
 
     *entries* are the callers' cached :func:`component_entry` values per
     query (``None`` entries are built here when the GEMM needs them and
-    dropped afterwards). Shard workers, the degraded-shard fallback and
-    the search driver's in-process executor all run this function.
+    dropped afterwards). Every row shard and the search driver's
+    in-process executor run this function.
     """
     masks = validate_masks(masks, backend.d)
     q_count, m = queries.shape[0], masks.size

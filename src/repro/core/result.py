@@ -146,7 +146,7 @@ class BatchResult:
     wall_time_s:
         End-to-end batch wall time, including result assembly.
     workers:
-        Number of worker processes used (1 = in-process).
+        Number of row shards used (1 = in-process).
     replayed:
         Targets answered from an outcome the shared cache stored for
         their point, without a search (their OD values count as
@@ -197,21 +197,7 @@ class BatchResult:
         ]
         if self.stats.shard_round_trips:
             lines.append(
-                f"  shard scatter: {self.stats.shard_round_trips} round "
-                f"trip(s), {self.stats.bytes_shipped} bytes shipped"
-            )
-        faults = (
-            self.stats.worker_respawns
-            + self.stats.timeouts
-            + self.stats.retries
-            + self.stats.degraded_rounds
-        )
-        if faults:
-            lines.append(
-                f"  fault recovery: {self.stats.worker_respawns} worker "
-                f"respawn(s), {self.stats.timeouts} timeout(s), "
-                f"{self.stats.retries} replay retrie(s), "
-                f"{self.stats.degraded_rounds} degraded shard-round(s)"
+                f"  shard scatter: {self.stats.shard_round_trips} round trip(s)"
             )
         return "\n".join(lines)
 

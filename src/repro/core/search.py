@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Generator, Sequence
+from typing import Callable, ClassVar, Generator, Sequence
 
 import numpy as np
 
@@ -97,23 +97,19 @@ class SearchStats:
     #: Near-threshold exact re-verifications (GEMM kernel honesty
     #: counter; always 0 under the exact kernel).
     reverified: int = 0
-    #: Scatter-gather rounds through the persistent shard pool (batch
-    #: aggregate; 0 outside ``shard="rows"`` multi-worker batches).
+    #: Scatter rounds through the shard pool (batch aggregate; 0 outside
+    #: multi-worker batches).
     shard_round_trips: int = 0
-    #: Bytes that crossed coordinator↔shard pipes (masks, query rows and
-    #: k-prefix replies — never data rows, so independent of ``n``).
-    bytes_shipped: int = 0
-    #: Dead or hung shard workers respawned onto their existing
-    #: shared-memory segments during this batch (0 on a healthy pool).
-    worker_respawns: int = 0
-    #: Respawn-and-replay attempts (each replays an in-flight round).
-    retries: int = 0
-    #: Reply deadlines (``timeout_s``) that expired on hung workers.
-    timeouts: int = 0
-    #: Shard-rounds served in-process after a shard became
-    #: irrecoverable (graceful degradation; answers unchanged).
-    degraded_rounds: int = 0
     wall_time_s: float = 0.0
+
+    # Read-only zeros, not fields: nothing produces them since the shard
+    # pool runs on threads, but apibench's run.py (``_Slice.add``) still
+    # reads all five.
+    bytes_shipped: ClassVar[int] = 0
+    worker_respawns: ClassVar[int] = 0
+    retries: ClassVar[int] = 0
+    timeouts: ClassVar[int] = 0
+    degraded_rounds: ClassVar[int] = 0
 
     @property
     def decided_without_evaluation(self) -> int:
@@ -127,11 +123,6 @@ class SearchStats:
             "downward_pruned": self.downward_pruned,
             "reverified": self.reverified,
             "shard_round_trips": self.shard_round_trips,
-            "bytes_shipped": self.bytes_shipped,
-            "worker_respawns": self.worker_respawns,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "degraded_rounds": self.degraded_rounds,
             "wall_time_s": self.wall_time_s,
         }
 

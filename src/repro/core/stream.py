@@ -136,7 +136,7 @@ class StreamEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the miner's worker pools (the miner stays usable)."""
+        """Release the miner's shard pool (the miner stays usable)."""
         self.miner.close()
 
     def __enter__(self) -> "StreamEngine":

@@ -217,7 +217,7 @@ class LinearScanIndex:
         accumulation order of the sorted kNN result) and the last column
         is the kth-neighbour distance. Because the ``k`` smallest of a
         union of per-shard sorted k-prefixes is the global k smallest,
-        the scatter-gather engine (:mod:`repro.core.shard`) merges these
+        the row-shard pool (:mod:`repro.core.shard`) merges these
         rows across row shards and recovers values identical to one full
         scan. Two kernels serve the call:
 
@@ -617,10 +617,17 @@ class LinearScanIndex:
         self.stats.node_accesses += -(-self.size // BLOCK_ROWS)  # ceil division
 
     def __getstate__(self) -> dict:
-        # The screen's caches are derived state; a copy rebuilds them.
+        # Derived state stays out of the pickle: the window view _X (the
+        # buffer would otherwise be written twice) is re-derived on
+        # unpickling, the screen's caches are rebuilt lazily.
         state = self.__dict__.copy()
+        del state["_X"]
         state["_resident"] = state["_workspace"] = None
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._X = self._buf[self._lo : self._n]
 
     def __repr__(self) -> str:
         return f"LinearScanIndex(n={self.size}, d={self.d}, metric={self.metric.name})"

@@ -268,7 +268,7 @@ class VAFile:
         ``knn(...)[1]`` under **either** kernel (the kernels differ only
         in how the candidate prefilter is computed, and any superset of
         the true kNN refines to the same answer). The same holds for a
-        shard-local view in the scatter-gather engine
+        shard-local view in the row-shard pool
         (:mod:`repro.core.shard`): refinement is exact per row and never
         crosses shard boundaries, so the cross-shard merge of the
         partials is the global exact prefix. Candidate refinement is
@@ -575,6 +575,17 @@ class VAFile:
         if dims.min() < 0 or dims.max() >= self.d:
             raise ConfigurationError(f"dims {dims.tolist()} out of range for d={self.d}")
         return query, dims
+
+    def __getstate__(self) -> dict:
+        # _X and _approx are views of the buffers: pickled, each would be
+        # written again. They are re-derived on unpickling.
+        state = self.__dict__.copy()
+        del state["_X"], state["_approx"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._refresh_views()
 
     def candidate_fraction(self) -> float:
         """Average fraction of points refined exactly per query so far —

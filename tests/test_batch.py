@@ -165,7 +165,7 @@ class TestKnnDistancePrefix:
     @pytest.mark.parametrize("executor", ["linear", "vafile", "shard"])
     def test_malformed_masks_rejected(self, executor, masks):
         """A mask request is a 1-D integer array in ``[1, 2**d)``; anything
-        else fails typed in both prefix kernels and in a shard worker."""
+        else fails typed in both prefix kernels and in a shard."""
         from repro.core.shard import ShardPool
         from repro.index.vafile import VAFile
 
@@ -173,7 +173,7 @@ class TestKnnDistancePrefix:
         masks = np.array(masks)
         with pytest.raises(ConfigurationError, match="masks must"):
             if executor == "shard":
-                with ShardPool(X, 2, faults="") as pool:
+                with ShardPool(X, 2) as pool:
                     pool.scatter_prefixes(X[:2], masks, 3, [None, None], "exact", "float64")
             else:
                 backend = LinearScanIndex(X) if executor == "linear" else VAFile(X)

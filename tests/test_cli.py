@@ -159,8 +159,8 @@ class TestBenchCommand:
         assert "[gated: f32_speedup,fused_speedup,speedup]" in out  # e13's gate
         # e14's gate: both GEMM ceilings plus the full-space unit's block
         assert "[gated: peak_blocked_batch_mb,peak_blocked_mb,peak_full_space_mb]" in out
-        # e15's gate: the warm-pool ratio plus the deterministic wire counters
-        assert "[gated: bytes_shipped,persist_speedup,round_trips]" in out
+        # e15's gate: the n=32000 thread cell plus the deterministic round count
+        assert "[gated: round_trips,thread_speedup]" in out
 
     def test_bench_requires_name(self, capsys):
         assert main(["bench"]) == 2

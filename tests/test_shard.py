@@ -1,28 +1,37 @@
-"""Persistent sharded scatter-gather engine: exactness, lifecycle, wire.
+"""Row shards on threads: exactness and lifecycle.
 
-The row-shard engine must be *indistinguishable* from the
-sequential path in its answers — element-wise identical, including exact
-OD floats — under every kernel/precision pair and any shard count. On
-top of that contract sit the runtime guarantees: the pool persists
-across batches, survives worker exceptions, tears down cleanly (no
-leaked shared-memory segments, whether via ``close()``, garbage
-collection or interpreter exit), and ships an ``n``-independent number
-of bytes per round (masks + query rows + k-prefixes, never data rows).
+The row-shard pool must be *indistinguishable* from the sequential path
+in its answers — element-wise identical, including exact OD floats —
+under every kernel/precision pair and any shard count. On top of that
+contract sit the runtime guarantees: the pool persists across batches,
+survives a shard's exception, starts no process, restores the BLAS
+thread count after every scatter, and stops its threads on ``close()``
+and when it is garbage collected.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
+import multiprocessing
 import pickle
+import threading
 
 import numpy as np
 import pytest
-from multiprocessing import shared_memory
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.miner import HOSMiner
-from repro.core.shard import ShardPool, merge_prefixes, shard_bounds
+from repro.core.od import component_entry
+from repro.core.shard import (
+    THREAD_NAME_PREFIX,
+    ShardPool,
+    _openblas_threads,
+    merge_prefixes,
+    shard_bounds,
+)
 from repro.data.synthetic import make_planted_outliers
+from repro.index.linear import LinearScanIndex
 from repro.index.topk import topk_prefix
 
 
@@ -45,11 +54,17 @@ def assert_results_identical(sequential, batched):
         assert a.stats.level_schedule == b.stats.level_schedule
 
 
-def assert_no_segments(names):
-    """Every named shared-memory segment must be gone."""
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+def pool_threads() -> set:
+    """Every live shard-pool thread, of any pool."""
+    return {t for t in threading.enumerate() if t.name.startswith(THREAD_NAME_PREFIX)}
+
+
+def assert_stopped(threads):
+    """Every thread in *threads* ends (a finalizer stops them without
+    joining, so give them a moment)."""
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert not [thread for thread in threads if thread.is_alive()]
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +139,6 @@ class TestShardedIdentity:
                 batched = sharded.query_batch(targets, workers=workers)
                 assert batched.workers == workers
                 assert batched.stats.shard_round_trips > 0
-                assert batched.stats.bytes_shipped > 0
                 assert_results_identical(sequential.results, batched.results)
 
     @pytest.mark.parametrize("index", ["vafile", "rstar"])
@@ -166,19 +180,26 @@ class TestShardedIdentity:
             miner.query_batch(list(range(2)), workers=3)
             assert miner._shard_pool is not pool
             assert pool.closed
+            # Threads, not processes.
+            assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: close(), GC, worker crashes, staleness
+# Lifecycle: close(), GC, shard exceptions, BLAS threads, staleness
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_double_close_is_idempotent(self, dataset):
-        pool = ShardPool(dataset.X, 2)
-        names = pool.segment_names
+        before = pool_threads()
+        pool = ShardPool(dataset.X, 3)
+        pool.scatter_prefixes(dataset.X[:2], np.array([0b11]), 3, [None, None], "exact", "float64")
+        started = pool_threads() - before
+        # At most one thread per shard but the caller's (a thread that
+        # finished early may take the second shard too).
+        assert 0 < len(started) <= 2
         pool.close()
         pool.close()  # second close is a no-op, not an error
         assert pool.closed
-        assert_no_segments(names)
+        assert not [thread for thread in started if thread.is_alive()]  # joined
 
     def test_use_after_close_raises_loudly(self, dataset):
         pool = ShardPool(dataset.X, 2)
@@ -204,7 +225,7 @@ class TestLifecycle:
                     "exact",
                     "float64",
                 ).sum(axis=-1)
-            # Same pool, same workers: still serving.
+            # Same pool, same threads: still serving.
             out = pool.scatter_prefixes(
                 dataset.X[:2],
                 np.array([0b11]),
@@ -216,25 +237,68 @@ class TestLifecycle:
             assert out.shape == (2, 1) and np.all(np.isfinite(out))
             assert not pool.closed
 
-    def test_gc_releases_segments(self, dataset):
-        pool = ShardPool(dataset.X, 2)
-        names = pool.segment_names
-        del pool
+    def test_two_shard_failures_raise_once_with_a_note(self, dataset):
+        """Both shards raise: the first exception surfaces, its sibling
+        rides along as a PEP 678 note, and the next batch is served."""
+        with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X) as miner:
+            first = miner.query_batch(list(range(4)), workers=2)
+            pool = miner._shard_pool
+            with pytest.raises(ConfigurationError, match="masks must") as excinfo:
+                pool.scatter_prefixes(
+                    dataset.X[:1], np.array([0]), 3, [None], "exact", "float64"
+                )
+            notes = getattr(excinfo.value, "__notes__", [])
+            assert len(notes) == 1 and "sibling shard" in notes[0]
+            miner.od_cache_.invalidate()
+            again = miner.query_batch(list(range(4)), workers=2)
+            assert miner._shard_pool is pool and again.stats.shard_round_trips > 0
+            assert_results_identical(first.results, again.results)
+
+    def test_dropped_miner_stops_pool_threads(self, dataset):
+        before = pool_threads()
+        miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
+        miner.query_batch(list(range(4)), workers=3)
+        started = pool_threads() - before
+        assert started
+        del miner  # never closed
         gc.collect()
-        assert_no_segments(names)
+        assert_stopped(started)
 
     def test_miner_close_releases_and_respawns(self, dataset):
+        before = pool_threads()
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
         first = miner.query_batch(list(range(4)), workers=2)
-        names = miner._shard_pool.segment_names
+        started = pool_threads() - before
+        assert started
         miner.close()
         miner.close()  # idempotent at the miner level too
-        assert_no_segments(names)
+        assert not [thread for thread in started if thread.is_alive()]
         assert miner._shard_pool is None
-        # The miner stays fully usable: the next batch spawns fresh.
+        # The miner stays fully usable: the next batch builds a fresh pool.
+        miner.od_cache_.invalidate()
         second = miner.query_batch(list(range(4)), workers=2)
+        assert second.stats.shard_round_trips > 0
         assert_results_identical(first.results, second.results)
         miner.close()
+
+    @pytest.mark.skipif(_openblas_threads() is None, reason="no OpenBLAS thread control")
+    def test_blas_thread_count_restored_after_a_scatter(self, dataset):
+        get, set_ = _openblas_threads()
+        original = get()
+        set_(ctypes.c_int(2))  # the pin must restore whatever it found
+        try:
+            with ShardPool(dataset.X, 2) as pool:
+                pool.scatter_prefixes(
+                    dataset.X[:2], np.array([0b11, 0b101]), 3, [0, 1], "gemm", "float64"
+                )
+                assert get() == 2
+                with pytest.raises(ConfigurationError):
+                    pool.scatter_prefixes(
+                        dataset.X[:1], np.array([0]), 3, [None], "exact", "float64"
+                    )
+                assert get() == 2
+        finally:
+            set_(ctypes.c_int(original))
 
     def test_extend_closes_stale_pools(self, dataset):
         miner = HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(dataset.X)
@@ -265,44 +329,21 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# The wire: what crosses the pipe, and what never does
+# The scatter: what it returns and what it reports
 # ----------------------------------------------------------------------
-class TestWire:
-    def test_bytes_shipped_independent_of_n(self, rng):
-        """The scatter ships masks + query rows + k-prefix replies; data
-        rows live in shared memory. 10× the dataset, same bytes."""
-        small = rng.normal(size=(120, 4))
-        big = np.vstack([small, rng.normal(size=(1080, 4))])
-        queries = rng.normal(size=(3, 4))
-        masks = np.array([0b011, 0b100])
-        shipped = []
-        for X in (small, big):
-            with ShardPool(X, 3) as pool:
-                pool.scatter_prefixes(
-                    queries, masks, 4, [None] * 3, "exact", "float64"
-                ).sum(axis=-1)
-                pool.scatter_prefixes(
-                    queries, masks, 4, [None] * 3, "gemm", "float64"
-                ).sum(axis=-1)
-                shipped.append(pool.bytes_shipped)
-                assert pool.round_trips == 2
-        assert shipped[0] == shipped[1]
-
+class TestScatter:
     def test_stats_surface_in_batch_result(self, dataset):
         with HOSMiner(k=4, sample_size=4, threshold_quantile=0.95).fit(
             dataset.X
         ) as miner:
             batched = miner.query_batch(list(range(6)), workers=2)
             assert batched.stats.shard_round_trips > 0
-            assert batched.stats.bytes_shipped > 0
             assert "shard scatter" in batched.summary()
             as_dict = batched.stats.as_dict()
             assert as_dict["shard_round_trips"] == batched.stats.shard_round_trips
-            assert as_dict["bytes_shipped"] == batched.stats.bytes_shipped
             # The in-process path reports zeros, not garbage.
             inproc = miner.query_batch(list(range(2)), workers=1)
             assert inproc.stats.shard_round_trips == 0
-            assert inproc.stats.bytes_shipped == 0
 
     def test_scatter_prefixes_match_full_scan(self, rng):
         """Direct kernel check below the engine: merged prefixes equal
@@ -324,3 +365,29 @@ class TestWire:
                     queries, masks, 5, excludes, kernel, precision
                 )
                 np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_shards_read_row_slices_of_the_callers_entries(self, rng, precision):
+        """Component entries built over the whole window give every shard
+        the prefixes its own rows would: the same floats as no entries
+        and as the in-process kernel."""
+        X = rng.normal(size=(90, 4))
+        queries = rng.normal(size=(3, 4))
+        masks = np.array([0b0011, 0b0110, 0b1101])
+        excludes = [7, None, 61]
+        backend = LinearScanIndex(X)
+        entries = [component_entry(backend, query, precision) for query in queries]
+        want = backend.knn_distance_prefix_batch(
+            queries, 4, masks, excludes=excludes, kernel="gemm", precision=precision
+        )
+        with ShardPool(X, 3) as pool:
+            for kernel in ("gemm", "exact"):
+                bare = pool.scatter_prefixes(queries, masks, 4, excludes, kernel, precision)
+                fed = pool.scatter_prefixes(
+                    queries, masks, 4, excludes, kernel, precision, entries
+                )
+                np.testing.assert_array_equal(fed, bare)
+            np.testing.assert_array_equal(
+                pool.scatter_prefixes(queries, masks, 4, excludes, "gemm", precision, entries),
+                want,
+            )

@@ -538,6 +538,34 @@ class TestStreamedCacheState:
                 miner.od_cache_.delta_retained,
             )
 
+    @pytest.mark.parametrize("index", ["linear", "vafile"])
+    def test_scan_backends_pickle_their_window_once(self, index):
+        """The window views (``_X``, and the VA-file's ``_approx``) are
+        re-derived on unpickling, not written a second time: the pickle
+        holds each buffer once, the views share its memory again, and
+        answers do not move — also for a streamed window whose buffers
+        carry a head offset and spare capacity."""
+        rng = np.random.default_rng(53)
+        X = rng.normal(size=(2000, 6))
+        miner = HOSMiner(k=K, sample_size=4, index=index).fit(X)
+        engine = StreamEngine(miner, window=1990)
+        targets = [0, 5, rng.normal(size=6)]
+        for _ in range(3):
+            backend = miner.backend_
+            buffers = [backend._buf] + ([backend._abuf] if index == "vafile" else [])
+            payload = pickle.dumps(backend)
+            assert len(payload) < sum(buffer.nbytes for buffer in buffers) + 8192
+            clone = pickle.loads(payload)
+            assert np.shares_memory(clone._X, clone._buf)
+            if index == "vafile":
+                assert np.shares_memory(clone._approx, clone._abuf)
+            np.testing.assert_array_equal(clone.data, backend.data)
+            copy = pickle.loads(pickle.dumps(miner))
+            assert_answers_identical(
+                copy.query_batch(targets, workers=1), miner.query_batch(targets, workers=1)
+            )
+            engine.push(rng.normal(size=(7, 6)))
+
 
 # ----------------------------------------------------------------------
 # extend() keeps invalidate-everything; insert() is the delta path
@@ -805,4 +833,95 @@ class TestStoredOutcomeModel:
         run_state_machine_as_test(
             BudgetedOutcomeModel,
             settings=settings(max_examples=12, stateful_step_count=12, deadline=None),
+        )
+
+
+# ----------------------------------------------------------------------
+# Stateful model: a sharded stream against fresh in-process fits
+# ----------------------------------------------------------------------
+class ShardedStreamModel(RuleBasedStateMachine):
+    """A windowed miner whose batches run on a live shard pool, under
+    ``push``, ``query_batch`` polls and ``close``.
+
+    Pushes reach the pool in place (tail inserts, head expiries, a
+    rebuild when the head shard would drain); ``close`` drops the pool
+    and the next poll builds a fresh one. Every poll must equal a fresh
+    ``workers=1`` fit on a copy of the window with the same explicit
+    ``T``, down to exact ``od_values`` floats, and the live shards must
+    hold the window in order.
+    """
+
+    INDEX = "linear"
+    WORKERS = 2
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(83)
+        warm = rng.normal(size=(MODEL_WINDOW, D))
+        warm[:2, :2] += 5.0
+        self.threshold = float(fitted(warm, index=self.INDEX).threshold_)
+        self.miner = fitted(
+            warm,
+            threshold=self.threshold,
+            index=self.INDEX,
+            stream_window=MODEL_WINDOW,
+            workers=self.WORKERS,
+        )
+        self.engine = StreamEngine(self.miner)
+        self.points = [warm[0] + 0.05, np.full(D, 2.5), rng.normal(size=D)]
+
+    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 9), near=st.booleans())
+    def push(self, seed, count, near):
+        rng = np.random.default_rng(seed)
+        centre = self.points[seed % 3] if near else np.full(D, 30.0)
+        self.engine.push(centre + rng.normal(scale=0.5, size=(count, D)))
+
+    @rule(picks=st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    def poll(self, picks):
+        targets = [POOL_ROWS[i] if i < 4 else self.points[i - 4] for i in picks]
+        batch = self.engine.query_batch(targets)
+        assert batch.workers == self.WORKERS
+        window = np.array(self.miner.backend_.data, copy=True)
+        oracle = fitted(window, threshold=self.threshold, index=self.INDEX, sample_size=0)
+        assert_answers_identical(batch.results, oracle.query_batch(targets, workers=1).results)
+
+    @rule()
+    def close(self):
+        self.engine.close()
+        assert self.miner._shard_pool is None
+
+    @invariant()
+    def shards_hold_the_window(self):
+        pool = self.miner._shard_pool
+        if pool is None:
+            return
+        window = self.miner.backend_.data
+        np.testing.assert_array_equal(
+            np.concatenate([backend.data for backend in pool._backends]), window
+        )
+        lo = 0
+        for (start, stop), backend in zip(pool._bounds, pool._backends):
+            assert (start, stop) == (lo, lo + backend.size)
+            lo = stop
+        assert lo == pool.n == window.shape[0]
+
+    def teardown(self):
+        self.engine.close()
+
+
+class ThreeShardStreamModel(ShardedStreamModel):
+    WORKERS = 3
+
+
+class VAFileShardedStreamModel(ShardedStreamModel):
+    INDEX = "vafile"
+
+
+class TestShardedStreamModel:
+    @pytest.mark.parametrize(
+        "model", [ShardedStreamModel, ThreeShardStreamModel, VAFileShardedStreamModel]
+    )
+    def test_live_shards_stay_fresh_fit_identical(self, model):
+        run_state_machine_as_test(
+            model, settings=settings(max_examples=10, stateful_step_count=12, deadline=None)
         )
