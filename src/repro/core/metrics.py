@@ -16,12 +16,8 @@ distance:
     pruning bound used by the tree-based kNN search (the classic MINDIST
     of Roussopoulos et al., projected onto a subspace).
 
-Built-in metrics additionally implement two optional batched views:
+Built-in metrics additionally implement optional batched views:
 
-``pairwise_many(X, Q, dims)``
-    Distances from every row of ``Q`` to every row of ``X`` in one
-    broadcasted pass, shape ``(m, n)`` — the cross-query axis of the
-    batched engine.
 ``pairwise_components(X, q)`` / ``reduce_components(gathered)``
     The cross-subspace axis: ``pairwise_components`` precomputes the
     per-dimension distance contribution of every ``(row, dim)`` pair
@@ -56,9 +52,8 @@ working without them.
 One accumulation
 ----------------
 Every sum-reducing view of the L_p metrics (``pairwise``,
-``pairwise_many``, ``pairwise_masked``, ``reduce_components``)
-accumulates its per-dimension terms through one helper,
-:func:`_accumulate`: sequentially, one dimension at a time in the order
+``pairwise_masked``, ``reduce_components``) accumulates its
+per-dimension terms through one helper, :func:`_accumulate`: sequentially, one dimension at a time in the order
 of ``dims`` (ascending for any mask), as elementwise array adds. Each
 distance is therefore the same chain of IEEE operations whatever the
 operand's shape — an ``(n, d)`` scan, a ``(q, n, d)`` broadcast, a
@@ -70,7 +65,7 @@ round differently from the scan). The masked view runs the same chain
 over every dimension and skips the add wherever a row's selection
 leaves a dimension out; its running total starts at ``0.0``, and
 ``0.0 + t`` is ``t`` exactly for every term (terms are never ``-0.0``),
-so each of its distances is the float ``pairwise_many`` gives over that
+so each of its distances is the float ``pairwise`` gives over that
 row's dims. Chebyshev reduces with ``max``, which is exact in any order
 (its masked view starts at ``0.0`` too, below every term). The
 sum-reducing ``pairwise`` views also accept an ``(n, d)`` matrix as
@@ -227,9 +222,6 @@ class EuclideanMetric:
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
         return np.sqrt(_accumulate(X, q, _as_index(dims), _square))
 
-    def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        return np.sqrt(_accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), _square))
-
     def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
         return np.sqrt(_masked(X, Q, select, _square))
 
@@ -265,9 +257,6 @@ class ManhattanMetric:
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
         return _accumulate(X, q, _as_index(dims), _magnitude)
 
-    def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        return _accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), _magnitude)
-
     def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
         return _masked(X, Q, select, _magnitude)
 
@@ -296,10 +285,6 @@ class ChebyshevMetric:
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
         dims = _as_index(dims)
         return np.abs(X[:, dims] - q[dims]).max(axis=1)
-
-    def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        dims = _as_index(dims)
-        return np.abs(X[None, :, dims] - Q[:, None, dims]).max(axis=2)
 
     def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
         total = np.zeros((Q.shape[0], X.shape[0]))
@@ -344,10 +329,6 @@ class MinkowskiMetric:
 
     def pairwise(self, X: np.ndarray, q: np.ndarray, dims) -> np.ndarray:
         return np.power(_accumulate(X, q, _as_index(dims), self._term), 1.0 / self.p)
-
-    def pairwise_many(self, X: np.ndarray, Q: np.ndarray, dims) -> np.ndarray:
-        total = _accumulate(Q[:, None, :], X[None, :, :], _as_index(dims), self._term)
-        return np.power(total, 1.0 / self.p)
 
     def pairwise_masked(self, X: np.ndarray, Q: np.ndarray, select: np.ndarray) -> np.ndarray:
         return np.power(_masked(X, Q, select, self._term), 1.0 / self.p)

@@ -111,7 +111,6 @@ class HOSMiner:
             raise ConfigurationError("pass either a config object or keyword overrides")
         self.config = config if config is not None else HOSMinerConfig(**overrides)
         self._fitted = False
-        self._X: np.ndarray | None = None
         self._backend: KnnBackend | None = None
         self._threshold: float | None = None
         self._priors: PruningPriors | None = None
@@ -158,9 +157,9 @@ class HOSMiner:
             )
 
         # From here on the previous fit's state is being replaced; a fit
-        # that fails part-way leaves the miner unfitted.
+        # that fails part-way leaves the miner unfitted. The backend holds
+        # the one copy of the window (its data).
         self._fitted = False
-        self._X = X
         self._feature_names = list(feature_names) if feature_names else None
         self._backend = make_backend(
             self.config.index, X, metric=self.config.metric, **self.config.index_options
@@ -292,15 +291,7 @@ class HOSMiner:
             raise ConfigurationError(
                 f"refresh must be 'none', 'threshold' or 'full', got {refresh!r}"
             )
-        rows = np.atleast_2d(as_float64(rows, "new rows"))
-        if rows.shape[1] != self.d_:
-            raise DataShapeError(
-                f"new rows have {rows.shape[1]} columns, the miner was fitted on {self.d_}"
-            )
-        require_finite(rows, "new row")
-        for row in rows:
-            self._backend.insert(row)  # type: ignore[union-attr]
-        self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
+        self._insert_rows(rows)
         # New rows can change any point's neighbour set in any subspace,
         # so every cached OD value is stale from here on. The shard pool
         # holds pre-extend shards, equally stale.
@@ -312,10 +303,10 @@ class HOSMiner:
         if refresh == "full":
             self._learning_report = learn_priors(
                 self._backend,
-                self._X,
+                self._backend.data,  # type: ignore[union-attr]
                 self.config.k,
                 self._threshold,
-                min(self.config.sample_size, self._X.shape[0]),
+                min(self.config.sample_size, self._backend.size),  # type: ignore[union-attr]
                 seed=self.config.seed,
                 reselect=self.config.reselect,
                 adaptive=self.config.adaptive,
@@ -346,19 +337,11 @@ class HOSMiner:
         window with the same explicit threshold.
         """
         self._require_fitted()
-        X_new = np.atleast_2d(as_float64(X_new, "new rows"))
-        if X_new.ndim != 2 or X_new.shape[1] != self.d_:
-            raise DataShapeError(
-                f"new rows have shape {X_new.shape}, the miner was fitted on d={self.d_}"
-            )
-        require_finite(X_new, "new row")
+        X_new = self._insert_rows(X_new)
         if X_new.shape[0] == 0:
             return self
-        for row in X_new:
-            self._backend.insert(row)  # type: ignore[union-attr]
-        self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
         self._od_cache.delta_insert(  # type: ignore[union-attr]
-            X_new, self._X, self._backend.metric  # type: ignore[union-attr]
+            X_new, self._backend.data, self._backend.metric  # type: ignore[union-attr]
         )
         self._propagate_update(X_new, 0)
         return self
@@ -382,19 +365,36 @@ class HOSMiner:
                 f"index {self.config.index!r} does not support windowed expiry; "
                 f"use index='linear' or 'vafile' for streaming"
             )
-        remaining = self._X.shape[0] - n_oldest  # type: ignore[union-attr]
+        remaining = self._backend.size - n_oldest  # type: ignore[union-attr]
         if remaining < self.config.k + 1:
             raise ConfigurationError(
                 f"expiring {n_oldest} rows would leave {remaining} < k+1="
                 f"{self.config.k + 1} rows in the window"
             )
         expired = self._backend.expire(n_oldest)  # type: ignore[union-attr]
-        self._X = np.asarray(self._backend.data)  # type: ignore[union-attr]
         self._od_cache.delta_expire(  # type: ignore[union-attr]
-            expired, n_oldest, self._X, self._backend.metric  # type: ignore[union-attr]
+            expired, n_oldest, self._backend.data, self._backend.metric  # type: ignore[union-attr]
         )
         self._propagate_update(None, n_oldest)
         return self
+
+    def _insert_rows(self, rows) -> np.ndarray:
+        """The one row intake of :meth:`extend` and :meth:`insert`.
+
+        *rows* (one row or a matrix) are checked at the API boundary —
+        float64-convertible, ``d`` columns, every coordinate finite —
+        before any is inserted, then inserted into the backend one by
+        one. Returns them as a float64 matrix.
+        """
+        rows = np.atleast_2d(as_float64(rows, "new rows"))
+        if rows.ndim != 2 or rows.shape[1] != self.d_:
+            raise DataShapeError(
+                f"new rows have shape {rows.shape}, the miner was fitted on d={self.d_}"
+            )
+        require_finite(rows, "new row")
+        for row in rows:
+            self._backend.insert(row)  # type: ignore[union-attr]
+        return rows
 
     def _propagate_update(self, rows: "np.ndarray | None", expired: int) -> None:
         """Follow a window update in the live shard pool, in place
@@ -471,8 +471,8 @@ class HOSMiner:
             raise ConfigurationError(
                 f"max_results must be >= 1, got {max_results}"
             )
-        n = self._X.shape[0]  # type: ignore[union-attr]
-        values, _ = full_space_ods(self._backend, self._X, self.config.k, list(range(n)))
+        data = self._backend.data  # type: ignore[union-attr]
+        values, _ = full_space_ods(self._backend, data, self.config.k, list(range(data.shape[0])))
         rows = np.flatnonzero(values >= self._threshold)
         flagged = rows[np.lexsort((rows, -values[rows]))].tolist()
         if max_results is not None:
@@ -504,7 +504,7 @@ class HOSMiner:
         zero check of :meth:`fit` and :meth:`extend`."""
         threshold = calibrate_threshold(
             self._backend,
-            self._X,
+            self._backend.data,  # type: ignore[union-attr]
             self.config.k,
             quantile=self.config.threshold_quantile,
             sample=self.config.threshold_sample,
@@ -531,10 +531,10 @@ class HOSMiner:
         self._require_fitted()
         if is_row:
             row = require_integer("row", target)
-            n = self._X.shape[0]  # type: ignore[union-attr]
-            if not 0 <= row < n:
-                raise ConfigurationError(f"row {row} out of range for n={n}")
-            return self._X[row], row  # type: ignore[index]
+            data = self._backend.data  # type: ignore[union-attr]
+            if not 0 <= row < data.shape[0]:
+                raise ConfigurationError(f"row {row} out of range for n={data.shape[0]}")
+            return data[row], row
         point = ODEvaluator._validate_query(target, self.d_)
         require_finite(point, "query point")
         return point, None

@@ -189,8 +189,9 @@ class ShardPool:
     ----------
     X:
         The fitted ``(n, d)`` window. Each shard's backend is built over
-        a view of its rows; the scan backends grow into a fresh buffer
-        before their first write, so the view is never written.
+        a view of its rows; its row store
+        (:class:`~repro.index.base.RowStore`) grows into a fresh array
+        before its first write, so the view is never written.
     workers:
         Requested shard count; capped at ``n`` (shards are never empty).
         :attr:`workers` reports the actual count. The pool holds

@@ -6,7 +6,7 @@ same number of oldest rows leaves it. :class:`StreamEngine` turns a
 fitted :class:`~repro.core.miner.HOSMiner` into that sliding window —
 every ``push`` runs the miner's incremental
 :meth:`~repro.core.miner.HOSMiner.insert` /
-:meth:`~repro.core.miner.HOSMiner.expire` path (in-place index buffers,
+:meth:`~repro.core.miner.HOSMiner.expire` path (in-place row stores,
 delta OD-cache invalidation, live shard-pool propagation) instead of a
 refit, and every query answers against the current window exactly.
 

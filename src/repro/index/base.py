@@ -13,6 +13,10 @@ All backends answer *subspace* queries: distances are computed over an
 arbitrary subset ``dims`` of the indexed dimensions. The tree backends
 achieve this by projecting MINDIST onto ``dims``, which stays a valid
 lower bound, so branch-and-bound correctness is untouched.
+
+Every backend keeps its rows in one :class:`RowStore`, which owns their
+growth, expiry and pickling; a backend only adds its own structure on
+top (the VA-file's codes, the trees' nodes, the scan's screen caches).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.index.stats import IndexStats
 __all__ = [
     "MAX_MASK_DIM",
     "KnnBackend",
+    "RowStore",
     "as_float64",
     "components32_from",
     "mask_matrix",
@@ -33,6 +38,7 @@ __all__ = [
     "require_finite",
     "require_k",
     "validate_masks",
+    "validate_query_dims",
     "validate_query_matrix",
     "validate_prefix_request",
 ]
@@ -88,6 +94,111 @@ class KnnBackend(Protocol):
         exclude: int | None = None,
     ) -> np.ndarray:
         """Row indices within *radius* of *query* in subspace *dims*."""
+
+
+class RowStore:
+    """The rows of one backend: an ``(n, d)`` window over a growable buffer.
+
+    :meth:`append` writes a row into spare capacity, and a full buffer
+    doubles (compacting expired head rows away), so ``n`` appends cost
+    O(n·d) in all. :meth:`expire` only advances the head offset, O(1).
+    :attr:`data` is the read-only view of the live rows; it is rebuilt
+    on every write, so reading it makes no new view. :attr:`version`
+    moves with every write, for caches derived from the rows.
+
+    The store starts on *rows* itself, without a copy, and never writes
+    into them or changes their flags: the buffer starts full, so the
+    first append grows into a fresh array. A backend built over a view
+    of another backend's rows (a row shard) therefore never writes the
+    rows it shares. A pickle holds the live rows only.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
+            from repro.core.exceptions import DataShapeError
+
+            raise DataShapeError(f"expected a non-empty (n, d) matrix, got shape {rows.shape}")
+        self._buffer = rows
+        self._head = 0
+        self._end = rows.shape[0]
+        self.version = 0
+        self._refresh()
+
+    def __len__(self) -> int:
+        return self._end - self._head
+
+    def _refresh(self) -> None:
+        view = self._buffer[self._head : self._end]
+        view.flags.writeable = False
+        self.data = view
+
+    def append(self, row) -> int:
+        """Append one length-``d`` row; returns its index in :attr:`data`."""
+        buffer = self._buffer
+        row = np.asarray(row, dtype=buffer.dtype)
+        if row.shape != buffer.shape[1:]:
+            from repro.core.exceptions import DataShapeError
+
+            raise DataShapeError(
+                f"point must be a length-{buffer.shape[1]} vector, got shape {row.shape}"
+            )
+        if self._end == buffer.shape[0]:
+            live = len(self)
+            grown = np.empty((max(2 * live, live + 1), buffer.shape[1]), dtype=buffer.dtype)
+            grown[:live] = buffer[self._head : self._end]
+            self._buffer, self._head, self._end = grown, 0, live
+        self._buffer[self._end] = row
+        self._end += 1
+        self.version += 1
+        self._refresh()
+        return len(self) - 1
+
+    def expire(self, count: int) -> np.ndarray:
+        """Drop the ``count`` oldest rows; returns a copy of them.
+
+        At least one row must stay. Row indices shift down by ``count``.
+        """
+        count = int(count)
+        if not 1 <= count < len(self):
+            from repro.core.exceptions import ConfigurationError
+
+            raise ConfigurationError(
+                f"cannot expire {count} of {len(self)} rows: the count must be "
+                "at least 1 and the rows must stay non-empty"
+            )
+        removed = self._buffer[self._head : self._head + count].copy()
+        self._head += count
+        self.version += 1
+        self._refresh()
+        return removed
+
+    def __getstate__(self) -> dict:
+        return {"rows": self.data, "version": self.version}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["rows"])
+        self.version = state["version"]
+
+
+def validate_query_dims(query, dims: Sequence[int], d: int) -> "tuple[np.ndarray, np.ndarray]":
+    """``(query, dims)`` as a float64 length-*d* vector and a non-empty
+    intp array of dimensions in ``[0, d)``, or a typed error — the
+    argument check of every backend's ``knn`` and ``range_query``."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (d,):
+        from repro.core.exceptions import DataShapeError
+
+        raise DataShapeError(f"query must be a length-{d} vector, got shape {query.shape}")
+    dims = np.asarray(dims, dtype=np.intp)
+    if dims.size == 0 or dims.min() < 0 or dims.max() >= d:
+        from repro.core.exceptions import ConfigurationError
+
+        raise ConfigurationError(
+            f"dims {dims.tolist()} out of range for d={d}"
+            if dims.size
+            else "a query subspace needs at least one dimension"
+        )
+    return query, dims
 
 
 def mask_matrix(

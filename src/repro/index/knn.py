@@ -26,27 +26,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.exceptions import ConfigurationError
+from repro.index.base import require_k, validate_query_dims
 from repro.index.heap import KnnHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.rstar import RStarTree
 
 __all__ = ["tree_knn", "tree_range_query"]
-
-
-def _validate(tree: "RStarTree", query: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (tree.d,):
-        raise DataShapeError(
-            f"query must be a length-{tree.d} vector, got shape {query.shape}"
-        )
-    dims = np.asarray(dims, dtype=np.intp)
-    if dims.size == 0:
-        raise ConfigurationError("a query subspace needs at least one dimension")
-    if dims.min() < 0 or dims.max() >= tree.d:
-        raise ConfigurationError(f"dims {dims.tolist()} out of range for d={tree.d}")
-    return query, dims
 
 
 def tree_knn(
@@ -57,14 +44,8 @@ def tree_knn(
     exclude: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbours of *query* over subspace *dims*."""
-    query, dims = _validate(tree, query, dims)
-    available = tree.size - (1 if exclude is not None else 0)
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    if k > available:
-        raise ConfigurationError(
-            f"k={k} neighbours requested but only {available} candidate rows exist"
-        )
+    query, dims = validate_query_dims(query, dims, tree.d)
+    require_k(k, tree.size, [exclude])
 
     metric = tree.metric
     stats = tree.stats
@@ -118,7 +99,7 @@ def tree_range_query(
     exclude: int | None = None,
 ) -> np.ndarray:
     """All rows within *radius* of *query* over subspace *dims*."""
-    query, dims = _validate(tree, query, dims)
+    query, dims = validate_query_dims(query, dims, tree.d)
     if radius < 0:
         raise ConfigurationError(f"radius must be non-negative, got {radius}")
 

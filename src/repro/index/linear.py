@@ -18,16 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.exceptions import ConfigurationError
 from repro.core.metrics import EuclideanMetric, Metric, get_metric, resolve_kernel
 from repro.core.precision import resolve_precision
 from repro.index.base import (
+    RowStore,
     components32_from,
     mask_matrix,
     normalize_excludes,
     require_k,
-    validate_query_matrix,
     validate_prefix_request,
+    validate_query_dims,
+    validate_query_matrix,
 )
 from repro.index.stats import IndexStats
 from repro.index.topk import topk_prefix
@@ -71,8 +73,10 @@ class LinearScanIndex:
     Parameters
     ----------
     X:
-        Data matrix, shape ``(n, d)``; copied to float64 and kept
-        contiguous for fast fancy-indexing on dimension subsets.
+        Data matrix, shape ``(n, d)``, held as C-contiguous float64
+        (without a copy when it already is) in a
+        :class:`~repro.index.base.RowStore`, which owns insertion and
+        sliding-window expiry.
     metric:
         Metric instance or registry name (default ``"euclidean"``).
     """
@@ -82,44 +86,29 @@ class LinearScanIndex:
         X: np.ndarray,
         metric: "Metric | str" = "euclidean",
     ) -> None:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-            raise DataShapeError(f"expected a non-empty (n, d) matrix, got shape {X.shape}")
-        # The scanned matrix lives in a capacity-doubling buffer so that
-        # insert() is amortised O(d) instead of an O(n·d) vstack per
-        # call. Sliding-window expiry only bumps the _lo head offset —
-        # the dead rows are reclaimed when the next growth compacts the
-        # live window to the front — so _X is always the contiguous
-        # [_lo:_n) window view and every kernel below is window-agnostic.
-        self._buf = X
-        self._lo = 0
-        self._n = X.shape[0]
-        self._X = self._buf[self._lo : self._n]
+        self._rows = RowStore(np.ascontiguousarray(X, dtype=np.float64))
         self.metric = get_metric(metric)
         self.stats = IndexStats()
-        # The full-space screen's state: _version moves whenever _X does
-        # (insert, expire), the resident operand is the screen's centred
-        # data for one version, and the workspace is its one block
-        # buffer. Both caches are rebuilt lazily and never pickled.
-        self._version = 0
+        # The full-space screen's state: the resident operand is the
+        # screen's centred data for one version of the rows, and the
+        # workspace is its one block buffer. Both caches are rebuilt
+        # lazily and never pickled.
         self._resident: "tuple | None" = None
         self._workspace: "np.ndarray | None" = None
 
     # -- KnnBackend interface ------------------------------------------------
     @property
     def size(self) -> int:
-        return self._X.shape[0]
+        return len(self._rows)
 
     @property
     def d(self) -> int:
-        return self._X.shape[1]
+        return self._rows.data.shape[1]
 
     @property
     def data(self) -> np.ndarray:
         """Read-only view of the indexed matrix."""
-        view = self._X.view()
-        view.flags.writeable = False
-        return view
+        return self._rows.data
 
     def knn(
         self,
@@ -128,16 +117,10 @@ class LinearScanIndex:
         dims: Sequence[int],
         exclude: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        query, dims = self._validate(query, dims)
-        available = self.size - (1 if exclude is not None else 0)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if k > available:
-            raise ConfigurationError(
-                f"k={k} neighbours requested but only {available} candidate rows exist"
-            )
+        query, dims = validate_query_dims(query, dims, self.d)
+        require_k(k, self.size, [exclude])
 
-        distances = self.metric.pairwise(self._X, query, dims)
+        distances = self.metric.pairwise(self._rows.data, query, dims)
         self._account_scan()
         if exclude is not None:
             distances = distances.copy()
@@ -165,13 +148,13 @@ class LinearScanIndex:
             # Both halves of the optional pair are needed: a component
             # matrix is useless without the matching reduction.
             return None
-        query, _ = self._validate(query, range(self.d))
+        query, _ = validate_query_dims(query, range(self.d), self.d)
         # Building the matrix is one full per-dimension pass over the
         # data — the same logical work as one full-space distance scan —
         # and is charged here, once; later component-reuse calls charge
         # only gathers (see knn_distance_prefix_batch).
         self._account_scan()
-        return components_fn(self._X, query)
+        return components_fn(self._rows.data, query)
 
     def knn_distance_prefix(
         self,
@@ -186,7 +169,7 @@ class LinearScanIndex:
     ) -> np.ndarray:
         """Sorted k-nearest *distances* per subspace, shape ``(m, k)``:
         the one-query view of :meth:`knn_distance_prefix_batch`."""
-        query, _ = self._validate(query, range(self.d))
+        query, _ = validate_query_dims(query, range(self.d), self.d)
         return self.knn_distance_prefix_batch(
             query[None, :],
             k,
@@ -264,6 +247,7 @@ class LinearScanIndex:
         identical to the float64 kernel. A query whose components
         overflow float32 runs its own product in float64.
         """
+        X = self._rows.data
         queries = validate_query_matrix(queries, self.d)
         q_count, n = queries.shape[0], self.size
         excludes = normalize_excludes(excludes, q_count, n)
@@ -287,7 +271,7 @@ class LinearScanIndex:
                         distances = self.metric.reduce_components(components[i][:, dims])
                         gathered_terms += n * dims.size
                     else:
-                        distances = self.metric.pairwise(self._X, query, dims)
+                        distances = self.metric.pairwise(X, query, dims)
                         self._account_scan()
                     out[i, j] = _sorted_prefix(distances, k, excludes[i])
             if gathered_terms:
@@ -301,7 +285,7 @@ class LinearScanIndex:
             """Query *i*'s float64 component matrix, built (and charged as
             one scan) at most once."""
             if components[i] is None:
-                components[i] = self.metric.pairwise_components(self._X, queries[i])
+                components[i] = self.metric.pairwise_components(X, queries[i])
                 self._account_scan()
             return components[i]
 
@@ -450,20 +434,22 @@ class LinearScanIndex:
         if q_count > 1 and type(self.metric) is EuclideanMetric:
             settled = self._gram_screen(queries, k, excludes, dims, out)
         for i in np.flatnonzero(~settled):
-            out[i] = _sorted_prefix(self.metric.pairwise(self._X, queries[i], dims), k, excludes[i])
+            out[i] = _sorted_prefix(
+                self.metric.pairwise(self._rows.data, queries[i], dims), k, excludes[i]
+            )
         return out
 
     def _resident_operand(self) -> tuple:
         """``(centre, centred rows, their squared norms, the largest)``
         of the current window version, recomputed only when it moved."""
         resident = self._resident
-        if resident is None or resident[0] != self._version:
-            X = self._X
+        if resident is None or resident[0] != self._rows.version:
+            X = self._rows.data
             with np.errstate(over="ignore", invalid="ignore"):
                 centre = np.full(X.shape[0], 1.0 / X.shape[0]) @ X  # the mean, one product
                 data = X - centre
                 norms = np.einsum("ij,ij->i", data, data)
-            resident = (self._version, centre, data, norms, norms.max())
+            resident = (self._rows.version, centre, data, norms, norms.max())
             self._resident = resident
         return resident[1:]
 
@@ -480,7 +466,7 @@ class LinearScanIndex:
         Writes the prefix of every query it settles into *out* and
         returns which queries those are; the rest need the exact scan.
         """
-        X = self._X
+        X = self._rows.data
         n, d = X.shape
         settled = np.zeros(queries.shape[0], dtype=bool)
         centre, data, norms, max_norm = self._resident_operand()
@@ -539,10 +525,10 @@ class LinearScanIndex:
         dims: Sequence[int],
         exclude: int | None = None,
     ) -> np.ndarray:
-        query, dims = self._validate(query, dims)
+        query, dims = validate_query_dims(query, dims, self.d)
         if radius < 0:
             raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        distances = self.metric.pairwise(self._X, query, dims)
+        distances = self.metric.pairwise(self._rows.data, query, dims)
         self._account_scan()
         hits = distances <= radius
         if exclude is not None:
@@ -551,83 +537,28 @@ class LinearScanIndex:
         return np.flatnonzero(hits)
 
     def insert(self, point: np.ndarray) -> int:
-        """Append a point to the scanned matrix; returns its row id.
-
-        Amortised O(d): the point is written into spare buffer capacity,
-        and the buffer doubles when full, so ``extend``-heavy dynamic
-        workloads pay O(n·d) total for n inserts instead of O(n²·d).
-        """
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.d,):
-            raise DataShapeError(
-                f"point must be a length-{self.d} vector, got shape {point.shape}"
-            )
-        if self._n == self._buf.shape[0]:
-            live = self._n - self._lo
-            grown = np.empty((max(2 * live, live + 1), self.d))
-            grown[:live] = self._buf[self._lo : self._n]
-            self._buf = grown
-            self._lo = 0
-            self._n = live
-        self._buf[self._n] = point
-        self._n += 1
-        self._X = self._buf[self._lo : self._n]
-        self._version += 1
-        return self.size - 1
+        """Append a point to the scanned matrix; returns its row id,
+        amortised O(d) (:meth:`~repro.index.base.RowStore.append`)."""
+        return self._rows.append(point)
 
     def expire(self, count: int) -> np.ndarray:
-        """Drop the ``count`` oldest rows; returns a copy of them.
-
-        O(1) per call (plus the O(count·d) copy handed back for delta
-        cache invalidation): expiry just advances the window's head
-        offset, and the dead prefix is reclaimed the next time growth
-        compacts the live window to the buffer front. Row ids shift down
-        by ``count`` — window coordinates, matching :attr:`data`.
-        """
-        count = int(count)
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        if count >= self.size:
-            raise ConfigurationError(
-                f"cannot expire {count} of {self.size} rows: "
-                "the scanned matrix must stay non-empty"
-            )
-        removed = self._buf[self._lo : self._lo + count].copy()
-        self._lo += count
-        self._X = self._buf[self._lo : self._n]
-        self._version += 1
-        return removed
+        """Drop the ``count`` oldest rows; returns a copy of them. O(1)
+        plus that copy (:meth:`~repro.index.base.RowStore.expire`); row
+        ids shift down by ``count`` — window coordinates, matching
+        :attr:`data`."""
+        return self._rows.expire(count)
 
     # -- internals ------------------------------------------------------------
-    def _validate(self, query: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.d,):
-            raise DataShapeError(
-                f"query must be a length-{self.d} vector, got shape {query.shape}"
-            )
-        dims = np.asarray(dims, dtype=np.intp)
-        if dims.size == 0:
-            raise ConfigurationError("a query subspace needs at least one dimension")
-        if dims.min() < 0 or dims.max() >= self.d:
-            raise ConfigurationError(f"dims {dims.tolist()} out of range for d={self.d}")
-        return query, dims
-
     def _account_scan(self) -> None:
         self.stats.distance_computations += self.size
         self.stats.node_accesses += -(-self.size // BLOCK_ROWS)  # ceil division
 
     def __getstate__(self) -> dict:
-        # Derived state stays out of the pickle: the window view _X (the
-        # buffer would otherwise be written twice) is re-derived on
-        # unpickling, the screen's caches are rebuilt lazily.
+        # The screen's caches stay out of the pickle; they are rebuilt
+        # lazily.
         state = self.__dict__.copy()
-        del state["_X"]
         state["_resident"] = state["_workspace"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._X = self._buf[self._lo : self._n]
 
     def __repr__(self) -> str:
         return f"LinearScanIndex(n={self.size}, d={self.d}, metric={self.metric.name})"

@@ -13,9 +13,11 @@ Implements the full Beckmann et al. (SIGMOD'90) insertion algorithm:
 
 The tree is insert-only: HOS-Miner indexes a static dataset once and
 then issues many subspace kNN queries, so deletion is out of scope (the
-X-tree paper's experiments are likewise build-then-query). An optional
-STR bulk load (`bulk_load="str"`) packs the tree bottom-up when build
-time, not split behaviour, is what matters.
+X-tree paper's experiments are likewise build-then-query). Its rows
+live in a :class:`~repro.index.base.RowStore`, so an insert appends its
+row in amortised O(d) before descending the tree. An optional STR bulk
+load (`bulk_load="str"`) packs the tree bottom-up when build time, not
+split behaviour, is what matters.
 
 Subspace queries are delegated to :mod:`repro.index.knn`, which performs
 best-first search with the metric's projected MINDIST.
@@ -28,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, DataShapeError, IndexError_
+from repro.core.exceptions import ConfigurationError, IndexError_
 from repro.core.metrics import Metric, get_metric
+from repro.index.base import RowStore
 from repro.index.knn import tree_knn, tree_range_query
 from repro.index.mbr import MBR
 from repro.index.node import Node
@@ -69,9 +72,7 @@ class RStarTree:
         reinsert_fraction: float = 0.3,
         bulk_load: str | None = None,
     ) -> None:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-            raise DataShapeError(f"expected a non-empty (n, d) matrix, got shape {X.shape}")
+        self._rows = RowStore(np.ascontiguousarray(X, dtype=np.float64))
         if max_entries < 4:
             raise ConfigurationError(f"max_entries must be >= 4, got {max_entries}")
         if not 0.0 < min_fill <= 0.5:
@@ -80,7 +81,6 @@ class RStarTree:
             raise ConfigurationError(
                 f"reinsert_fraction must be in [0, 0.5), got {reinsert_fraction}"
             )
-        self._X = X
         self.metric = get_metric(metric)
         self.max_entries = max_entries
         self.min_fill = min_fill
@@ -90,7 +90,7 @@ class RStarTree:
         self._reinserted_levels: set[int] = set()
 
         if bulk_load is None:
-            for row in range(X.shape[0]):
+            for row in range(self.size):
                 self._insert_row(row)
         elif bulk_load == "str":
             self._bulk_load_str()
@@ -102,17 +102,15 @@ class RStarTree:
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        return self._X.shape[0]
+        return len(self._rows)
 
     @property
     def d(self) -> int:
-        return self._X.shape[1]
+        return self._rows.data.shape[1]
 
     @property
     def data(self) -> np.ndarray:
-        view = self._X.view()
-        view.flags.writeable = False
-        return view
+        return self._rows.data
 
     @property
     def root(self) -> Node:
@@ -140,13 +138,7 @@ class RStarTree:
     def insert(self, point: np.ndarray) -> int:
         """Insert one new point through the full R*/X-tree machinery
         (splits, supernodes, ...); returns its row id."""
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.d,):
-            raise DataShapeError(
-                f"point must be a length-{self.d} vector, got shape {point.shape}"
-            )
-        self._X = np.ascontiguousarray(np.vstack([self._X, point[None, :]]))
-        row = self.size - 1
+        row = self._rows.append(point)
         self._insert_row(row)
         return row
 
@@ -188,7 +180,7 @@ class RStarTree:
                     if not node.mbr.contains_box(child.mbr):
                         raise IndexError_("parent MBR does not contain child MBR")
             expected = node.mbr
-            node.recompute_mbr(self._X)
+            node.recompute_mbr(self.data)
             if (expected is None) != (node.mbr is None) or (
                 expected is not None and expected != node.mbr
             ):
@@ -201,7 +193,7 @@ class RStarTree:
     # ------------------------------------------------------------------
     def _insert_row(self, row: int) -> None:
         self._reinserted_levels = set()
-        self._insert_entry(MBR.from_point(self._X[row]), row, target_level=0)
+        self._insert_entry(MBR.from_point(self.data[row]), row, target_level=0)
 
     def _insert_entry(self, box: MBR, payload: "int | Node", target_level: int) -> None:
         """Insert a data row (``target_level == 0``) or an orphaned subtree
@@ -296,7 +288,7 @@ class RStarTree:
                 child for i, child in enumerate(node.children) if i not in leaving_set
             ]
         for ancestor in reversed(path[: index + 1]):
-            ancestor.recompute_mbr(self._X)
+            ancestor.recompute_mbr(self.data)
         for box, payload in removed:
             self._insert_entry(box, payload, target_level=node.level)
 
@@ -333,19 +325,19 @@ class RStarTree:
             children = node.children
             node.children = [children[i] for i in group_a]
             sibling.children = [children[i] for i in group_b]
-        node.recompute_mbr(self._X)
-        sibling.recompute_mbr(self._X)
+        node.recompute_mbr(self.data)
+        sibling.recompute_mbr(self.data)
 
         if node is self._root:
             new_root = Node(level=node.level + 1)
             new_root.children = [node, sibling]
-            new_root.recompute_mbr(self._X)
+            new_root.recompute_mbr(self.data)
             new_root.split_dims = history
             self._root = new_root
         else:
             parent = path[index - 1]
             parent.children.append(sibling)
-            parent.recompute_mbr(self._X)
+            parent.recompute_mbr(self.data)
 
     # ------------------------------------------------------------------
     # R* topological split
@@ -426,12 +418,12 @@ class RStarTree:
         if rows.size <= capacity:
             leaf = Node(level=0)
             leaf.rows = rows.tolist()
-            leaf.recompute_mbr(self._X)
+            leaf.recompute_mbr(self.data)
             return [leaf]
         pages = math.ceil(rows.size / capacity)
         slabs = max(1, math.ceil(pages ** (1.0 / self.d)))
         per_slab = math.ceil(rows.size / slabs)
-        order = rows[np.argsort(self._X[rows, axis % self.d], kind="stable")]
+        order = rows[np.argsort(self.data[rows, axis % self.d], kind="stable")]
         leaves: list[Node] = []
         for start in range(0, order.size, per_slab):
             chunk = order[start : start + per_slab]
@@ -445,7 +437,7 @@ class RStarTree:
         for start in range(0, len(nodes), self.max_entries):
             parent = Node(level=level)
             parent.children = [nodes[i] for i in order[start : start + self.max_entries]]
-            parent.recompute_mbr(self._X)
+            parent.recompute_mbr(self.data)
             parents.append(parent)
         return parents
 
@@ -454,7 +446,7 @@ class RStarTree:
     # ------------------------------------------------------------------
     def _entry_boxes(self, node: Node) -> list[MBR]:
         if node.is_leaf:
-            return [MBR.from_point(self._X[row]) for row in node.rows]
+            return [MBR.from_point(self.data[row]) for row in node.rows]
         return node.child_mbrs()
 
     def __repr__(self) -> str:

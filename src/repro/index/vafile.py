@@ -30,9 +30,10 @@ rejected at construction rather than silently mis-bounded.
 Insertions append to the approximation file in place using the
 quantisation grid frozen at build time; coordinates outside the
 original data range clamp to the edge cells, which only loosens bounds
-(never correctness). Sliding-window expiry advances a head offset over
-the same buffers (see :meth:`VAFile.expire`), so the streaming engine
-never rebuilds the file.
+(never correctness). Rows and codes live in two
+:class:`~repro.index.base.RowStore` instances that grow and expire
+together (see :meth:`VAFile.expire`), so the streaming engine never
+rebuilds the file.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, DataShapeError
+from repro.core.exceptions import ConfigurationError
 from repro.core.metrics import (
     ChebyshevMetric,
     EuclideanMetric,
@@ -53,10 +54,13 @@ from repro.core.metrics import (
 )
 from repro.core.precision import resolve_precision, reverify_rtol
 from repro.index.base import (
+    RowStore,
     mask_matrix,
     normalize_excludes,
-    validate_query_matrix,
+    require_k,
     validate_prefix_request,
+    validate_query_dims,
+    validate_query_matrix,
 )
 from repro.index.stats import IndexStats
 
@@ -118,9 +122,8 @@ class VAFile:
         bits: int = 6,
         partitioning: str = "equi_width",
     ) -> None:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-            raise DataShapeError(f"expected a non-empty (n, d) matrix, got shape {X.shape}")
+        self._rows = RowStore(np.ascontiguousarray(X, dtype=np.float64))
+        X = self._rows.data
         if not 1 <= bits <= 16:
             raise ConfigurationError(f"bits must be in [1, 16], got {bits}")
         if partitioning not in ("equi_width", "equi_depth"):
@@ -133,16 +136,6 @@ class VAFile:
         self.partitioning = partitioning
         self.cells = 1 << bits
         self.stats = IndexStats()
-
-        # Data and approximation files live in parallel capacity-doubling
-        # buffers with a _lo head offset, exactly like the linear scan's:
-        # insert() writes into spare tail capacity, expire() advances the
-        # head, and growth compacts the live window to the front. _X and
-        # _approx are always the [_lo:_n) window views, so every bound /
-        # refinement kernel below is window-agnostic.
-        self._buf = X
-        self._lo = 0
-        self._n = X.shape[0]
         n, d = X.shape
         #: Cell boundaries, shape (d, cells + 1); cell c of dim j spans
         #: [boundaries[j, c], boundaries[j, c + 1]].
@@ -163,31 +156,26 @@ class VAFile:
                     if edges[i] <= edges[i - 1]:
                         edges[i] = edges[i - 1] + 1e-12
                 self.boundaries[dim] = edges
-        self._abuf = np.empty((n, d), dtype=np.uint16)
+        codes = np.empty((n, d), dtype=np.uint16)
         for dim in range(d):
-            self._abuf[:, dim] = self._quantise(X[:, dim], dim)
-        self._refresh_views()
-
-    def _refresh_views(self) -> None:
-        self._X = self._buf[self._lo : self._n]
-        self._approx = self._abuf[self._lo : self._n]
+            codes[:, dim] = self._quantise(X[:, dim], dim)
+        #: The approximation file: row i's cell per dimension.
+        self._codes = RowStore(codes)
 
     # ------------------------------------------------------------------
     # KnnBackend interface
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        return self._X.shape[0]
+        return len(self._rows)
 
     @property
     def d(self) -> int:
-        return self._X.shape[1]
+        return self._rows.data.shape[1]
 
     @property
     def data(self) -> np.ndarray:
-        view = self._X.view()
-        view.flags.writeable = False
-        return view
+        return self._rows.data
 
     def knn(
         self,
@@ -196,14 +184,8 @@ class VAFile:
         dims: Sequence[int],
         exclude: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        query, dims = self._validate(query, dims)
-        available = self.size - (1 if exclude is not None else 0)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if k > available:
-            raise ConfigurationError(
-                f"k={k} neighbours requested but only {available} candidate rows exist"
-            )
+        query, dims = validate_query_dims(query, dims, self.d)
+        require_k(k, self.size, [exclude])
 
         lower, upper = self._bounds(query, dims)
         if exclude is not None:
@@ -213,7 +195,7 @@ class VAFile:
         candidates = np.flatnonzero(lower <= tau)
         self.stats.bump("candidates_refined", int(candidates.size))
 
-        distances = self.metric.pairwise(self._X[candidates], query, dims)
+        distances = self.metric.pairwise(self._rows.data[candidates], query, dims)
         self.stats.distance_computations += int(candidates.size)
         self.stats.node_accesses += int(candidates.size)  # one row read each
         order = np.lexsort((candidates, distances))[:k]
@@ -233,7 +215,7 @@ class VAFile:
     ) -> np.ndarray:
         """Sorted k-nearest *distances* per subspace, shape ``(m, k)``:
         the one-query view of :meth:`knn_distance_prefix_batch`."""
-        query, _ = self._validate(query, range(self.d))
+        query, _ = validate_query_dims(query, range(self.d), self.d)
         return self.knn_distance_prefix_batch(
             query[None, :],
             k,
@@ -396,7 +378,7 @@ class VAFile:
     ) -> np.ndarray:
         """Exact sorted k-nearest distances over a candidate superset."""
         self.stats.bump("candidates_refined", int(candidates.size))
-        distances = self.metric.pairwise(self._X[candidates], query, dims)
+        distances = self.metric.pairwise(self._rows.data[candidates], query, dims)
         self.stats.distance_computations += int(candidates.size)
         self.stats.node_accesses += int(candidates.size)
         distances.partition(k - 1)
@@ -433,7 +415,7 @@ class VAFile:
                 elif self._order != 1.0:
                     low_gap = np.power(low_gap, self._order)
                     up_gap = np.power(up_gap, self._order)
-            codes = self._approx[:, dim]
+            codes = self._codes.data[:, dim]
             lower_gaps[:, dim] = low_gap[codes]
             upper_gaps[:, dim] = up_gap[codes]
         self.stats.node_accesses += -(-n // APPROX_BLOCK_ROWS)
@@ -446,13 +428,13 @@ class VAFile:
         dims: Sequence[int],
         exclude: int | None = None,
     ) -> np.ndarray:
-        query, dims = self._validate(query, dims)
+        query, dims = validate_query_dims(query, dims, self.d)
         if radius < 0:
             raise ConfigurationError(f"radius must be non-negative, got {radius}")
         lower, _ = self._bounds(query, dims)
         candidates = np.flatnonzero(lower <= radius)
         self.stats.bump("candidates_refined", int(candidates.size))
-        distances = self.metric.pairwise(self._X[candidates], query, dims)
+        distances = self.metric.pairwise(self._rows.data[candidates], query, dims)
         self.stats.distance_computations += int(candidates.size)
         self.stats.node_accesses += int(candidates.size)
         hits = candidates[distances <= radius]
@@ -467,9 +449,8 @@ class VAFile:
     def insert(self, point: np.ndarray) -> int:
         """Append a point; returns its row id.
 
-        Amortised O(d): the point and its approximation cell are written
-        into spare buffer capacity (both buffers double when full, which
-        also compacts expired head rows away). The *interior* grid
+        Amortised O(d): the point and its approximation cells are
+        appended to their row stores. The *interior* grid
         boundaries are frozen, but an out-of-range coordinate stretches
         the outermost edge to cover it: the point lands in an edge cell
         whose interval genuinely contains it, so its bounds stay valid.
@@ -480,58 +461,31 @@ class VAFile:
         be wrong: the cell-gap lower bound could exceed the point's true
         distance and prune it off a k-NN set it belongs to.)
         """
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.d,):
-            raise DataShapeError(
-                f"point must be a length-{self.d} vector, got shape {point.shape}"
-            )
+        row = self._rows.append(point)
+        point = self._rows.data[row]
         for dim in range(self.d):
             edges = self.boundaries[dim]
             if point[dim] < edges[0]:
                 edges[0] = point[dim]
             elif point[dim] > edges[-1]:
                 edges[-1] = point[dim]
-        approx = np.array(
-            [self._quantise(point[dim : dim + 1], dim)[0] for dim in range(self.d)],
-            dtype=np.uint16,
+        self._codes.append(
+            [self._quantise(point[dim : dim + 1], dim)[0] for dim in range(self.d)]
         )
-        if self._n == self._buf.shape[0]:
-            live = self._n - self._lo
-            cap = max(2 * live, live + 1)
-            grown = np.empty((cap, self.d))
-            grown[:live] = self._buf[self._lo : self._n]
-            agrown = np.empty((cap, self.d), dtype=np.uint16)
-            agrown[:live] = self._abuf[self._lo : self._n]
-            self._buf, self._abuf = grown, agrown
-            self._lo = 0
-            self._n = live
-        self._buf[self._n] = point
-        self._abuf[self._n] = approx
-        self._n += 1
-        self._refresh_views()
-        return self.size - 1
+        return row
 
     def expire(self, count: int) -> np.ndarray:
         """Drop the ``count`` oldest rows; returns a copy of them.
 
         O(1) per call (plus the O(count·d) copy handed back for delta
-        cache invalidation): both the data and approximation windows just
-        advance their head offset. The quantisation grid stays frozen —
-        bounds remain valid for any grid and refinement is exact, so
-        answers match a freshly built VA-file element-wise even though
-        candidate-set sizes may differ.
+        cache invalidation): both row stores advance their head
+        (:meth:`~repro.index.base.RowStore.expire`). The quantisation
+        grid stays frozen — bounds remain valid for any grid and
+        refinement is exact, so answers match a freshly built VA-file
+        element-wise even though candidate-set sizes may differ.
         """
-        count = int(count)
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        if count >= self.size:
-            raise ConfigurationError(
-                f"cannot expire {count} of {self.size} rows: "
-                "the approximation file must stay non-empty"
-            )
-        removed = self._buf[self._lo : self._lo + count].copy()
-        self._lo += count
-        self._refresh_views()
+        removed = self._rows.expire(count)
+        self._codes.expire(count)
         return removed
 
     # ------------------------------------------------------------------
@@ -556,36 +510,12 @@ class VAFile:
             # gathered through the approximation column.
             low_gap = np.maximum(0.0, np.maximum(cell_lower - q, q - cell_upper))
             up_gap = np.maximum(np.abs(q - cell_lower), np.abs(q - cell_upper))
-            codes = self._approx[:, dim]
+            codes = self._codes.data[:, dim]
             gaps_lower[:, j] = low_gap[codes]
             gaps_upper[:, j] = up_gap[codes]
         self.stats.node_accesses += -(-n // APPROX_BLOCK_ROWS)
         self.stats.mindist_computations += n
         return _combine(gaps_lower, self._order), _combine(gaps_upper, self._order)
-
-    def _validate(self, query: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.d,):
-            raise DataShapeError(
-                f"query must be a length-{self.d} vector, got shape {query.shape}"
-            )
-        dims = np.asarray(dims, dtype=np.intp)
-        if dims.size == 0:
-            raise ConfigurationError("a query subspace needs at least one dimension")
-        if dims.min() < 0 or dims.max() >= self.d:
-            raise ConfigurationError(f"dims {dims.tolist()} out of range for d={self.d}")
-        return query, dims
-
-    def __getstate__(self) -> dict:
-        # _X and _approx are views of the buffers: pickled, each would be
-        # written again. They are re-derived on unpickling.
-        state = self.__dict__.copy()
-        del state["_X"], state["_approx"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._refresh_views()
 
     def candidate_fraction(self) -> float:
         """Average fraction of points refined exactly per query so far —

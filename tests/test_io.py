@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.exceptions import HOSMinerError
+from repro.core.config import HOSMinerConfig
+from repro.core.exceptions import ConfigurationError, HOSMinerError
 from repro.core.io import load_miner, result_from_dict, result_to_dict, save_miner
+from repro.core.metrics import (
+    ChebyshevMetric,
+    EuclideanMetric,
+    ManhattanMetric,
+    MinkowskiMetric,
+)
 from repro.core.miner import HOSMiner
 from repro.data.synthetic import make_planted_outliers
+
+#: Every built-in metric: the name an archive writes, and an instance.
+BUILT_IN_METRICS = [
+    ("euclidean", EuclideanMetric()),
+    ("manhattan", ManhattanMetric()),
+    ("chebyshev", ChebyshevMetric()),
+    ("minkowski:3.0", MinkowskiMetric(3)),
+]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +93,64 @@ class TestMinerRoundTrip:
             )
         with pytest.raises(HOSMinerError):
             load_miner(corrupted)
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("given", ["name", "instance"])
+    @pytest.mark.parametrize(
+        "name, instance", BUILT_IN_METRICS, ids=[name for name, _ in BUILT_IN_METRICS]
+    )
+    def test_metric_and_config_survive_a_round_trip(self, tmp_path, name, instance, given):
+        """A metric given as a name or as a built-in instance reloads as
+        that metric, every other config field reloads unchanged (an
+        instance comes back as its name), and answers are equal."""
+        X = np.random.default_rng(41).normal(size=(300, 4))
+        config = HOSMinerConfig(
+            k=4,
+            sample_size=3,
+            threshold_quantile=0.97,
+            metric=name if given == "name" else instance,
+            kernel="exact",
+            precision="float64",
+            workers=1,
+            stream_window=250,
+        )
+        miner = HOSMiner(config).fit(X)
+        path = str(tmp_path / "miner.npz")
+        save_miner(miner, path)
+        loaded = load_miner(path)
+        assert loaded.config == replace(config, metric=name)
+        assert loaded.threshold_ == miner.threshold_
+        targets = list(range(0, 300, 10)) + [X[0] + 2.5, X[1] - 4.0]
+        for a, b in zip(miner.query_batch(targets), loaded.query_batch(targets)):
+            assert a.minimal == b.minimal
+            assert a.total_outlying == b.total_outlying
+            assert a.od_values == b.od_values
+
+    def test_numpy_scalar_fields_round_trip(self, tmp_path):
+        """Config validation accepts numpy integers; the archive writes
+        them as plain numbers."""
+        config = HOSMinerConfig(
+            k=np.int64(3),
+            sample_size=0,
+            seed=np.int64(2),
+            index="vafile",
+            index_options={"bits": np.int64(5)},
+        )
+        miner = HOSMiner(config).fit(np.random.default_rng(43).normal(size=(40, 3)))
+        path = str(tmp_path / "miner.npz")
+        save_miner(miner, path)
+        assert load_miner(path).config == config
+
+    def test_unnamed_metric_rejected(self, tmp_path):
+        class Shifted(EuclideanMetric):
+            name = "shifted"
+
+        miner = HOSMiner(k=3, sample_size=0, metric=Shifted()).fit(
+            np.random.default_rng(42).normal(size=(40, 3))
+        )
+        with pytest.raises(ConfigurationError, match="cannot save"):
+            save_miner(miner, str(tmp_path / "x.npz"))
 
 
 class TestResultRoundTrip:

@@ -182,7 +182,9 @@ class TestOneAccumulation:
         Q = data.draw(arrays(np.float64, (m, d), elements=FINITE))
         dims = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1)))
         scans = np.stack([metric.pairwise(X, q, dims) for q in Q])
-        assert np.array_equal(metric.pairwise_many(X, Q, dims), scans)
+        select = np.zeros((m, d), dtype=bool)
+        select[:, dims] = True
+        assert np.array_equal(metric.pairwise_masked(X, Q, select), scans)
         for i in range(m):
             components = metric.pairwise_components(X, Q[i])[:, dims]
             assert np.array_equal(metric.reduce_components(components), scans[i])
@@ -190,7 +192,8 @@ class TestOneAccumulation:
             paired = metric.pairwise(X, np.repeat(Q[i : i + 1], n, axis=0), dims)
             assert np.array_equal(paired, scans[i])
             for r in range(n):
-                single = metric.pairwise_many(X[r : r + 1], Q[i : i + 1], dims)
+                # A one-row select is the (1, 1, d) broadcast case.
+                single = metric.pairwise_masked(X[r : r + 1], Q[i : i + 1], select[i : i + 1])
                 assert single.shape == (1, 1)
                 assert single[0, 0] == scans[i, r]
 
@@ -203,5 +206,6 @@ class TestOneAccumulation:
         q = 0.3 * rng.normal(size=6)
         metric = EuclideanMetric()
         scan = metric.pairwise(X, q, range(6))
+        select = np.ones((1, 6), dtype=bool)
         for row in range(40):
-            assert metric.pairwise_many(X[row : row + 1], q[None, :], range(6))[0, 0] == scan[row]
+            assert metric.pairwise_masked(X[row : row + 1], q[None, :], select)[0, 0] == scan[row]

@@ -27,7 +27,9 @@ from repro.core.od import GEMM_REVERIFY_RTOL, ODEvaluator, near_threshold
 from repro.core.subspace import dims_of_mask, mask_of_dims
 from repro.data.synthetic import make_planted_outliers
 from repro.index.linear import LinearScanIndex
+from repro.index.rstar import RStarTree
 from repro.index.vafile import VAFile
+from repro.index.xtree import XTree
 
 RTOL = 1e-9
 
@@ -313,15 +315,20 @@ class TestInsertBuffer:
             np.testing.assert_array_equal(got[1], want[1])
 
     def test_amortised_capacity_doubling(self, rng):
-        backend = LinearScanIndex(rng.normal(size=(4, 3)))
-        buffers = set()
-        for _ in range(1000):
-            backend.insert(rng.normal(size=3))
-            buffers.add(id(backend._buf))
-        # 4 -> 1004 rows needs only ~log2(1004/4) reallocations; a
-        # vstack-per-insert implementation would create ~1000 buffers.
-        assert len(buffers) <= 12
-        assert backend.size == 1004
+        start = rng.normal(size=(4, 3))
+        rows = rng.normal(size=(1000, 3))
+        for cls in (LinearScanIndex, VAFile, RStarTree, XTree):
+            backend = cls(start)
+            buffers = {}
+            for row in rows:
+                backend.insert(row)
+                buffer = backend._rows._buffer
+                buffers[id(buffer)] = buffer  # held, so no id is reused
+            # 4 -> 1004 rows needs only ~log2(1004/4) reallocations; a
+            # vstack-per-insert implementation would create ~1000 buffers.
+            assert len(buffers) <= 12, cls.__name__
+            assert backend.size == 1004
+            np.testing.assert_array_equal(backend.data, np.vstack([start, rows]))
 
     def test_gemm_kernel_after_growth(self, rng):
         backend = LinearScanIndex(rng.normal(size=(30, 5)))

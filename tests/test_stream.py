@@ -7,7 +7,7 @@ identical — ``minimal``, ``total_outlying``, exact ``od_values`` floats
 — to a fresh ``fit`` on the equivalent window with the same explicit
 ``threshold``. This suite is that condition, executed:
 
-* backend parity — the in-place index buffers (linear scan and VA-file)
+* backend parity — the in-place row stores (linear scan and VA-file)
   against freshly built indexes over the same window, including the
   out-of-grid VA-file insert regression (drifted points beyond the
   fit-time grid must stretch the outer boundary, not clamp);
@@ -100,14 +100,14 @@ class PairwiseOnly:
 
 
 class PairwiseManyOnly(PairwiseOnly):
-    """A custom metric with the batched ``pairwise_many`` view but no
+    """A custom metric with a batched ``pairwise_many`` view but no
     masked one: the delta pass makes one ``pairwise_many`` call per
     mask."""
 
     name = "pairwise-many-only"
 
     def pairwise_many(self, X, Q, dims):
-        return self._inner.pairwise_many(X, Q, dims)
+        return np.stack([self.pairwise(X, q, dims) for q in Q])
 
 
 CUSTOM_METRICS = {"pairwise-only": PairwiseOnly, "pairwise-many-only": PairwiseManyOnly}
@@ -328,11 +328,11 @@ class TestDeltaCache:
         assert cache.get(ext_key, self.MASK) == 9.0
         assert cache.get(expired_key, self.MASK) is None
         # a removed row tying the bound could have been a neighbour
-        # (the bound is compared against pairwise_many's floats, so the
+        # (the bound is compared against the masked pass's floats, so the
         # tie is manufactured with the same arithmetic)
         cache2 = SharedODCache()
         tie_kth = float(
-            metric.pairwise_many(expired, data[2][None, :], np.arange(D)).min()
+            metric.pairwise_masked(expired, data[2][None, :], np.ones((1, D), bool)).min()
         )
         cache2.put(cache2.point_key(data[2], 2), self.MASK, 5.0, kth=tie_kth)
         assert cache2.delta_expire(data[:2], 2, shrunk, metric) == (1, 0)
@@ -540,11 +540,10 @@ class TestStreamedCacheState:
 
     @pytest.mark.parametrize("index", ["linear", "vafile"])
     def test_scan_backends_pickle_their_window_once(self, index):
-        """The window views (``_X``, and the VA-file's ``_approx``) are
-        re-derived on unpickling, not written a second time: the pickle
-        holds each buffer once, the views share its memory again, and
-        answers do not move — also for a streamed window whose buffers
-        carry a head offset and spare capacity."""
+        """A backend pickles its live rows once (and the VA-file its
+        codes once) — no expired head rows, no spare capacity — and
+        answers do not move, also for a streamed window whose row store
+        carries a head offset and spare capacity."""
         rng = np.random.default_rng(53)
         X = rng.normal(size=(2000, 6))
         miner = HOSMiner(k=K, sample_size=4, index=index).fit(X)
@@ -552,19 +551,30 @@ class TestStreamedCacheState:
         targets = [0, 5, rng.normal(size=6)]
         for _ in range(3):
             backend = miner.backend_
-            buffers = [backend._buf] + ([backend._abuf] if index == "vafile" else [])
+            live = [backend.data] + ([backend._codes.data] if index == "vafile" else [])
             payload = pickle.dumps(backend)
-            assert len(payload) < sum(buffer.nbytes for buffer in buffers) + 8192
+            assert len(payload) < sum(rows.nbytes for rows in live) + 8192
             clone = pickle.loads(payload)
-            assert np.shares_memory(clone._X, clone._buf)
-            if index == "vafile":
-                assert np.shares_memory(clone._approx, clone._abuf)
             np.testing.assert_array_equal(clone.data, backend.data)
             copy = pickle.loads(pickle.dumps(miner))
             assert_answers_identical(
                 copy.query_batch(targets, workers=1), miner.query_batch(targets, workers=1)
             )
             engine.push(rng.normal(size=(7, 6)))
+
+    @pytest.mark.parametrize("index", ["linear", "vafile", "rstar", "xtree"])
+    def test_pickled_miner_grows_by_the_pushed_rows_only(self, index):
+        """The miner keeps no copy of its window beside its backend's, and
+        the backend pickles its live rows only: after a 5-row push a
+        fitted miner's pickle grows by about those rows, not by a second
+        window or a doubled buffer."""
+        rng = np.random.default_rng(54)
+        miner = HOSMiner(k=K, sample_size=4, index=index).fit(rng.normal(size=(2000, 6)))
+        assert "_X" not in vars(miner)
+        fitted_size = len(pickle.dumps(miner))
+        rows = rng.normal(size=(5, 6))
+        StreamEngine(miner, window=None).push(rows)
+        assert len(pickle.dumps(miner)) <= fitted_size + rows.nbytes + 4096
 
 
 # ----------------------------------------------------------------------
@@ -640,6 +650,33 @@ class TestDifferentialIdentity:
                     engine.query_batch(targets), oracle.query_batch(targets), context
                 )
                 np.testing.assert_array_equal(miner.backend_.data, frame)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("index", ["rstar", "xtree"])
+    def test_tree_stream_matches_fresh_fit(self, index, workers):
+        """An unbounded tree stream inserts every pushed row into the
+        grown tree, and every poll — rows and external points — equals a
+        fresh fit of the same rows with the same T, in process and on two
+        row shards (whose tail tree absorbs the pushes)."""
+        warm, batches = drift_windows(cycles=4, drift=0.4)
+        threshold = float(fitted(warm, index=index).threshold_)
+        rng = np.random.default_rng(31)
+        probes = warm[rng.choice(WINDOW, 3, replace=False)] + 0.05
+        miner = fitted(warm, index=index, threshold=threshold)
+        frame = warm
+        with StreamEngine(miner, window=None) as engine:
+            for cycle, rows in enumerate(batches):
+                engine.push(rows)
+                frame = np.vstack([frame, rows])
+                np.testing.assert_array_equal(miner.backend_.data, frame)
+                oracle = fitted(frame, index=index, threshold=threshold, workers=1)
+                n = frame.shape[0]
+                targets = [0, n // 2, n - BATCH, n - 1, *probes]
+                got = engine.query_batch(targets, workers=workers)
+                assert (got.stats.shard_round_trips > 0) == (workers > 1)
+                assert_answers_identical(
+                    got, oracle.query_batch(targets), f"{index} workers={workers} cycle {cycle}"
+                )
 
     def test_stream_matches_fresh_fit_with_workers(self):
         """Live shard-pool propagation serves the same floats."""

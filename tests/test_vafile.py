@@ -32,7 +32,7 @@ class TestConstruction:
 
     def test_codes_in_range(self):
         va = VAFile(_data(1), bits=3)
-        assert va._approx.max() < 8
+        assert va._codes.data.max() < 8
 
     def test_constant_column_safe(self):
         X = np.ones((50, 2))

@@ -8,10 +8,15 @@ references to repo files, and fails when a target doesn't exist:
   ``[text](../BENCH_e12.json)``) must resolve to a file or directory,
   and ``#fragment`` anchors on internal links must match a heading in
   the target document;
+- inline code references to repo paths — a backticked ``src/…``,
+  ``tests/…``, ``docs/…`` or ``BENCH_….json`` — must resolve from the
+  repo root; for ``path::Name`` the file part is checked, and a ``*``
+  pattern (``BENCH_*.json``) must match at least one file;
 - external links (``http://``, ``https://``, ``mailto:``) are *not*
   fetched — CI stays offline — but are counted in the summary.
 
-Exit status: 0 when every internal link resolves, 1 otherwise.
+Exit status: 0 when every internal link and code reference resolves,
+1 otherwise.
 Run it from anywhere: paths resolve relative to the repo root.
 
     python tools/check_links.py
@@ -28,6 +33,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 # [text](target) — tolerates titles: [text](target "title")
 LINK_RE = re.compile(r"\[[^\]]*\]\(\s*<?([^)\s>]+)>?(?:\s+\"[^\"]*\")?\s*\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+# `src/…`, `tests/…`, `docs/…`, `BENCH_….json`, each optionally `::Name`
+CODE_REF_RE = re.compile(r"`((?:src|tests|docs)/[^`\s:]*|BENCH_[\w*]+\.json)(?:::[^`]*)?`")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 
 
@@ -48,11 +55,18 @@ def anchors_of(path: Path) -> set[str]:
     return {slugify(match) for match in HEADING_RE.findall(path.read_text())}
 
 
-def check_file(path: Path) -> tuple[list[str], int, int]:
-    """Returns (problems, internal_count, external_count) for one file."""
+def check_file(path: Path) -> tuple[list[str], int, int, int]:
+    """Returns (problems, internal_count, external_count, code_ref_count)
+    for one file."""
     problems: list[str] = []
     internal = external = 0
-    for match in LINK_RE.finditer(path.read_text()):
+    text = path.read_text()
+    refs = CODE_REF_RE.findall(text)
+    for ref in refs:
+        found = any(REPO_ROOT.glob(ref)) if "*" in ref else (REPO_ROOT / ref).exists()
+        if not found:
+            problems.append(f"{path.relative_to(REPO_ROOT)}: missing code reference -> {ref}")
+    for match in LINK_RE.finditer(text):
         target = match.group(1)
         if target.startswith(EXTERNAL_PREFIXES):
             external += 1
@@ -68,7 +82,7 @@ def check_file(path: Path) -> tuple[list[str], int, int]:
                 problems.append(
                     f"{path.relative_to(REPO_ROOT)}: missing anchor -> {target}"
                 )
-    return problems, internal, external
+    return problems, internal, external, len(refs)
 
 
 def main() -> int:
@@ -77,18 +91,20 @@ def main() -> int:
         print("error: no documentation files found", file=sys.stderr)
         return 1
     all_problems: list[str] = []
-    internal = external = 0
+    internal = external = refs = 0
     for path in files:
-        problems, n_int, n_ext = check_file(path)
+        problems, n_int, n_ext, n_refs = check_file(path)
         all_problems.extend(problems)
         internal += n_int
         external += n_ext
+        refs += n_refs
     for problem in all_problems:
         print(problem, file=sys.stderr)
     verdict = "FAIL" if all_problems else "ok"
     print(
-        f"{verdict}: {len(files)} files, {internal} internal links checked, "
-        f"{external} external links skipped, {len(all_problems)} broken"
+        f"{verdict}: {len(files)} files, {internal} internal links and {refs} "
+        f"code references checked, {external} external links skipped, "
+        f"{len(all_problems)} broken"
     )
     return 1 if all_problems else 0
 
