@@ -1,8 +1,14 @@
 """Shared fixtures for the benchmark suite.
 
-Workloads are session-scoped so `pytest benchmarks/ --benchmark-only`
-pays dataset construction and miner fitting once, and the timed bodies
-measure only the operation under study. The construction itself lives
+Run the pytest-benchmark twins by naming their files (pytest collects
+only ``test_*.py`` from a directory, and these are ``bench_*.py``)::
+
+    PYTHONPATH=src python -m pytest benchmarks/*.py --benchmark-only
+
+``--benchmark-disable`` instead runs each body once, untimed, as CI
+does. Workloads are session-scoped so a run pays dataset construction
+and miner fitting once, and the timed bodies measure only the
+operation under study. The construction itself lives
 in :mod:`repro.bench.workloads` — the single source of truth shared
 with the experiment specs.
 """

@@ -8,10 +8,7 @@
 * :mod:`~repro.baselines.knn_outlier` — top-n kNN-distance outliers [8];
 * :mod:`~repro.baselines.db_outlier` — DB(π, D) distance-based
   outliers [5, 6];
-* :mod:`~repro.baselines.lof` — Local Outlier Factor [3];
-* :mod:`~repro.baselines.feature_bagging` — LOF feature bagging
-  (Lazarevic & Kumar, KDD'05), the random-subspace contrast to
-  HOS-Miner's systematic search.
+* :mod:`~repro.baselines.lof` — Local Outlier Factor [3].
 """
 
 from repro.baselines.db_outlier import db_outliers, db_outlying_subspaces, is_db_outlier
@@ -20,7 +17,6 @@ from repro.baselines.evolutionary import (
     EvolutionarySubspaceSearch,
     brute_force_sparse_cubes,
 )
-from repro.baselines.feature_bagging import FeatureBaggingConfig, FeatureBaggingDetector
 from repro.baselines.grid import EquiDepthGrid, SparseCube
 from repro.baselines.knn_outlier import (
     KnnOutlierResult,
@@ -34,8 +30,6 @@ __all__ = [
     "EquiDepthGrid",
     "EvolutionaryConfig",
     "EvolutionarySubspaceSearch",
-    "FeatureBaggingConfig",
-    "FeatureBaggingDetector",
     "KnnOutlierResult",
     "SparseCube",
     "brute_force_sparse_cubes",

@@ -285,13 +285,18 @@ class HOSMiner:
         fitted as after ``refresh="none"``: the rows are inserted, the
         OD cache holds only the calibration's values for the grown
         data, and ``T`` and the priors are the previous ones.
+
+        Zero rows do not change the window, so ``extend`` returns after
+        validating them and keeps the OD cache, the shard pool, ``T``
+        and the priors, whatever ``refresh`` says.
         """
         self._require_fitted()
         if refresh not in ("none", "threshold", "full"):
             raise ConfigurationError(
                 f"refresh must be 'none', 'threshold' or 'full', got {refresh!r}"
             )
-        self._insert_rows(rows)
+        if self._insert_rows(rows).shape[0] == 0:
+            return self
         # New rows can change any point's neighbour set in any subspace,
         # so every cached OD value is stale from here on. The shard pool
         # holds pre-extend shards, equally stale.
@@ -421,14 +426,6 @@ class HOSMiner:
     def query_point(self, point: np.ndarray) -> OutlyingSubspaceResult:
         """Outlying subspaces of an external point."""
         return self._run_query(*self._resolve_target(point, is_row=False))
-
-    def query_many(
-        self, targets: "list[int | np.ndarray]"
-    ) -> list[OutlyingSubspaceResult]:
-        """Query a batch of rows and/or points, one sequential search at
-        a time. Prefer :meth:`query_batch` for anything but a handful of
-        targets — it produces identical answers faster."""
-        return [self.query(target) for target in targets]
 
     def query_batch(
         self,

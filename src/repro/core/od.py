@@ -64,7 +64,7 @@ from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.lattice import MAX_LATTICE_DIM
 from repro.core.metrics import resolve_kernel
 from repro.core.precision import resolve_precision, reverify_rtol
-from repro.core.subspace import Subspace, dims_of_mask, full_mask
+from repro.core.subspace import dims_of_mask, full_mask
 from repro.index.base import (
     KnnBackend,
     as_float64,
@@ -107,21 +107,30 @@ DELTA_BLOCK_BYTES = 1 << 18
 
 #: Byte budget of a :class:`SharedODCache` between calls: its entries,
 #: slots and stored outcomes, as :meth:`SharedODCache.footprint` counts
-#: them. batch-traffic's 24 hot targets hold about 54,000 entries (12 MB
-#: at the costs below) after warm-up. At 16 MiB a trim left about 25
-#: batches of other traffic beside them, and over 2,000 batches one hot
-#: re-poll found its outcome evicted; 18 MiB leaves about 50. It also
-#: caps the entries below 87,381, past which CPython's next dict resize
-#: doubles both entry tables to 2**19 cells (10 MB more than counted).
-CACHE_BUDGET_BYTES = 18 * 2**20
+#: them. batch-traffic's 24 hot targets hold about 54,000 entries after
+#: warm-up. 12 MiB at 130 bytes an entry admits more entries than
+#: 18 MiB did at the former 220 (96,800 against 85,800 alone) while
+#: slots and stored outcomes are charged less than 3.5 MB, as
+#: batch-traffic's are (1.9-3.2 MB); over 1,200 of its batches (seeds 7
+#: and 223) 2-3% more targets replayed. CPython resizes a dict to the
+#: smallest power of two cells at least three times its live entries,
+#: so the table stays at 2**18 cells (5.2 MB) while at most 87,381 are
+#: live, which the budget keeps beside batch-traffic's slots; entries of
+#: a few large lattices alone can pass it, and the next resize then
+#: doubles the table (5.2 MB more than counted).
+CACHE_BUDGET_BYTES = 12 * 2**20
 
 # Budget accounting, measured with tracemalloc on CPython 3.11 over
-# batch-traffic's steady state (dict tables never shrink on deletion, so
-# churn keeps them about a third full): an entry is two dict cells, its
-# key int and two floats; a slot is a dict cell, its identity (an int,
-# or an external point's bytes), its stamp, its slot int and three list
-# cells.
-_ENTRY_BYTES = 220
+# batch-traffic's steady state (1,200 steps in process, seeds 7 and
+# 223; the entry table dropped at the end freed 137.6 and 140.7 bytes an
+# entry, and sys.getsizeof read 126-140 at every 100th step). An entry
+# is its key int and one complex (64 bytes) plus its share of the one
+# dict table, which never shrinks on deletion and sits at 2**18 cells
+# (5.2 MB) under churn; 130 is that cost at about 80,000 entries, where
+# a full budget holds them. A slot is a dict cell, its identity (an
+# int, or an external point's bytes), its stamp, its slot int and three
+# list cells.
+_ENTRY_BYTES = 130
 _SLOT_BYTES = 300
 
 # A cache key is ``slot << _MASK_BITS | mask``: every searchable mask
@@ -486,8 +495,8 @@ class SharedODCache:
     evaluator resolves its slot once (:meth:`point_key`), so a replay
     hashes one int.
 
-    Values and kth bounds sit in two dicts that gain keys in the same
-    order, so their keys and values read as aligned columns.
+    One dict maps each key to ``complex(value, kth bound)``: the two
+    doubles, stored exactly, in one 32-byte object.
 
     The cache is owned by the miner and must be kept consistent whenever
     the indexed dataset changes: ``extend``/refit drop everything via
@@ -517,16 +526,15 @@ class SharedODCache:
     """
 
     __slots__ = (
-        "_values", "_kth", "_slots", "_slot_ident", "_slot_row", "_slot_used", "_clock",
+        "_entries", "_slots", "_slot_ident", "_slot_row", "_slot_used", "_clock",
         "_free", "_expired", "_outcomes", "_outcome_bytes",
         "hits", "stores", "delta_evicted", "delta_retained", "outcome_hits", "evicted",
     )
 
     def __init__(self) -> None:
-        self._values: dict[int, float] = {}
-        #: Per-entry safe upper bound on the true kth-neighbour distance
-        #: (:func:`kth_bound`).
-        self._kth: dict[int, float] = {}
+        #: Key -> ``complex(OD value, safe upper bound on the true
+        #: kth-neighbour distance)`` (:func:`kth_bound`).
+        self._entries: dict[int, complex] = {}
         # The slot table: point identity (absolute row or external
         # coordinate bytes) -> slot, and per slot its identity and its
         # absolute row (_EXTERNAL for an external point, _FREE when
@@ -584,10 +592,11 @@ class SharedODCache:
         return slot << _MASK_BITS
 
     def get(self, point_key: int, mask: int) -> float | None:
-        value = self._values.get(point_key | mask)
-        if value is not None:
-            self.hits += 1
-        return value
+        entry = self._entries.get(point_key | mask)
+        if entry is None:
+            return None
+        self.hits += 1
+        return entry.real
 
     def put(self, point_key: int, mask: int, value: float, kth: float) -> None:
         """Record a value with its safe kth-distance bound.
@@ -597,14 +606,14 @@ class SharedODCache:
         carries the bound its delta invalidation needs.
         """
         key = point_key | mask
-        if key not in self._values:
+        if key not in self._entries:
             self.stores += 1
-        self._values[key] = value
-        self._kth[key] = kth
+        self._entries[key] = complex(value, kth)
 
     def kth_of(self, point_key: int, mask: int) -> float | None:
         """The recorded kth-distance bound for an entry, if any."""
-        return self._kth.get(point_key | mask)
+        entry = self._entries.get(point_key | mask)
+        return None if entry is None else entry.imag
 
     def entries(self) -> "dict[tuple[int | bytes, int], tuple[float, float]]":
         """Every entry as ``{(point, mask): (value, kth bound)}``.
@@ -614,17 +623,16 @@ class SharedODCache:
         numbered, for comparing two caches.
         """
         out = {}
-        for key, value in self._values.items():
+        for key, entry in self._entries.items():
             ident = self._slot_ident[key >> _MASK_BITS]
             point = ident if isinstance(ident, bytes) else ident - self._expired
-            out[(point, key & _MASK_LIMIT)] = (value, self._kth[key])
+            out[(point, key & _MASK_LIMIT)] = (entry.real, entry.imag)
         return out
 
     def invalidate(self) -> None:
         """Drop every cached value, stored outcome and the slot table
         (dataset changed)."""
-        self._values.clear()
-        self._kth.clear()
+        self._entries.clear()
         self._slots.clear()
         self._slot_ident.clear()
         self._slot_row.clear()
@@ -665,7 +673,7 @@ class SharedODCache:
         """Bytes the budget counts: entries, live slots and stored
         outcomes, at their measured per-object costs."""
         return (
-            len(self._values) * _ENTRY_BYTES
+            len(self._entries) * _ENTRY_BYTES
             + len(self._slots) * _SLOT_BYTES
             + self._outcome_bytes
         )
@@ -685,7 +693,8 @@ class SharedODCache:
         if excess <= 0:
             return 0
         excess += CACHE_BUDGET_BYTES // 8
-        keys = np.fromiter(self._values, dtype=np.int64, count=len(self._values))
+        entries = self._entries
+        keys = np.fromiter(entries, dtype=np.int64, count=len(entries))
         slots = keys >> _MASK_BITS
         table = len(self._slot_row)
         cost = np.bincount(slots, minlength=table) * _ENTRY_BYTES + _SLOT_BYTES
@@ -698,10 +707,8 @@ class SharedODCache:
         drop = np.zeros(table, dtype=bool)
         drop[order[:cut]] = True
         gone = keys[drop[slots]].tolist()
-        values, kth = self._values, self._kth
         for key in gone:
-            del values[key]
-            del kth[key]
+            del entries[key]
         for slot in order[:cut].tolist():
             self._free_slot(slot)
         self.evicted += len(gone)
@@ -758,21 +765,22 @@ class SharedODCache:
     ) -> tuple[int, int]:
         """Shared delta pass: evict entries the batch's rows can reach.
 
-        Reads every entry's key and bound as arrays, resolves each slot
-        to its point once (:meth:`_slot_points`; an unresolvable point —
-        a row outside the window, an external point of the wrong width —
-        evicts its entries), and measures every resolved entry against
-        the whole batch in its own subspace with :func:`_subspace_minima`.
-        ``keep_ties`` selects the insert rule (a new distance *equal* to
-        the bound keeps the k-smallest multiset) versus the expire rule
-        (a removed row tied with the kth could have been a neighbour, so
-        ties evict). Every slot that loses an entry loses its stored
-        outcome, and slots left without an entry are freed.
+        Reads every entry's key and ``complex(value, bound)`` as arrays,
+        resolves each slot to its point once (:meth:`_slot_points`; an
+        unresolvable point — a row outside the window, an external point
+        of the wrong width — evicts its entries), measures every resolved
+        entry against the whole batch in its own subspace with
+        :func:`_subspace_minima`, and rebuilds the entry dict from the
+        kept ones. ``keep_ties`` selects the insert rule (a new distance
+        *equal* to the bound keeps the k-smallest multiset) versus the
+        expire rule (a removed row tied with the kth could have been a
+        neighbour, so ties evict). Every slot that loses an entry loses
+        its stored outcome, and slots left without an entry are freed.
         """
-        count = len(self._values)
-        keys = np.fromiter(self._values, dtype=np.int64, count=count)
-        values = np.fromiter(self._values.values(), dtype=np.float64, count=count)
-        bounds = np.fromiter(self._kth.values(), dtype=np.float64, count=count)
+        count = len(self._entries)
+        keys = np.fromiter(self._entries, dtype=np.int64, count=count)
+        entries = np.fromiter(self._entries.values(), dtype=np.complex128, count=count)
+        bounds = entries.imag
         slots = keys >> _MASK_BITS
         rows = np.array(self._slot_row, dtype=np.int64)
         points, resolved = self._slot_points(rows, data)
@@ -784,9 +792,7 @@ class SharedODCache:
             metric,
         )
         kept = live[mins >= bounds[live] if keep_ties else mins > bounds[live]]
-        kept_keys = keys[kept].tolist()
-        self._values = dict(zip(kept_keys, values[kept].tolist()))
-        self._kth = dict(zip(kept_keys, bounds[kept].tolist()))
+        self._entries = dict(zip(keys[kept].tolist(), entries[kept].tolist()))
         if self._outcomes:
             # One mark per slot that lost an entry drops its outcome.
             gone = np.ones(count, dtype=bool)
@@ -830,7 +836,7 @@ class SharedODCache:
         return points, resolved
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._entries)
 
     def __repr__(self) -> str:
         return f"SharedODCache(entries={len(self)}, hits={self.hits})"
@@ -847,37 +853,30 @@ def _subspace_minima(
     whose ``(entries × batch rows)`` temporaries stay under
     :data:`DELTA_BLOCK_BYTES`. Other metrics keep the per-mask
     arithmetic: entries are grouped by mask with one argsort, and each
-    group costs one ``pairwise_many`` call per block, or one
-    ``pairwise`` call per batch row without it. Every path measures a
-    distance with the kernel's own arithmetic (``repro.core.metrics``),
+    group costs one ``pairwise`` call per batch row. Both paths measure
+    a distance with the kernel's own arithmetic (``repro.core.metrics``),
     so an expired kth neighbour reads exactly its bound.
     """
     out = np.full(points.shape[0], np.inf)
     if batch.shape[0] == 0 or points.shape[0] == 0:
         return out
     d = points.shape[1]
-    step = max(1, DELTA_BLOCK_BYTES // (8 * batch.shape[0]))
     select = mask_matrix(masks, d, bool)
     masked = getattr(metric, "pairwise_masked", None)
     if masked is not None:
+        step = max(1, DELTA_BLOCK_BYTES // (8 * batch.shape[0]))
         for start in range(0, points.shape[0], step):
             block = slice(start, start + step)
             out[block] = masked(batch, points[block], select[block]).min(axis=1)
         return out
-    many = getattr(metric, "pairwise_many", None)
     order = np.argsort(masks, kind="stable")
     cuts = np.flatnonzero(np.diff(masks[order])) + 1
     for group in np.split(order, cuts):
         dims = np.flatnonzero(select[group[0]])
-        for start in range(0, group.size, step):
-            rows = group[start : start + step]
-            if many is not None:
-                out[rows] = many(batch, points[rows], dims).min(axis=1)
-                continue
-            mins = np.full(rows.size, np.inf)
-            for row in batch:
-                np.minimum(mins, metric.pairwise(points[rows], row, dims), out=mins)
-            out[rows] = mins
+        mins = np.full(group.size, np.inf)
+        for row in batch:
+            np.minimum(mins, metric.pairwise(points[group], row, dims), out=mins)
+        out[group] = mins
     return out
 
 
@@ -1057,24 +1056,3 @@ class ODEvaluator:
         self._cache[mask] = value
         if self.shared_cache is not None:
             self.shared_cache.put(self.point_key, mask, value, kth=kth)
-
-    def od_subspace(self, subspace: Subspace) -> float:
-        """OD in a :class:`~repro.core.subspace.Subspace` (wrapper API)."""
-        if subspace.d != self.backend.d:
-            raise DataShapeError(
-                f"subspace lives in d={subspace.d} but the data has d={self.backend.d}"
-            )
-        return self.od(subspace.mask)
-
-    def knn_set(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        """The KNNSet itself — ``(row indices, distances)`` in subspace
-        *mask*; useful for explanation output and examples."""
-        dims = dims_of_mask(mask)
-        return self.backend.knn(self.query, self.k, dims, exclude=self.exclude)
-
-    def reset_counters(self) -> None:
-        """Zero the evaluation counters (the cache is kept)."""
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.shared_hits = 0
-        self.reverifications = 0

@@ -115,10 +115,6 @@ class TestQueries:
         with pytest.raises(ConfigurationError):
             fitted_miner.query_row(10_000)
 
-    def test_query_many(self, fitted_miner, planted_dataset):
-        results = fitted_miner.query_many([0, 1, planted_dataset.X[2]])
-        assert len(results) == 3
-
     def test_search_outcome_exposes_lattice(self, fitted_miner):
         outcome, evaluator = fitted_miner.search_outcome(0)
         assert outcome.d == fitted_miner.d_

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigurationError, DataShapeError
 from repro.core.od import ODEvaluator, outlying_degree
-from repro.core.subspace import Subspace, dims_of_mask, iter_proper_submasks
+from repro.core.subspace import dims_of_mask, iter_proper_submasks
 from repro.index.linear import LinearScanIndex
 
 
@@ -60,6 +60,12 @@ class TestODEvaluator:
         assert evaluator.od(mask) == pytest.approx(
             brute_od(X, X[0], 4, dims_of_mask(mask), exclude=0)
         )
+        # The value is the sum of the kNN set's sorted distances, the
+        # query's own row excluded.
+        indices, distances = evaluator.backend.knn(X[0], 4, dims_of_mask(0b1111), exclude=0)
+        assert len(indices) == 4 and 0 not in indices
+        assert list(distances) == sorted(distances)
+        assert evaluator.od(0b1111) == float(distances.sum())
 
     def test_cache_counts(self, rng):
         evaluator, _ = self._evaluator(rng)
@@ -68,32 +74,6 @@ class TestODEvaluator:
         evaluator.od(0b011)
         assert evaluator.evaluations == 2
         assert evaluator.cache_hits == 1
-
-    def test_reset_counters_keeps_cache(self, rng):
-        evaluator, _ = self._evaluator(rng)
-        evaluator.od(0b1)
-        evaluator.reset_counters()
-        assert evaluator.evaluations == 0
-        evaluator.od(0b1)
-        assert evaluator.cache_hits == 1 and evaluator.evaluations == 0
-
-    def test_od_subspace_wrapper(self, rng):
-        evaluator, _ = self._evaluator(rng)
-        subspace = Subspace.from_dims([0, 2], 4)
-        assert evaluator.od_subspace(subspace) == pytest.approx(evaluator.od(0b101))
-
-    def test_od_subspace_rejects_wrong_width(self, rng):
-        evaluator, _ = self._evaluator(rng)
-        with pytest.raises(DataShapeError):
-            evaluator.od_subspace(Subspace.from_dims([0], 5))
-
-    def test_knn_set_contents(self, rng):
-        evaluator, X = self._evaluator(rng)
-        indices, distances = evaluator.knn_set(0b1111)
-        assert len(indices) == 4
-        assert 0 not in indices  # self excluded
-        assert list(distances) == sorted(distances)
-        assert evaluator.od(0b1111) == pytest.approx(float(distances.sum()))
 
     def test_rejects_bad_k(self, rng):
         X = rng.normal(size=(10, 3))

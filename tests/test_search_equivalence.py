@@ -113,9 +113,10 @@ def test_answer_set_is_upward_closed(seed, d):
 @given(seed=st.integers(0, 2**20), d=st.integers(2, 6))
 def test_stats_account_for_every_subspace(seed, d):
     """Every subspace is either evaluated or pruned, exactly once."""
-    evaluator, threshold = _make_problem(seed, d, 3, 0.9)
-    evaluator.reset_counters()
-    evaluator._cache.clear()  # fresh start: _make_problem pre-warmed one OD
+    warm, threshold = _make_problem(seed, d, 3, 0.9)
+    # A fresh evaluator: the one _make_problem returns has already
+    # evaluated the full space.
+    evaluator = ODEvaluator(warm.backend, warm.query, 3, exclude=0)
     outcome = DynamicSubspaceSearch(
         evaluator, threshold, PruningPriors.uniform(d)
     ).run()

@@ -27,6 +27,7 @@ contrasts with.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from repro.core.filtering import minimal_masks
 from repro.core.metrics import EuclideanMetric, get_metric
 from repro.core.miner import HOSMiner
 from repro.core.od import ODEvaluator, SharedODCache, kth_bound
+from repro.core.precision import reverify_rtol
 from repro.core.stream import StreamEngine
 from repro.core.subspace import full_mask
 from repro.data.synthetic import make_drift_stream
@@ -99,18 +101,7 @@ class PairwiseOnly:
         return self._inner.mindist(q, lower, upper, dims)
 
 
-class PairwiseManyOnly(PairwiseOnly):
-    """A custom metric with a batched ``pairwise_many`` view but no
-    masked one: the delta pass makes one ``pairwise_many`` call per
-    mask."""
-
-    name = "pairwise-many-only"
-
-    def pairwise_many(self, X, Q, dims):
-        return np.stack([self.pairwise(X, q, dims) for q in Q])
-
-
-CUSTOM_METRICS = {"pairwise-only": PairwiseOnly, "pairwise-many-only": PairwiseManyOnly}
+CUSTOM_METRICS = {"pairwise-only": PairwiseOnly}
 
 
 def assert_answers_identical(streamed, oracle, context=""):
@@ -287,6 +278,80 @@ class TestDeltaCache:
         assert cache.kth_of(key, self.MASK) == 1.5
         with pytest.raises(TypeError):
             cache.put(key, 3, 7.0)  # every entry needs a bound
+
+    def test_entries_keep_every_double_bit_for_bit(self):
+        """One ``complex(value, bound)`` per entry holds both doubles
+        exactly: ``get``, ``kth_of`` and ``entries()`` return them bit for
+        bit, before and after a delta pass rebuilds the table."""
+        pairs = [
+            (0.0, 0.0),
+            (-0.0, 5e-324),
+            (5e-324, 1e-300),
+            (1e308, 2.5),
+            (1.0 / 3.0, float(np.nextafter(1.0, 2.0))),
+            (2.5, 1e308),
+            (7.0, float("inf")),
+        ]
+        data = self.data()
+        cache = SharedODCache()
+        keys = [cache.point_key(data[row], row) for row in range(len(pairs))]
+        for key, (value, bound) in zip(keys, pairs):
+            cache.put(key, self.MASK, value, kth=bound)
+
+        def bits(x):
+            return float(x).hex()
+
+        def assert_holds(rows):
+            entries = cache.entries()
+            assert sorted(point for point, _ in entries) == rows
+            for row in rows:
+                value, bound = pairs[row]
+                assert bits(cache.get(keys[row], self.MASK)) == bits(value)
+                assert bits(cache.kth_of(keys[row], self.MASK)) == bits(bound)
+                got = entries[(row, self.MASK)]
+                assert (bits(got[0]), bits(got[1])) == (bits(value), bits(bound))
+
+        assert_holds(list(range(len(pairs))))
+        # A row 100 away keeps every entry whose bound lies below that.
+        far = data[0] + 100.0
+        assert cache.delta_insert(far[None, :], np.vstack([data, far]), EuclideanMetric()) == (2, 5)
+        assert_holds([0, 1, 2, 3, 4])
+
+    def test_footprint_matches_traced_memory(self, monkeypatch):
+        """The per-entry charge is a measurement: a cache of about 50,000
+        entries over about 500 slots (12-d masks, half external points),
+        trimmed twice, traces within 15% of ``footprint()``."""
+        d = 12
+        rng = np.random.default_rng(0)
+
+        def fill(cache, first, slots, per_slot=100):
+            for i in range(first, first + slots):
+                if i % 2:
+                    key = cache.point_key(np.ascontiguousarray(rng.normal(size=d)), None)
+                else:
+                    key = cache.point_key(np.zeros(d), i)
+                masks = rng.choice(np.arange(1, 1 << d), per_slot, replace=False)
+                for mask in masks.tolist():
+                    cache.put(key, mask, float(rng.random()), kth=float(rng.random()))
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = SharedODCache()
+            fill(cache, 0, 400)
+            monkeypatch.setattr(od, "CACHE_BUDGET_BYTES", 40_000 * od._ENTRY_BYTES)
+            assert cache.trim() > 0
+            fill(cache, 400, 200)
+            assert cache.trim() > 0
+            fill(cache, 600, 160)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert 45_000 <= len(cache) <= 55_000 and 450 <= len(cache._slots) <= 550
+        assert abs(traced - cache.footprint()) <= 0.15 * cache.footprint()
 
     def test_insert_keeps_far_rows_and_ties_evicts_near(self):
         data = self.data()
@@ -595,6 +660,27 @@ class TestInvalidationModes:
         assert len(miner.od_cache_) == 0
         assert miner.od_cache_.delta_retained == 0  # never took the delta path
 
+    @pytest.mark.parametrize("refresh", ["none", "threshold", "full"])
+    def test_extend_with_no_rows_keeps_everything(self, refresh):
+        """Zero rows leave the window as it was: like ``insert``, ``extend``
+        then keeps every cached OD, stored outcome, the live shard pool,
+        ``T`` and the priors."""
+        X = np.random.default_rng(60).normal(size=(60, 3))
+        with HOSMiner(k=3, sample_size=4, seed=5, workers=2).fit(X) as miner:
+            miner.query_batch(list(range(5)))
+            cache, pool = miner.od_cache_, miner._shard_pool
+            entries, outcomes = cache.entries(), dict(cache._outcomes)
+            threshold, priors = miner.threshold_, miner.priors_
+            assert len(entries) >= 60 and len(outcomes) == 5
+            assert pool is not None and not pool.closed
+            miner.extend(np.empty((0, 3)), refresh=refresh)
+            assert cache.entries() == entries and cache._outcomes == outcomes
+            assert miner._shard_pool is pool and not pool.closed
+            assert miner.threshold_ == threshold and miner.priors_ is priors
+            assert miner.backend_.size == 60
+            with pytest.raises(ConfigurationError):
+                miner.extend(np.empty((0, 3)), refresh="sometimes")
+
     def test_insert_takes_the_delta_path_by_default(self):
         miner, batches = self.warm_miner_with_cache()
         far = batches[0] + 200.0  # can't reach any cached neighbourhood
@@ -785,16 +871,22 @@ POOL_ROWS = [0, 1, 17, MODEL_WINDOW - 1]
 
 
 class OutcomeModel(RuleBasedStateMachine):
-    """A small windowed miner under ``push``, ``query_batch``,
-    ``query_row`` and ``extend``.
+    """A small windowed miner under ``push``, ``extend`` (zero rows
+    included), ``query_batch``, ``query_row``, ``query_point`` and
+    ``close``.
 
-    ``query_batch`` draws its targets from a pool of 4 rows and 4
-    external points, so stored outcomes replay and then meet the delta
-    pass, ``extend``'s invalidation and (in the budgeted model) eviction.
+    Queries draw their targets from a pool of 4 rows and 4 external
+    points, so stored outcomes replay and then meet the delta pass,
+    ``extend``'s invalidation and (in the budgeted model) eviction.
     Every answer must equal a fresh fit on a copy of the window with the
     same explicit ``T``, and exhaustive search must agree on the most
-    outlying one.
+    outlying one. On the exact kernel every cached value is
+    ``knn(...)[1].sum()`` over the window whatever path computed it, so
+    after every step sampled cache entries must hold a fresh index's
+    value bit for bit, and a bound at least its kth distance.
     """
+
+    KERNEL = "exact"
 
     def __init__(self):
         super().__init__()
@@ -802,10 +894,11 @@ class OutcomeModel(RuleBasedStateMachine):
         warm = rng.normal(size=(MODEL_WINDOW, D))
         warm[:2, :2] += 5.0
         self.threshold = float(fitted(warm).threshold_)
-        self.miner = fitted(warm, threshold=self.threshold, stream_window=MODEL_WINDOW)
+        self.miner = fitted(
+            warm, threshold=self.threshold, stream_window=MODEL_WINDOW, kernel=self.KERNEL
+        )
         self.engine = StreamEngine(self.miner)
         self.points = [warm[0] + 0.05, warm[9] + 0.1, np.full(D, 2.5), rng.normal(size=D)]
-        self.replayed = 0
 
     def _rows(self, seed, count, near):
         rng = np.random.default_rng(seed)
@@ -814,7 +907,7 @@ class OutcomeModel(RuleBasedStateMachine):
 
     def _check(self, targets, results):
         window = np.array(self.miner.backend_.data, copy=True)
-        oracle = fitted(window, threshold=self.threshold, sample_size=0)
+        oracle = fitted(window, threshold=self.threshold, sample_size=0, kernel=self.KERNEL)
         assert_answers_identical(results, oracle.query_batch(targets).results)
         target, result = max(zip(targets, results), key=lambda pair: pair[1].total_outlying)
         if isinstance(target, int):
@@ -833,21 +926,61 @@ class OutcomeModel(RuleBasedStateMachine):
     def push(self, seed, count, near):
         self.engine.push(self._rows(seed, count, near))
 
-    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 4))
+    @rule(seed=st.integers(0, 2**16), count=st.integers(0, 4))
     def extend(self, seed, count):
+        cache = self.miner.od_cache_
+        entries, outcomes = cache.entries(), dict(cache._outcomes)
         self.miner.extend(self._rows(seed, count, near=True))
+        if count == 0:
+            assert cache.entries() == entries and cache._outcomes == outcomes
 
     @rule(picks=st.lists(st.integers(0, 7), min_size=1, max_size=6))
     def query_batch(self, picks):
         targets = [POOL_ROWS[i] if i < 4 else self.points[i - 4] for i in picks]
-        batch = self.engine.query_batch(targets)
-        self.replayed += batch.replayed
-        self._check(targets, batch.results)
+        self._check(targets, self.engine.query_batch(targets).results)
 
     @rule(pick=st.integers(0, 3))
     def query_row(self, pick):
         row = POOL_ROWS[pick]
         self._check([row], [self.engine.query(row)])
+
+    @rule(pick=st.integers(0, 3))
+    def query_point(self, pick):
+        point = self.points[pick]
+        self._check([point], [self.miner.query_point(point)])
+
+    @rule()
+    def close(self):
+        self.engine.close()
+        assert self.miner._shard_pool is None
+
+    @invariant()
+    def cached_values_are_fresh(self):
+        entries = self.miner.od_cache_.entries()
+        if not entries:
+            return
+        window = np.array(self.miner.backend_.data, copy=True)
+        fresh = LinearScanIndex(window)
+        keys = list(entries)
+        rtol = reverify_rtol(self.miner.precision_, D)
+        picks = np.random.default_rng(len(keys)).choice(len(keys), min(8, len(keys)), replace=False)
+        for (point, mask) in [keys[i] for i in picks.tolist()]:
+            value, bound = entries[(point, mask)]
+            if isinstance(point, bytes):
+                query, exclude = np.frombuffer(point), None
+            else:
+                query, exclude = window[point], point
+            dims = np.flatnonzero((mask >> np.arange(D)) & 1)
+            distances = fresh.knn(query, K, dims, exclude=exclude)[1]
+            want = float(distances.sum())
+            if self.KERNEL == "exact":
+                assert value == want, (point, mask)
+            else:
+                assert abs(value - want) <= rtol * (abs(want) + 1.0), (point, mask)
+            assert bound >= distances[-1], (point, mask)
+
+    def teardown(self):
+        self.engine.close()
 
 
 class BudgetedOutcomeModel(OutcomeModel):
@@ -859,10 +992,24 @@ class BudgetedOutcomeModel(OutcomeModel):
         assert self.miner.od_cache_.footprint() <= od.CACHE_BUDGET_BYTES
 
 
+class GemmOutcomeModel(OutcomeModel):
+    """The same model on the default kernel (the GEMM tier): a GEMM value
+    sums in BLAS order, so cached values need only lie within the tier's
+    rounding band of the fresh exact value."""
+
+    KERNEL = "auto"
+
+
 class TestStoredOutcomeModel:
     def test_replays_stay_fresh_fit_identical(self):
         run_state_machine_as_test(
             OutcomeModel, settings=settings(max_examples=12, stateful_step_count=12, deadline=None)
+        )
+
+    def test_gemm_tier_replays_stay_fresh_fit_identical(self):
+        run_state_machine_as_test(
+            GemmOutcomeModel,
+            settings=settings(max_examples=12, stateful_step_count=12, deadline=None),
         )
 
     def test_eviction_keeps_answers_and_the_budget(self, monkeypatch):
